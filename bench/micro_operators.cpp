@@ -1,17 +1,19 @@
-/// Variation-operator benchmark and scalar-vs-batch agreement gate.
+/// Variation-operator benchmark and recorded-offspring agreement gate.
 ///
 /// Offspring generation is the second component of the master's
-/// per-result overhead T_A (after archive insertion), so the batched
-/// arena path — apply_into()/produce_batch() writing into SolutionPool
-/// rows with reused scratch and cached bounds — directly moves the
-/// paper's saturation bound P_UB = T_F / (2·T_C + T_A). This driver
-/// times each ensemble operator (SBX+PM, DE+PM, PCX+PM, SPX+PM, UNDX+PM,
-/// UM) on the paper's two experiment problems and pins the two paths
-/// against each other: the batch path must produce bit-identical
-/// offspring from an identical RNG stream, or the exit code is non-zero.
+/// per-result overhead T_A (after archive insertion), so the arena path —
+/// apply_into()/produce_batch() writing into SolutionPool rows with reused
+/// scratch and cached bounds — directly moves the paper's saturation
+/// bound P_UB = T_F / (2·T_C + T_A). This benchmark times each ensemble
+/// operator (SBX+PM, DE+PM, PCX+PM, SPX+PM, UNDX+PM, UM) on the paper's
+/// two experiment problems. Its agreement gate replays the recorded
+/// offspring digests of tests/operator_digests.hpp (every raw operator and
+/// every composite, through apply() and apply_into()) and checks
+/// produce_batch against sequential apply_into on one RNG stream; any
+/// divergence exits 2.
 ///
 /// ci.sh runs `--quick` (DTLZ2_5 only, fewer samples) as a smoke gate:
-/// agreement plus batch-faster-than-scalar per operator. The full grid
+/// agreement plus the per-operator timings. The full grid
 /// additionally times the end-to-end master hot loop — generation +
 /// ingestion per offspring, evaluation excluded — on the paper's two
 /// problems at population 100 (ε = 0.25) and at the 10^4-member archive
@@ -38,6 +40,7 @@
 
 #include "moea/borg.hpp"
 #include "moea/operators.hpp"
+#include "operator_digests.hpp"
 #include "problems/problem.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -78,36 +81,51 @@ struct Setup {
     }
 };
 
-/// Both paths on lockstep RNG streams must emit bit-identical offspring —
-/// one extra or missing draw desyncs every later trial, so this also pins
-/// the draw count. Returns false on any divergence.
-bool agreement_gate(Setup& setup, std::size_t batch, std::uint64_t seed) {
-    for (auto& op : setup.ops) {
-        const ParentView parents = setup.view(op->arity());
-        const std::size_t n = setup.problem->num_variables();
-        util::Rng scalar_rng(seed), arena_rng(seed), batch_rng(seed);
-        std::vector<double> row(n);
-        std::vector<double> rows(batch * n);
-        for (std::size_t trial = 0; trial < 200; ++trial) {
-            const std::vector<double> oracle = op->apply(parents, scalar_rng);
-            op->apply_into(parents, arena_rng, row);
-            if (oracle != row) {
-                std::cerr << "FAIL: " << op->name() << " apply_into diverged"
-                          << " from apply at trial " << trial << "\n";
+/// Every operator must reproduce its recorded offspring digest through
+/// both entry points. Returns false on any divergence.
+bool recorded_digests_gate() {
+    const auto problem = problems::make_problem(testops::kProblem);
+    const auto check = [&](std::vector<std::unique_ptr<Variation>> ops,
+                           std::span<const testops::RecordedDigest> recorded,
+                           std::uint64_t seed, int trials) {
+        util::Rng parent_rng(testops::kParentSeed);
+        for (std::size_t k = 0; k < ops.size(); ++k) {
+            const testops::OffspringDigests got = testops::digest_offspring(
+                *ops[k], *problem, parent_rng, seed, trials);
+            if (ops[k]->name() != recorded[k].name ||
+                got.apply != recorded[k].digest ||
+                got.apply_into != recorded[k].digest) {
+                std::cerr << "FAIL: " << ops[k]->name()
+                          << " offspring diverged from the recorded digest\n";
                 return false;
             }
         }
-        // produce_batch against a scalar replay of the same stream.
-        util::Rng oracle_rng(seed);
+        return true;
+    };
+    return check(testops::all_raw_operators(*problem), testops::kRawDigests,
+                 testops::kRawSeed, testops::kRawTrials) &&
+           check(make_borg_operators(*problem), testops::kEnsembleDigests,
+                 testops::kEnsembleSeed, testops::kEnsembleTrials);
+}
+
+/// produce_batch must equal sequential apply_into calls on a lockstep RNG
+/// stream. Returns false on any divergence.
+bool batch_agreement_gate(Setup& setup, std::size_t batch,
+                          std::uint64_t seed) {
+    for (auto& op : setup.ops) {
+        const ParentView parents = setup.view(op->arity());
+        const std::size_t n = setup.problem->num_variables();
+        util::Rng batch_rng(seed), seq_rng(seed);
+        std::vector<double> row(n);
+        std::vector<double> rows(batch * n);
         for (std::size_t trial = 0; trial < 200; trial += batch) {
             const std::size_t count =
                 std::min(batch, std::size_t{200} - trial);
             op->produce_batch(parents, batch_rng, count,
                               std::span<double>(rows.data(), count * n));
             for (std::size_t i = 0; i < count; ++i) {
-                const std::vector<double> oracle =
-                    op->apply(parents, oracle_rng);
-                if (!std::equal(oracle.begin(), oracle.end(),
+                op->apply_into(parents, seq_rng, row);
+                if (!std::equal(row.begin(), row.end(),
                                 rows.begin() + i * n)) {
                     std::cerr << "FAIL: " << op->name()
                               << " produce_batch diverged at offspring "
@@ -121,9 +139,8 @@ bool agreement_gate(Setup& setup, std::size_t batch, std::uint64_t seed) {
 }
 
 /// Median ns/offspring over \p samples; the inner cycle repeats until it
-/// runs >= 20 ms so clock quantization stays negligible. Both paths replay
-/// the same RNG stream (reseeded per sample), so they do identical
-/// numerical work — the difference is purely allocation and dispatch.
+/// runs >= 20 ms so clock quantization stays negligible. The RNG stream is
+/// reseeded per sample, so every sample does identical numerical work.
 template <typename Body>
 double median_ns_per_offspring(std::size_t samples, std::uint64_t seed,
                                std::size_t offspring_per_cycle, Body&& body) {
@@ -154,9 +171,7 @@ double median_ns_per_offspring(std::size_t samples, std::uint64_t seed,
 struct OpReport {
     std::string problem;
     std::string op;
-    double scalar_ns = 0.0;
     double batch_ns = 0.0;
-    double speedup = 0.0;
 };
 
 /// One (problem, ε) cell of the end-to-end master hot loop: median-free
@@ -281,17 +296,18 @@ int main(int argc, char** argv) {
         samples = std::min<std::size_t>(samples, 3);
     }
 
-    std::cout << "operator ensemble: scalar apply() vs batched "
-                 "produce_batch(" << batch << "), median of " << samples
-              << " samples\n";
-    util::Table table({"problem", "operator", "scalar ns", "batch ns",
-                       "speedup"});
+    if (!recorded_digests_gate()) return 2;
+
+    std::cout << "operator ensemble: produce_batch(" << batch
+              << ") ns/offspring, median of " << samples << " samples\n";
+    util::Table table({"problem", "operator", "batch ns"});
     std::vector<OpReport> reports;
     int rc = 0;
     double sink = 0.0;
     for (const std::string& name : problem_names) {
         Setup setup(name, seed);
-        if (!agreement_gate(setup, batch, seed ^ 0xa5a5a5a5ull)) return 2;
+        if (!batch_agreement_gate(setup, batch, seed ^ 0xa5a5a5a5ull))
+            return 2;
 
         const std::size_t n = setup.problem->num_variables();
         for (auto& op : setup.ops) {
@@ -299,47 +315,25 @@ int main(int argc, char** argv) {
             OpReport report;
             report.problem = name;
             report.op = op->name();
-
-            report.scalar_ns = median_ns_per_offspring(
-                samples, seed + 1, batch, [&](util::Rng& rng) {
-                    for (std::size_t i = 0; i < batch; ++i) {
-                        const std::vector<double> child =
-                            op->apply(parents, rng);
-                        sink += child[0];
-                    }
-                });
             std::vector<double> rows(batch * n);
             report.batch_ns = median_ns_per_offspring(
                 samples, seed + 1, batch, [&](util::Rng& rng) {
                     op->produce_batch(parents, rng, batch, rows);
                     sink += rows[0];
                 });
-            report.speedup = report.scalar_ns / report.batch_ns;
             reports.push_back(report);
 
-            char scalar_buf[32], batch_buf[32], speedup_buf[32];
-            std::snprintf(scalar_buf, sizeof(scalar_buf), "%.0f",
-                          report.scalar_ns);
+            char batch_buf[32];
             std::snprintf(batch_buf, sizeof(batch_buf), "%.0f",
                           report.batch_ns);
-            std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx",
-                          report.speedup);
-            table.add_row({name, report.op, scalar_buf, batch_buf,
-                           speedup_buf});
-
-            // Per-operator smoke gate: the batched path must not lose.
-            if (report.speedup <= 1.0) {
-                std::cerr << "FAIL: " << name << "/" << report.op
-                          << " batch path slower than scalar ("
-                          << speedup_buf << ")\n";
-                rc = 1;
-            }
+            table.add_row({name, report.op, batch_buf});
         }
     }
     table.print(std::cout);
     if (sink == 0.0) std::cerr << "no offspring was ever produced?\n";
-    std::cout << "agreement: apply / apply_into / produce_batch "
-                 "bit-identical on every operator\n";
+    std::cout << "agreement: recorded offspring digests (apply / "
+                 "apply_into) and produce_batch bit-identical on every "
+                 "operator\n";
 
     // Full grid: the end-to-end master hot loop (the T_A headline). The
     // population-100 cells also time the allocation-per-offspring value
@@ -423,10 +417,8 @@ int main(int argc, char** argv) {
             char buf[256];
             std::snprintf(buf, sizeof(buf),
                           "    {\"problem\": \"%s\", \"operator\": \"%s\", "
-                          "\"scalar_ns\": %.1f, \"batch_ns\": %.1f, "
-                          "\"speedup\": %.2f}%s\n",
-                          r.problem.c_str(), r.op.c_str(), r.scalar_ns,
-                          r.batch_ns, r.speedup,
+                          "\"batch_ns\": %.1f}%s\n",
+                          r.problem.c_str(), r.op.c_str(), r.batch_ns,
                           i + 1 < reports.size() ? "," : "");
             out << buf;
         }

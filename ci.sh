@@ -3,11 +3,11 @@
 # the net tier's loopback TCP fault-injection suite), a clang-tidy pass
 # over the engine/parallel layer (skipped when clang-tidy is not
 # installed), the arena-ownership lint, the trace_check observability
-# gate, the hypervolume, ε-archive, DES, and variation-operator
-# agreement+speedup smoke gates, the fast+threads+net tiers (including
-# the SolutionPool and allocation-behavior tests) under AddressSanitizer
-# + UBSan, and the concurrency surface (thread pool, sweep runner,
-# host-thread executor) under ThreadSanitizer.
+# gate, the hypervolume, ε-archive, and DES agreement+speedup smoke
+# gates, the variation-operator agreement gate, the fast+threads+net
+# tiers (including the SolutionPool and allocation-behavior tests) under
+# AddressSanitizer + UBSan, and the concurrency surface (thread pool,
+# sweep runner, host-thread executor) under ThreadSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,10 +64,10 @@ echo "=== DES engine gate (agreement + speedup smoke) ==="
 # trace) or if it is slower than the heap on the P = 4096 ticker cell.
 ./build/bench/micro_des --quick --json build/BENCH_des.json
 
-echo "=== operator batch gate (agreement + speedup smoke) ==="
-# Fails if apply_into/produce_batch ever diverge bit-for-bit from the
-# scalar apply() oracle on any ensemble operator, or if the batched path
-# is slower than the scalar path on any DTLZ2_5 cell. The full grid
+echo "=== operator gate (recorded-offspring agreement + timing smoke) ==="
+# Fails if any operator's apply()/apply_into offspring diverge from the
+# digests recorded in tests/operator_digests.hpp, or if produce_batch
+# diverges from sequential apply_into calls. The full grid
 # (BENCH_operators.json) additionally times the end-to-end master hot
 # loop against the pre-arena seed baseline.
 ./build/bench/micro_operators --quick --json build/BENCH_operators.json
@@ -83,8 +83,9 @@ echo "=== evaluation-time-bias gate (bias + countermeasure smoke) ==="
 echo "=== net backend gate (agreement + syscall/CPU smoke) ==="
 # Forks a real 256-process borg_worker fleet against both poller
 # backends. Fails if either backend's archive diverges from the thread
-# executor, if epoll does not at least halve io syscalls per result, or
-# if epoll's CPU per result regresses past the single-core noise band.
+# executor, if either backend does not at least halve the io syscalls per
+# result recorded for the retired tick-and-send-per-frame loop, or if
+# epoll's CPU per result regresses past poll's beyond the noise band.
 # On non-Linux builds (no epoll) it reports and passes trivially.
 ./build/bench/micro_net --quick --json build/BENCH_net.json
 

@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    const std::string backend = args.get("backend", "poll");
+    const std::string backend =
+        args.get("backend", net::to_string(config.backend));
     if (backend == "poll") {
         config.backend = net::PollerBackend::poll;
     } else if (backend == "epoll") {

@@ -1,7 +1,6 @@
 #include "moea/operators.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,24 +10,16 @@ namespace borg::moea {
 
 namespace {
 
-/// Centroid of the parent vectors.
-std::vector<double> centroid(const ParentView& parents) {
-    std::vector<double> g(parents[0].size(), 0.0);
-    for (const auto& parent : parents)
-        for (std::size_t i = 0; i < g.size(); ++i) g[i] += parent[i];
-    const auto inv = 1.0 / static_cast<double>(parents.size());
-    for (double& x : g) x *= inv;
-    return g;
-}
-
 double norm(std::span<const double> v) {
     double sum = 0.0;
     for (const double x : v) sum += x * x;
     return std::sqrt(sum);
 }
 
+/// Every operator body validates its call here, before it touches \p out:
+/// enough parents, all of one length, and an output row of that length.
 void require_parents(const ParentView& parents, std::size_t minimum,
-                     const char* op) {
+                     std::span<const double> out, const char* op) {
     if (parents.size() < minimum)
         throw std::invalid_argument(std::string(op) + ": needs at least " +
                                     std::to_string(minimum) + " parents");
@@ -36,6 +27,9 @@ void require_parents(const ParentView& parents, std::size_t minimum,
         if (p.size() != parents[0].size())
             throw std::invalid_argument(std::string(op) +
                                         ": parent arity mismatch");
+    if (out.size() != parents[0].size())
+        throw std::invalid_argument(std::string(op) +
+                                    ": output size mismatch");
 }
 
 /// Centroid of the parent vectors, written into reusable scratch.
@@ -57,7 +51,7 @@ void ensure_rows(std::vector<std::vector<double>>& m, std::size_t rows,
 
 } // namespace
 
-Variation::Variation(const problems::Problem& problem) : problem_(problem) {
+Variation::Variation(const problems::Problem& problem) {
     const std::size_t n = problem.num_variables();
     lower_bounds_.reserve(n);
     upper_bounds_.reserve(n);
@@ -67,24 +61,18 @@ Variation::Variation(const problems::Problem& problem) : problem_(problem) {
     }
 }
 
-void Variation::clip(std::vector<double>& variables) const {
-    for (std::size_t i = 0; i < variables.size(); ++i)
-        variables[i] = std::clamp(variables[i], problem_.lower_bound(i),
-                                  problem_.upper_bound(i));
-}
-
 void Variation::clip(std::span<double> variables) const {
     for (std::size_t i = 0; i < variables.size(); ++i)
         variables[i] =
             std::clamp(variables[i], lower_bounds_[i], upper_bounds_[i]);
 }
 
-void Variation::apply_into(const ParentView& parents, util::Rng& rng,
-                           std::span<double> out) {
-    const std::vector<double> child = apply(parents, rng);
-    if (child.size() != out.size())
-        throw std::invalid_argument("apply_into: output size mismatch");
-    std::copy(child.begin(), child.end(), out.begin());
+std::vector<double> Variation::apply(const ParentView& parents,
+                                     util::Rng& rng) {
+    if (parents.empty()) throw std::invalid_argument(name() + ": no parents");
+    std::vector<double> child(parents[0].size());
+    apply_into(parents, rng, child);
+    return child;
 }
 
 void Variation::produce_batch(const ParentView& parents, util::Rng& rng,
@@ -109,39 +97,9 @@ Sbx::Sbx(const problems::Problem& problem, double distribution_index,
         throw std::invalid_argument("SBX: distribution index <= 0");
 }
 
-std::vector<double> Sbx::apply(const ParentView& parents,
-                               util::Rng& rng) const {
-    require_parents(parents, 2, "SBX");
-    const auto& p1 = parents[0];
-    const auto& p2 = parents[1];
-    std::vector<double> child(p1.begin(), p1.end());
-
-    for (std::size_t i = 0; i < child.size(); ++i) {
-        if (!rng.flip(swap_probability_)) continue;
-        const double x1 = p1[i];
-        const double x2 = p2[i];
-        if (std::abs(x1 - x2) < 1e-14) continue;
-
-        // Spread factor beta from the polynomial distribution.
-        const double u = rng.uniform();
-        double beta;
-        if (u < 0.5)
-            beta = std::pow(2.0 * u, 1.0 / (distribution_index_ + 1.0));
-        else
-            beta = std::pow(1.0 / (2.0 * (1.0 - u)),
-                            1.0 / (distribution_index_ + 1.0));
-
-        const double c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2);
-        const double c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2);
-        child[i] = rng.flip(0.5) ? c1 : c2;
-    }
-    clip(child);
-    return child;
-}
-
 void Sbx::apply_into(const ParentView& parents, util::Rng& rng,
                      std::span<double> out) {
-    require_parents(parents, 2, "SBX");
+    require_parents(parents, 2, out, "SBX");
     const auto& p1 = parents[0];
     const auto& p2 = parents[1];
     std::copy(p1.begin(), p1.end(), out.begin());
@@ -152,6 +110,7 @@ void Sbx::apply_into(const ParentView& parents, util::Rng& rng,
         const double x2 = p2[i];
         if (std::abs(x1 - x2) < 1e-14) continue;
 
+        // Spread factor beta from the polynomial distribution.
         const double u = rng.uniform();
         double beta;
         if (u < 0.5)
@@ -176,36 +135,17 @@ DifferentialEvolution::DifferentialEvolution(const problems::Problem& problem,
       crossover_rate_(crossover_rate),
       step_size_(step_size) {}
 
-std::vector<double> DifferentialEvolution::apply(const ParentView& parents,
-                                                 util::Rng& rng) const {
-    require_parents(parents, 4, "DE");
-    const auto& base = parents[0];
-    const auto& a = parents[1];
-    const auto& b = parents[2];
-    const auto& c = parents[3];
-    std::vector<double> child(base.begin(), base.end());
-
-    // Binomial crossover with a guaranteed index so the child differs from
-    // the base parent.
-    const std::size_t forced =
-        static_cast<std::size_t>(rng.below(child.size()));
-    for (std::size_t i = 0; i < child.size(); ++i) {
-        if (i == forced || rng.flip(crossover_rate_))
-            child[i] = a[i] + step_size_ * (b[i] - c[i]);
-    }
-    clip(child);
-    return child;
-}
-
 void DifferentialEvolution::apply_into(const ParentView& parents,
                                        util::Rng& rng, std::span<double> out) {
-    require_parents(parents, 4, "DE");
+    require_parents(parents, 4, out, "DE");
     const auto& base = parents[0];
     const auto& a = parents[1];
     const auto& b = parents[2];
     const auto& c = parents[3];
     std::copy(base.begin(), base.end(), out.begin());
 
+    // Binomial crossover with a guaranteed index so the child differs from
+    // the base parent.
     const std::size_t forced = static_cast<std::size_t>(rng.below(out.size()));
     for (std::size_t i = 0; i < out.size(); ++i) {
         if (i == forced || rng.flip(crossover_rate_))
@@ -222,86 +162,30 @@ Pcx::Pcx(const problems::Problem& problem, std::size_t num_parents, double eta,
     if (num_parents < 2) throw std::invalid_argument("PCX: needs >= 2 parents");
 }
 
-std::vector<double> Pcx::apply(const ParentView& parents,
-                               util::Rng& rng) const {
-    require_parents(parents, 2, "PCX");
-    const std::size_t n = parents[0].size();
-    const std::size_t k = parents.size();
-
-    const std::vector<double> g = centroid(parents);
-
-    // Direction from the centroid to the index parent (parents[0], drawn
-    // from the archive by Borg's parent selection).
-    std::vector<double> d(n);
-    for (std::size_t i = 0; i < n; ++i) d[i] = parents[0][i] - g[i];
-    const double d_norm = norm(d);
-
-    if (d_norm < 1e-14) {
-        // Index parent coincides with the centroid (e.g. duplicated
-        // parents): degenerate case, return the index parent unchanged and
-        // let the downstream mutation supply variation.
-        return {parents[0].begin(), parents[0].end()};
-    }
-
-    // Mean perpendicular distance of the other parents to the line (g, d),
-    // and an orthonormal basis of their span orthogonal to d.
-    std::vector<std::vector<double>> basis;
-    basis.reserve(k);
-    {
-        std::vector<double> d_unit(d);
-        for (double& x : d_unit) x /= d_norm;
-        basis.push_back(std::move(d_unit));
-    }
-    double mean_perp = 0.0;
-    std::size_t contributing = 0;
-    for (std::size_t p = 1; p < k; ++p) {
-        std::vector<double> diff(n);
-        for (std::size_t i = 0; i < n; ++i) diff[i] = parents[p][i] - g[i];
-        const double len = norm(diff);
-        if (len < 1e-14) continue;
-        double along = 0.0;
-        for (std::size_t i = 0; i < n; ++i) along += diff[i] * basis[0][i];
-        const double perp_sq = std::max(0.0, len * len - along * along);
-        mean_perp += std::sqrt(perp_sq);
-        ++contributing;
-        basis.push_back(std::move(diff));
-    }
-    if (contributing > 0) mean_perp /= static_cast<double>(contributing);
-
-    // Orthonormalize: element 0 is the d direction; the rest span the
-    // parent subspace orthogonal to d (zero rows mark dependent parents).
-    util::gram_schmidt(basis);
-
-    std::vector<double> child(parents[0].begin(), parents[0].end());
-    const double w_zeta = zeta_ * rng.gaussian();
-    for (std::size_t i = 0; i < n; ++i) child[i] += w_zeta * d[i];
-    for (std::size_t j = 1; j < basis.size(); ++j) {
-        if (norm(basis[j]) < 0.5) continue; // dependent parent, zeroed row
-        const double w_eta = eta_ * mean_perp * rng.gaussian();
-        for (std::size_t i = 0; i < n; ++i) child[i] += w_eta * basis[j][i];
-    }
-    clip(child);
-    return child;
-}
-
 void Pcx::apply_into(const ParentView& parents, util::Rng& rng,
                      std::span<double> out) {
-    require_parents(parents, 2, "PCX");
+    require_parents(parents, 2, out, "PCX");
     const std::size_t n = parents[0].size();
     const std::size_t k = parents.size();
 
     centroid_into(parents, g_);
 
+    // Direction from the centroid to the index parent (parents[0], drawn
+    // from the archive by Borg's parent selection).
     d_.resize(n);
     for (std::size_t i = 0; i < n; ++i) d_[i] = parents[0][i] - g_[i];
     const double d_norm = norm(d_);
 
     if (d_norm < 1e-14) {
-        // Degenerate case: same verdict (and same zero draws) as apply().
+        // Index parent coincides with the centroid (e.g. duplicated
+        // parents): return it unchanged, with zero draws, and let the
+        // downstream mutation supply variation.
         std::copy(parents[0].begin(), parents[0].end(), out.begin());
         return;
     }
 
+    // Mean perpendicular distance of the other parents to the line (g, d),
+    // and an orthonormal basis of their span orthogonal to d.
     ensure_rows(basis_, k, n);
     for (std::size_t i = 0; i < n; ++i) basis_[0][i] = d_[i] / d_norm;
     std::size_t rows = 1;
@@ -321,6 +205,8 @@ void Pcx::apply_into(const ParentView& parents, util::Rng& rng,
     }
     if (contributing > 0) mean_perp /= static_cast<double>(contributing);
 
+    // Orthonormalize: row 0 is the d direction; the rest span the parent
+    // subspace orthogonal to d (zero rows mark dependent parents).
     util::gram_schmidt(std::span<std::vector<double>>(basis_.data(), rows));
 
     std::copy(parents[0].begin(), parents[0].end(), out.begin());
@@ -343,45 +229,20 @@ Spx::Spx(const problems::Problem& problem, std::size_t num_parents,
     if (expansion <= 0.0) throw std::invalid_argument("SPX: expansion <= 0");
 }
 
-std::vector<double> Spx::apply(const ParentView& parents,
-                               util::Rng& rng) const {
-    require_parents(parents, 2, "SPX");
-    const std::size_t n = parents[0].size();
-    const std::size_t k = parents.size();
-    const std::vector<double> g = centroid(parents);
-
-    // Expanded simplex vertices y_p = g + expansion (x_p - g).
-    std::vector<std::vector<double>> y(k, std::vector<double>(n));
-    for (std::size_t p = 0; p < k; ++p)
-        for (std::size_t i = 0; i < n; ++i)
-            y[p][i] = g[i] + expansion_ * (parents[p][i] - g[i]);
-
-    // Tsutsui's recursive uniform sampling over the simplex.
-    std::vector<double> c(n, 0.0);
-    for (std::size_t p = 1; p < k; ++p) {
-        const double r =
-            std::pow(rng.uniform(), 1.0 / static_cast<double>(p + 1));
-        for (std::size_t i = 0; i < n; ++i)
-            c[i] = r * (y[p - 1][i] - y[p][i] + c[i]);
-    }
-    std::vector<double> child(n);
-    for (std::size_t i = 0; i < n; ++i) child[i] = y[k - 1][i] + c[i];
-    clip(child);
-    return child;
-}
-
 void Spx::apply_into(const ParentView& parents, util::Rng& rng,
                      std::span<double> out) {
-    require_parents(parents, 2, "SPX");
+    require_parents(parents, 2, out, "SPX");
     const std::size_t n = parents[0].size();
     const std::size_t k = parents.size();
     centroid_into(parents, g_);
 
+    // Expanded simplex vertices y_p = g + expansion (x_p - g).
     ensure_rows(y_, k, n);
     for (std::size_t p = 0; p < k; ++p)
         for (std::size_t i = 0; i < n; ++i)
             y_[p][i] = g_[i] + expansion_ * (parents[p][i] - g_[i]);
 
+    // Tsutsui's recursive uniform sampling over the simplex.
     c_.assign(n, 0.0);
     for (std::size_t p = 1; p < k; ++p) {
         const double r =
@@ -401,75 +262,20 @@ Undx::Undx(const problems::Problem& problem, std::size_t num_parents,
     if (num_parents < 3) throw std::invalid_argument("UNDX: needs >= 3 parents");
 }
 
-std::vector<double> Undx::apply(const ParentView& parents,
-                                util::Rng& rng) const {
-    require_parents(parents, 3, "UNDX");
+void Undx::apply_into(const ParentView& parents, util::Rng& rng,
+                      std::span<double> out) {
+    require_parents(parents, 3, out, "UNDX");
     const std::size_t n = parents[0].size();
     const std::size_t k = parents.size();
     const std::size_t m = k - 1; // primary parents; the last is secondary
 
     // Centroid of the primary parents.
-    std::vector<double> g(n, 0.0);
-    for (std::size_t p = 0; p < m; ++p)
-        for (std::size_t i = 0; i < n; ++i) g[i] += parents[p][i];
-    for (double& x : g) x /= static_cast<double>(m);
-
-    // Primary difference vectors and their orthonormalized span.
-    std::vector<std::vector<double>> diffs(m, std::vector<double>(n));
-    for (std::size_t p = 0; p < m; ++p)
-        for (std::size_t i = 0; i < n; ++i)
-            diffs[p][i] = parents[p][i] - g[i];
-    std::vector<std::vector<double>> basis = diffs;
-    util::gram_schmidt(basis);
-
-    std::vector<double> child = g;
-
-    // Primary component: gaussian spread along each difference vector.
-    for (std::size_t p = 0; p < m; ++p) {
-        const double w = zeta_ * rng.gaussian();
-        for (std::size_t i = 0; i < n; ++i) child[i] += w * diffs[p][i];
-    }
-
-    // Secondary component: isotropic gaussian in the orthogonal complement
-    // of the primary subspace, scaled by the secondary parent's distance.
-    std::vector<double> secondary(n);
-    for (std::size_t i = 0; i < n; ++i)
-        secondary[i] = parents[k - 1][i] - g[i];
-    for (const auto& e : basis) {
-        if (norm(e) < 0.5) continue;
-        double dot = 0.0;
-        for (std::size_t i = 0; i < n; ++i) dot += secondary[i] * e[i];
-        for (std::size_t i = 0; i < n; ++i) secondary[i] -= dot * e[i];
-    }
-    const double d_perp = norm(secondary);
-    if (d_perp > 1e-14) {
-        std::vector<double> z(n);
-        for (double& x : z) x = rng.gaussian();
-        for (const auto& e : basis) {
-            if (norm(e) < 0.5) continue;
-            double dot = 0.0;
-            for (std::size_t i = 0; i < n; ++i) dot += z[i] * e[i];
-            for (std::size_t i = 0; i < n; ++i) z[i] -= dot * e[i];
-        }
-        const double scale = eta_ * d_perp / std::sqrt(static_cast<double>(m));
-        for (std::size_t i = 0; i < n; ++i) child[i] += scale * z[i];
-    }
-    clip(child);
-    return child;
-}
-
-void Undx::apply_into(const ParentView& parents, util::Rng& rng,
-                      std::span<double> out) {
-    require_parents(parents, 3, "UNDX");
-    const std::size_t n = parents[0].size();
-    const std::size_t k = parents.size();
-    const std::size_t m = k - 1; // primary parents; the last is secondary
-
     g_.assign(n, 0.0);
     for (std::size_t p = 0; p < m; ++p)
         for (std::size_t i = 0; i < n; ++i) g_[i] += parents[p][i];
     for (double& x : g_) x /= static_cast<double>(m);
 
+    // Primary difference vectors and their orthonormalized span.
     ensure_rows(diffs_, m, n);
     for (std::size_t p = 0; p < m; ++p)
         for (std::size_t i = 0; i < n; ++i)
@@ -481,11 +287,14 @@ void Undx::apply_into(const ParentView& parents, util::Rng& rng,
 
     std::copy(g_.begin(), g_.end(), out.begin());
 
+    // Primary component: gaussian spread along each difference vector.
     for (std::size_t p = 0; p < m; ++p) {
         const double w = zeta_ * rng.gaussian();
         for (std::size_t i = 0; i < n; ++i) out[i] += w * diffs_[p][i];
     }
 
+    // Secondary component: isotropic gaussian in the orthogonal complement
+    // of the primary subspace, scaled by the secondary parent's distance.
     secondary_.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         secondary_[i] = parents[k - 1][i] - g_[i];
@@ -522,21 +331,9 @@ UniformMutation::UniformMutation(const problems::Problem& problem,
                        ? probability
                        : 1.0 / static_cast<double>(problem.num_variables())) {}
 
-std::vector<double> UniformMutation::apply(const ParentView& parents,
-                                           util::Rng& rng) const {
-    require_parents(parents, 1, "UM");
-    std::vector<double> child(parents[0].begin(), parents[0].end());
-    for (std::size_t i = 0; i < child.size(); ++i) {
-        if (rng.flip(probability_))
-            child[i] =
-                rng.uniform(problem_.lower_bound(i), problem_.upper_bound(i));
-    }
-    return child;
-}
-
 void UniformMutation::apply_into(const ParentView& parents, util::Rng& rng,
                                  std::span<double> out) {
-    require_parents(parents, 1, "UM");
+    require_parents(parents, 1, out, "UM");
     // The mutation stage of a composite passes out itself as the parent.
     if (out.data() != parents[0].data())
         std::copy(parents[0].begin(), parents[0].end(), out.begin());
@@ -560,43 +357,9 @@ PolynomialMutation::PolynomialMutation(const problems::Problem& problem,
         throw std::invalid_argument("PM: distribution index <= 0");
 }
 
-std::vector<double> PolynomialMutation::apply(const ParentView& parents,
-                                              util::Rng& rng) const {
-    require_parents(parents, 1, "PM");
-    std::vector<double> child(parents[0].begin(), parents[0].end());
-    for (std::size_t i = 0; i < child.size(); ++i) {
-        if (!rng.flip(probability_)) continue;
-        const double lo = problem_.lower_bound(i);
-        const double hi = problem_.upper_bound(i);
-        const double range = hi - lo;
-        if (range <= 0.0) continue;
-        const double x = child[i];
-        const double d1 = (x - lo) / range;
-        const double d2 = (hi - x) / range;
-        const double u = rng.uniform();
-        const double mut_pow = 1.0 / (distribution_index_ + 1.0);
-        double deltaq;
-        if (u < 0.5) {
-            const double xy = 1.0 - d1;
-            const double val = 2.0 * u + (1.0 - 2.0 * u) *
-                                             std::pow(xy, distribution_index_ + 1.0);
-            deltaq = std::pow(val, mut_pow) - 1.0;
-        } else {
-            const double xy = 1.0 - d2;
-            const double val = 2.0 * (1.0 - u) +
-                               2.0 * (u - 0.5) *
-                                   std::pow(xy, distribution_index_ + 1.0);
-            deltaq = 1.0 - std::pow(val, mut_pow);
-        }
-        child[i] = x + deltaq * range;
-    }
-    clip(child);
-    return child;
-}
-
 void PolynomialMutation::apply_into(const ParentView& parents, util::Rng& rng,
                                     std::span<double> out) {
-    require_parents(parents, 1, "PM");
+    require_parents(parents, 1, out, "PM");
     if (out.data() != parents[0].data())
         std::copy(parents[0].begin(), parents[0].end(), out.begin());
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -640,13 +403,6 @@ CompositeVariation::CompositeVariation(const problems::Problem& problem,
 
 std::string CompositeVariation::name() const {
     return first_->name() + "+" + second_->name();
-}
-
-std::vector<double> CompositeVariation::apply(const ParentView& parents,
-                                              util::Rng& rng) const {
-    const std::vector<double> intermediate = first_->apply(parents, rng);
-    const ParentView stage2{std::span<const double>(intermediate)};
-    return second_->apply(stage2, rng);
 }
 
 void CompositeVariation::apply_into(const ParentView& parents, util::Rng& rng,

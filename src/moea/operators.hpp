@@ -36,18 +36,12 @@ using ParentView = std::vector<std::span<const double>>;
 
 /// Abstract variation operator.
 ///
-/// Two application paths share each operator's sampling logic:
-///
-///  * `apply()` — the original allocating value path, kept verbatim. It is
-///    the behavioral oracle: bench/micro_operators pins `apply_into`
-///    against it bit-for-bit, and cold callers (NSGA-II, tests) keep
-///    using it.
-///  * `apply_into()` — the arena hot path: writes the offspring into a
-///    caller-provided row (typically a SolutionPool slot), reuses member
-///    scratch instead of allocating, and replaces the per-variable virtual
-///    bound lookups with bounds cached at construction. It draws the RNG
-///    in EXACTLY the same order as `apply()` (pinned by
-///    tests/test_operators.cpp), so switching paths never changes a run.
+/// Each operator has one body, `apply_into()`: it writes the offspring
+/// into a caller-provided row (typically a SolutionPool slot), reuses
+/// member scratch instead of allocating, and reads bounds cached at
+/// construction. `apply()` is a non-virtual allocating wrapper around it
+/// for cold callers (NSGA-II, tests). tests/operator_digests.hpp pins every
+/// operator's offspring bits and RNG draw order against a recording.
 class Variation {
 public:
     explicit Variation(const problems::Problem& problem);
@@ -60,17 +54,17 @@ public:
     /// implementations degrade gracefully.
     virtual std::size_t arity() const = 0;
 
-    /// Produces one offspring decision vector from the given parents.
-    virtual std::vector<double> apply(const ParentView& parents,
-                                      util::Rng& rng) const = 0;
+    /// Produces one offspring decision vector from the given parents: a
+    /// fresh row of parents[0].size() doubles filled by apply_into().
+    std::vector<double> apply(const ParentView& parents, util::Rng& rng);
 
-    /// Allocation-free hot path: writes one offspring into \p out (sized
-    /// like parents[0]), drawing the RNG in exactly the same order as
-    /// apply(). Non-const because implementations reuse member scratch —
-    /// a Variation instance must not be shared across threads. The default
-    /// forwards to apply() for externally defined operators.
+    /// Writes one offspring into \p out. Throws std::invalid_argument on
+    /// too few parents, parents of unequal length, or an \p out whose size
+    /// differs from parents[0]'s. Non-const because implementations reuse
+    /// member scratch — a Variation instance must not be shared across
+    /// threads.
     virtual void apply_into(const ParentView& parents, util::Rng& rng,
-                            std::span<double> out);
+                            std::span<double> out) = 0;
 
     /// Batched entry point: \p count offspring from the same parents into
     /// consecutive rows of \p out (count * parents[0].size() doubles).
@@ -79,10 +73,8 @@ public:
                        std::size_t count, std::span<double> out);
 
 protected:
-    void clip(std::vector<double>& variables) const;
-    /// Cached-bounds clip for the hot path; same values, no virtual calls.
+    /// Clamps each variable into the cached problem box.
     void clip(std::span<double> variables) const;
-    const problems::Problem& problem_;
     /// Problem box cached at construction (problem bounds are immutable).
     std::vector<double> lower_bounds_;
     std::vector<double> upper_bounds_;
@@ -98,8 +90,6 @@ public:
                  double swap_probability = 0.5);
     std::string name() const override { return "SBX"; }
     std::size_t arity() const override { return 2; }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 
@@ -119,8 +109,6 @@ public:
                                    double step_size = 0.5);
     std::string name() const override { return "DE"; }
     std::size_t arity() const override { return 4; }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 
@@ -138,8 +126,6 @@ public:
                  double eta = 0.1, double zeta = 0.1);
     std::string name() const override { return "PCX"; }
     std::size_t arity() const override { return num_parents_; }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 
@@ -161,8 +147,6 @@ public:
                  double expansion = 3.0);
     std::string name() const override { return "SPX"; }
     std::size_t arity() const override { return num_parents_; }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 
@@ -183,8 +167,6 @@ public:
                   double zeta = 0.5, double eta = 0.35);
     std::string name() const override { return "UNDX"; }
     std::size_t arity() const override { return num_parents_; }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 
@@ -204,8 +186,6 @@ public:
                              double probability = 0.0);
     std::string name() const override { return "UM"; }
     std::size_t arity() const override { return 1; }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 
@@ -224,8 +204,6 @@ public:
                                 double probability = 0.0);
     std::string name() const override { return "PM"; }
     std::size_t arity() const override { return 1; }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 
@@ -243,8 +221,6 @@ public:
                        std::unique_ptr<Variation> second);
     std::string name() const override;
     std::size_t arity() const override { return first_->arity(); }
-    std::vector<double> apply(const ParentView& parents,
-                              util::Rng& rng) const override;
     void apply_into(const ParentView& parents, util::Rng& rng,
                     std::span<double> out) override;
 

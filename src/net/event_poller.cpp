@@ -34,10 +34,8 @@ bool epoll_available() noexcept {
 
 namespace {
 
-/// The oracle backend: a registration table replayed into a fresh pollfd
-/// array on every wait — deliberately preserving the pre-refactor
-/// master's per-tick rebuild so the soak bench measures the real cost of
-/// the thing epoll removes.
+/// The portable backend: a registration table replayed into a fresh
+/// pollfd array on every wait.
 class PollPoller final : public EventPoller {
 public:
     void add(int fd, void* data, bool want_write) override {

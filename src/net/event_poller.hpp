@@ -5,23 +5,22 @@
 /// Readiness-notification backends for the TCP run manager (DESIGN.md
 /// §16). One interface, two implementations:
 ///
-///  * `PollPoller` — the original poll(2) loop, kept as the behavioral
-///    oracle and the portable fallback. Every wait() rebuilds the pollfd
-///    array from the registration table, exactly as the pre-refactor
-///    master did, so its syscall shape (and cost: the kernel walks every
-///    registered fd per wait) is the baseline the soak bench measures
-///    against.
+///  * `PollPoller` — poll(2), the portable fallback. Every wait()
+///    rebuilds the pollfd array from the registration table, so the
+///    kernel walks every registered fd per wait; registration itself
+///    costs no syscall.
 ///  * `EpollPoller` — Linux epoll with persistent fd registration: fds
 ///    are registered once (epoll_ctl), wait() is O(ready) rather than
 ///    O(registered), and no per-tick array rebuild exists at all. Only
 ///    compiled on Linux; `epoll_available()` reports whether this build
 ///    has it, and `make_poller` throws SocketError when it does not.
 ///
-/// Both backends drive the same connection state machine, so under
-/// IngestOrder::dispatch the final archive is byte-identical between
-/// them (pinned by tests/test_tcp_executor.cpp and bench/micro_net's
-/// agreement gate). What changes is the syscall and CPU budget per
-/// result, which `PollerStats` makes observable.
+/// Both backends drive the same serve loop, so under IngestOrder::dispatch
+/// the final archive is byte-identical between them (pinned by
+/// tests/test_tcp_executor.cpp and bench/micro_net's agreement gate), as
+/// are the frames sent and the send/recv syscall counts. What differs is
+/// the cost of waiting — wait and ctl syscalls — which `PollerStats`
+/// makes observable.
 
 #include <cstdint>
 #include <memory>

@@ -18,6 +18,7 @@
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "parallel/master_policies.hpp"
+#include "parallel/reorder_ring.hpp"
 
 namespace borg::parallel {
 
@@ -81,26 +82,17 @@ struct TcpRunManager::Impl {
         std::uint64_t dispatched_at_ns = 0; ///< latest dispatch (wall)
     };
 
-    // A completed evaluation parked until its sequence turn. The reorder
-    // buffer is a flat ring of W slots indexed seq % W: the window
-    // protocol keeps every un-ingested seq within [next_ingest,
-    // next_ingest + W), so unlike the std::map it replaces the park/drain
-    // path allocates nothing and never rebalances.
-    struct ReadySlot {
+    // What ingest needs of a completed evaluation besides its seq; parked
+    // in the reorder ring until the seq's turn under the window protocol.
+    struct ResultMeta {
         std::uint32_t worker_id = 0;
         double eval_seconds = 0.0;
         double measured_tc = 0.0;
-        bool present = false;
     };
 
     TcpRunConfig config;
     net::Listener listener;
     bool ran = false;
-    /// backend == poll: preserve the pre-refactor loop shape *exactly*
-    /// (20 ms tick, eager per-frame sends, EAGAIN-probing reads, O(conns)
-    /// heartbeat scan) — the behavioral and cost oracle the epoll path is
-    /// benchmarked against.
-    bool legacy;
     net::TimingWheel wheel;
 
     // Per-run state (valid during run()).
@@ -119,8 +111,7 @@ struct TcpRunManager::Impl {
     /// depth d appears up to d times; stale entries (conn died or is
     /// already full) are skipped on pop.
     des::RingQueue<std::uint32_t> idle;
-    std::vector<ReadySlot> ready; ///< reorder ring, slot = seq % W
-    std::uint64_t next_ingest = 0;
+    ReorderRing<ResultMeta> ready;
     std::uint32_t next_worker_id = 0;
     bool finished = false;
     bool any_dead = false; ///< gates the dead-conn sweep
@@ -133,9 +124,7 @@ struct TcpRunManager::Impl {
     std::vector<Conn*> dirty_conns;          ///< batched-flush worklist
 
     explicit Impl(const TcpRunConfig& cfg)
-        : config(cfg), listener(cfg.host, cfg.port),
-          legacy(cfg.backend == net::PollerBackend::poll),
-          wheel(now_ms()) {
+        : config(cfg), listener(cfg.host, cfg.port), wheel(now_ms()) {
         recv_buf.resize(std::size_t{64} * 1024);
         frame_scratch.reserve(512);
     }
@@ -179,16 +168,10 @@ struct TcpRunManager::Impl {
         return queue_scratch(conn);
     }
 
-    /// Legacy mode flushes per queued frame (the oracle's one send(2) per
-    /// frame); epoll mode marks the conn dirty and drains once per loop
-    /// turn, so a burst of frames to one worker leaves in one gathered
-    /// write.
+    /// Marks the conn dirty; dirty conns drain once per loop turn, so a
+    /// burst of frames to one worker leaves in one gathered write.
     void after_queue(Conn& conn) {
         if (conn.dead) return;
-        if (legacy) {
-            flush(conn);
-            return;
-        }
         if (!conn.dirty) {
             conn.dirty = true;
             dirty_conns.push_back(&conn);
@@ -344,7 +327,7 @@ struct TcpRunManager::Impl {
     /// One master service: measured T_F and T_C feed the engine, the
     /// policy ingests the retained (patched) solution and may fund the
     /// next task.
-    void ingest(std::uint64_t seq, const ReadySlot& meta) {
+    void ingest(std::uint64_t seq, const ResultMeta& meta) {
         TaskSlot& slot = tasks[seq];
         const std::uint64_t now_ns = steady_ns();
         if (now_ns > slot.dispatched_at_ns)
@@ -456,7 +439,7 @@ struct TcpRunManager::Impl {
         ++stats.results_received;
 
         const std::uint64_t now_ns = steady_ns();
-        ReadySlot meta;
+        ResultMeta meta;
         meta.worker_id = conn.worker_id;
         meta.eval_seconds = result.eval_seconds;
         meta.measured_tc = now_ns > result.sent_at_ns
@@ -464,7 +447,6 @@ struct TcpRunManager::Impl {
                                                      result.sent_at_ns) *
                                      1e-9
                                : 0.0;
-        meta.present = true;
 
         if (config.ingest == IngestOrder::arrival) {
             ingest(result.seq, meta);
@@ -472,13 +454,11 @@ struct TcpRunManager::Impl {
         }
         // Window protocol: park until this result's sequence turn, then
         // drain everything that became consecutive.
-        ready[result.seq % ready.size()] = meta;
+        ready.park(result.seq, meta);
         while (!finished) {
-            ReadySlot& turn = ready[next_ingest % ready.size()];
-            if (!turn.present) break;
-            turn.present = false;
-            const ReadySlot take = turn;
-            ingest(next_ingest++, take);
+            const auto turn = ready.pop_ready();
+            if (!turn) break;
+            ingest(turn->seq, turn->value);
         }
     }
 
@@ -522,37 +502,15 @@ struct TcpRunManager::Impl {
             drain_and_discard(conn);
             return;
         }
-        bool closed = false;
-        if (legacy) {
-            // Oracle shape: 4 KiB chunks, looped until the EAGAIN probe.
-            std::uint8_t buffer[4096];
-            for (;;) {
-                ++stats.syscalls_recv;
-                const net::Socket::IoResult io = conn.socket.recv_some(buffer);
-                if (io.bytes > 0) {
-                    stats.bytes_received += io.bytes;
-                    conn.last_heard_ms = now_ms();
-                    conn.reader.feed({buffer, io.bytes});
-                }
-                if (io.closed) {
-                    closed = true;
-                    break;
-                }
-                if (io.bytes == 0) break; // drained
-            }
-        } else {
-            // One 64 KiB read per readiness event: level triggering
-            // re-reports any remainder on the next wait, so the EAGAIN
-            // probe the legacy loop pays on every read is skipped — and
-            // one read routinely carries several pipelined results.
-            ++stats.syscalls_recv;
-            const net::Socket::IoResult io = conn.socket.recv_some(recv_buf);
-            if (io.bytes > 0) {
-                stats.bytes_received += io.bytes;
-                conn.last_heard_ms = now_ms();
-                conn.reader.feed({recv_buf.data(), io.bytes});
-            }
-            closed = io.closed;
+        // One 64 KiB read per readiness event: level triggering re-reports
+        // any remainder on the next wait, so no read-until-EAGAIN probe is
+        // paid — and one read routinely carries several pipelined results.
+        ++stats.syscalls_recv;
+        const net::Socket::IoResult io = conn.socket.recv_some(recv_buf);
+        if (io.bytes > 0) {
+            stats.bytes_received += io.bytes;
+            conn.last_heard_ms = now_ms();
+            conn.reader.feed({recv_buf.data(), io.bytes});
         }
         try {
             std::optional<std::span<const std::uint8_t>> frame;
@@ -584,7 +542,7 @@ struct TcpRunManager::Impl {
                 conn_lost(conn, /*graceful=*/false);
             }
         }
-        if (closed && !conn.dead) conn_lost(conn, /*graceful=*/false);
+        if (io.closed && !conn.dead) conn_lost(conn, /*graceful=*/false);
     }
 
     void accept_all() {
@@ -599,7 +557,7 @@ struct TcpRunManager::Impl {
             conn->last_heard_ms = now_ms();
             poller->add(conn->socket.fd(), conn.get(), false);
             conn->registered = true;
-            if (!legacy) arm_wheel(*conn);
+            arm_wheel(*conn);
             conns.push_back(std::move(conn));
         }
     }
@@ -624,19 +582,7 @@ struct TcpRunManager::Impl {
         }
     }
 
-    /// Oracle: the O(conns) last_heard scan the wheel replaces, run every
-    /// 20 ms tick exactly as the pre-refactor loop did.
-    void reap_heartbeats_scan() {
-        const std::uint64_t now = now_ms();
-        for (auto& conn : conns) {
-            if (conn->dead ||
-                now - conn->last_heard_ms <= config.heartbeat_timeout_ms)
-                continue;
-            expire(*conn);
-        }
-    }
-
-    /// Wheel path: deadlines are lazy — reads only bump last_heard_ms,
+    /// Heartbeat deadlines are lazy — reads only bump last_heard_ms,
     /// and a fired entry whose peer spoke since it was armed is simply
     /// re-armed at last_heard + timeout. Work is O(entries actually due),
     /// not O(conns) per tick — there is no tick.
@@ -753,7 +699,7 @@ struct TcpRunManager::Impl {
         engine = &run_engine;
         engine->external_begin(policy, evaluations);
 
-        ready.assign(config.workers_expected, ReadySlot{});
+        ready.reset(config.workers_expected);
         // The slot table grows by one per funded task; reserving its
         // final size (bounded: the window protocol creates at most N + W
         // slots) keeps the steady-state loop free of reallocations.
@@ -821,21 +767,17 @@ struct TcpRunManager::Impl {
             if (config.run_timeout_s > 0.0 && elapsed_s > config.run_timeout_s)
                 throw TcpError("tcp manager: run timeout exceeded");
 
-            int timeout_ms = 20; // the oracle's tick
-            if (!legacy) {
-                // Tick-free: sleep until the nearest heartbeat deadline
-                // slot, capped so the run-timeout check stays live.
-                std::uint64_t cap = 500;
-                if (config.run_timeout_s > 0.0) {
-                    const double remaining_s =
-                        config.run_timeout_s - elapsed_s;
-                    const auto remaining_ms = static_cast<std::uint64_t>(
-                        remaining_s > 0.0 ? remaining_s * 1000.0 + 1.0 : 1.0);
-                    cap = std::min(cap, remaining_ms);
-                }
-                timeout_ms = static_cast<int>(
-                    wheel.ms_until_next(now_ms(), cap));
+            // Tick-free: sleep until the nearest heartbeat deadline slot,
+            // capped so the run-timeout check stays live.
+            std::uint64_t cap = 500;
+            if (config.run_timeout_s > 0.0) {
+                const double remaining_s = config.run_timeout_s - elapsed_s;
+                const auto remaining_ms = static_cast<std::uint64_t>(
+                    remaining_s > 0.0 ? remaining_s * 1000.0 + 1.0 : 1.0);
+                cap = std::min(cap, remaining_ms);
             }
+            const auto timeout_ms =
+                static_cast<int>(wheel.ms_until_next(now_ms(), cap));
 
             std::span<const net::PollerEvent> events;
             try {
@@ -856,10 +798,7 @@ struct TcpRunManager::Impl {
                     read_from(conn);
             }
             if (finished) break;
-            if (legacy)
-                reap_heartbeats_scan();
-            else
-                service_wheel();
+            service_wheel();
             dispatch_pending();
             flush_dirty();
             if (any_dead) {

@@ -76,17 +76,17 @@ struct TcpRunConfig {
     /// Abort the run (TcpError) after this many wall-clock seconds.
     /// 0 disables — but tests should always set it (harness safety net).
     double run_timeout_s = 0.0;
-    /// Readiness backend (DESIGN.md §16). `poll` preserves the original
-    /// loop shape *verbatim* as the behavioral oracle — 20 ms tick,
-    /// per-tick fd-array rebuild, one send(2) per queued frame, a
-    /// loop-until-EAGAIN 4 KiB read, and an O(conns) heartbeat scan per
-    /// tick. `epoll` (Linux only; run() throws TcpError elsewhere) is the
-    /// fleet-scale path: persistent fd registration, timing-wheel-driven
-    /// wait timeouts (no tick), one gathered sendmsg(2) draining a whole
-    /// outbox per flush, and single-shot 64 KiB reads. Both backends run
-    /// the identical dispatch/ingest state machine: under
-    /// IngestOrder::dispatch the archive is byte-identical between them.
-    net::PollerBackend backend = net::PollerBackend::poll;
+    /// Readiness backend (DESIGN.md §16); it only decides how the master
+    /// waits for readiness. `epoll` (Linux only; run() throws TcpError
+    /// elsewhere) registers each fd once; `poll` rebuilds its pollfd array
+    /// per wait. Both serve the same loop: timing-wheel-driven wait
+    /// timeouts (no tick), one gathered sendmsg(2) draining a whole outbox
+    /// per flush, and single-shot 64 KiB reads — so the archive, and every
+    /// send/recv count, is the same under either. Defaults to epoll where
+    /// the build carries it, else poll.
+    net::PollerBackend backend = net::epoll_available()
+                                     ? net::PollerBackend::epoll
+                                     : net::PollerBackend::poll;
     /// Tasks kept in flight per connection. 1 reproduces the classic
     /// one-task-per-worker protocol; d > 1 hides the master round-trip by
     /// letting each worker hold a backlog (its results still return in

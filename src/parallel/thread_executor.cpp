@@ -1,17 +1,17 @@
 #include "parallel/thread_executor.hpp"
 
 #include <chrono>
-#include <deque>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 
+#include "des/ring_queue.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
+#include "parallel/reorder_ring.hpp"
 
 namespace borg::parallel {
 
@@ -171,10 +171,10 @@ ThreadRunResult ThreadMasterSlaveExecutor::run(
 
     // Dispatch-order state: results parked until their turn, workers
     // parked until a task exists for them.
-    std::map<std::uint64_t, ResultPayload> reorder;
-    std::deque<WorkPayload> pending_tasks;
-    std::deque<std::size_t> idle_workers;
-    std::uint64_t next_ingest = 0;
+    ReorderRing<ResultPayload> reorder;
+    reorder.reset(workers_);
+    des::RingQueue<WorkPayload> pending_tasks;
+    des::RingQueue<std::size_t> idle_workers;
 
     while (completed < evaluations) {
         std::optional<ResultPayload> result = results.receive();
@@ -210,22 +210,17 @@ ThreadRunResult ThreadMasterSlaveExecutor::run(
         // Window protocol: park the result and the newly idle worker, then
         // drain the reorder buffer strictly in sequence order. Each ingest
         // may fund one task; tasks meet idle workers FIFO.
-        const std::size_t freed = result->worker;
-        reorder.emplace(result->seq, std::move(*result));
-        idle_workers.push_back(freed);
-        for (auto hit = reorder.find(next_ingest); hit != reorder.end();
-             hit = reorder.find(next_ingest)) {
-            const ResultPayload ready = hit->second;
-            reorder.erase(hit);
-            ++next_ingest;
+        reorder.park(result->seq, *result);
+        idle_workers.push_back(result->worker);
+        while (const auto turn = reorder.pop_ready()) {
             std::optional<WorkPayload> next =
-                ingest(ready.handle, ready.worker);
-            if (next) pending_tasks.push_back(std::move(*next));
+                ingest(turn->value.handle, turn->value.worker);
+            if (next) pending_tasks.push_back(*next);
         }
         while (!pending_tasks.empty() && !idle_workers.empty()) {
             const std::size_t w = idle_workers.front();
             idle_workers.pop_front();
-            work_channels[w]->send(std::move(pending_tasks.front()));
+            work_channels[w]->send(pending_tasks.front());
             pending_tasks.pop_front();
         }
     }

@@ -80,9 +80,10 @@ TEST(TcpSoak, SixtyFourWorkerFleetEpollPipelined) {
            "executor archive";
 
     // Syscall-shape sanity at fleet scale (the hard ratio gates live in
-    // bench/micro_net): coalescing must keep the epoll master well under
-    // the ~4 syscalls/result the legacy loop pays, and gathered writes
-    // must batch more than one frame per send on average.
+    // bench/micro_net): coalescing must keep the master well under the
+    // ~4 syscalls/result a loop paying one send per frame and a
+    // read-until-EAGAIN probe per readable socket would cost, and
+    // gathered writes must batch more than one frame per send on average.
     const double per_result =
         static_cast<double>(result.net.io_syscalls()) /
         static_cast<double>(result.net.results_received);

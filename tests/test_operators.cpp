@@ -7,6 +7,7 @@
 #include <memory>
 #include <span>
 
+#include "operator_digests.hpp"
 #include "problems/dtlz.hpp"
 #include "problems/problem.hpp"
 
@@ -88,7 +89,7 @@ TEST_F(OperatorFixture, MultiParentArityIsTen) {
 // ------------------------------------------------------------------- SBX
 
 TEST_F(OperatorFixture, SbxChildBetweenOrNearParents) {
-    const Sbx sbx(*problem_, 15.0, 1.0);
+    Sbx sbx(*problem_, 15.0, 1.0);
     int inside = 0, total = 0;
     for (int trial = 0; trial < 300; ++trial) {
         const auto parents = make_parents(2);
@@ -107,7 +108,7 @@ TEST_F(OperatorFixture, SbxChildBetweenOrNearParents) {
 }
 
 TEST_F(OperatorFixture, SbxIdenticalParentsYieldParent) {
-    const Sbx sbx(*problem_);
+    Sbx sbx(*problem_);
     const auto p = random_point();
     const auto child = sbx.apply(ParentView{p, p}, rng_);
     for (std::size_t i = 0; i < p.size(); ++i)
@@ -118,7 +119,7 @@ TEST_F(OperatorFixture, SbxMeanPreserving) {
     // SBX is mean-preserving: E[child_i] equals the parent mean per
     // variable when both symmetric children are kept; our single-child
     // variant picks one of the two at random, preserving the mean too.
-    const Sbx sbx(*problem_, 15.0, 1.0);
+    Sbx sbx(*problem_, 15.0, 1.0);
     const auto parents = make_parents(2);
     double bias = 0.0;
     const int trials = 20000;
@@ -132,7 +133,7 @@ TEST_F(OperatorFixture, SbxMeanPreserving) {
 // -------------------------------------------------------------------- DE
 
 TEST_F(OperatorFixture, DeZeroDifferenceReturnsBase) {
-    const DifferentialEvolution de(*problem_, 0.9, 0.5);
+    DifferentialEvolution de(*problem_, 0.9, 0.5);
     const auto base = random_point();
     const auto donor = random_point();
     // parents[2] == parents[3] makes every step zero: child == base except
@@ -146,7 +147,7 @@ TEST_F(OperatorFixture, DeZeroDifferenceReturnsBase) {
 }
 
 TEST_F(OperatorFixture, DeAlwaysCrossesAtLeastOneVariable) {
-    const DifferentialEvolution de(*problem_, 0.0, 0.5); // CR = 0
+    DifferentialEvolution de(*problem_, 0.0, 0.5); // CR = 0
     int changed_runs = 0;
     for (int trial = 0; trial < 100; ++trial) {
         const auto parents = make_parents(4);
@@ -167,8 +168,8 @@ TEST_F(OperatorFixture, DeStepSizeScalesPerturbation) {
     const auto a = random_point();
     const auto b = random_point();
     const auto c = random_point();
-    const DifferentialEvolution small(*problem_, 1.0, 0.1);
-    const DifferentialEvolution large(*problem_, 1.0, 0.9);
+    DifferentialEvolution small(*problem_, 1.0, 0.1);
+    DifferentialEvolution large(*problem_, 1.0, 0.9);
     util::Rng rng_small(7), rng_large(7); // identical streams
     const auto child_small =
         small.apply(ParentView{base, a, b, c}, rng_small);
@@ -187,7 +188,7 @@ TEST_F(OperatorFixture, DeStepSizeScalesPerturbation) {
 // ------------------------------------------------------------------- PCX
 
 TEST_F(OperatorFixture, PcxCentersOnIndexParent) {
-    const Pcx pcx(*problem_, 10, 0.1, 0.1);
+    Pcx pcx(*problem_, 10, 0.1, 0.1);
     const auto parents = make_parents(10);
     double mean_dist_to_index = 0.0, mean_dist_to_other = 0.0;
     const int trials = 500;
@@ -206,7 +207,7 @@ TEST_F(OperatorFixture, PcxCentersOnIndexParent) {
 }
 
 TEST_F(OperatorFixture, PcxDegenerateParentsReturnIndexParent) {
-    const Pcx pcx(*problem_);
+    Pcx pcx(*problem_);
     const auto p = random_point();
     const ParentView parents{p, p, p, p};
     const auto child = pcx.apply(parents, rng_);
@@ -217,7 +218,7 @@ TEST_F(OperatorFixture, PcxDegenerateParentsReturnIndexParent) {
 // ------------------------------------------------------------------- SPX
 
 TEST_F(OperatorFixture, SpxCentroidOfIdenticalParentsFixed) {
-    const Spx spx(*problem_, 10, 3.0);
+    Spx spx(*problem_, 10, 3.0);
     const auto p = random_point();
     const ParentView parents{p, p, p};
     const auto child = spx.apply(parents, rng_);
@@ -227,7 +228,7 @@ TEST_F(OperatorFixture, SpxCentroidOfIdenticalParentsFixed) {
 
 TEST_F(OperatorFixture, SpxStaysInExpandedSimplexSpan) {
     // With expansion 1.0 the child lies in the convex hull of the parents.
-    const Spx spx(*problem_, 3, 1.0);
+    Spx spx(*problem_, 3, 1.0);
     for (int trial = 0; trial < 200; ++trial) {
         const auto parents = make_parents(3);
         const auto child = spx.apply(view(parents), rng_);
@@ -245,8 +246,8 @@ TEST_F(OperatorFixture, SpxStaysInExpandedSimplexSpan) {
 
 TEST_F(OperatorFixture, SpxExpansionWidensSpread) {
     const auto parents = make_parents(5);
-    const Spx narrow(*problem_, 5, 1.0);
-    const Spx wide(*problem_, 5, 3.0);
+    Spx narrow(*problem_, 5, 1.0);
+    Spx wide(*problem_, 5, 3.0);
     double var_narrow = 0.0, var_wide = 0.0;
     std::vector<double> g(problem_->num_variables(), 0.0);
     for (const auto& p : parents)
@@ -265,7 +266,7 @@ TEST_F(OperatorFixture, SpxExpansionWidensSpread) {
 // ------------------------------------------------------------------ UNDX
 
 TEST_F(OperatorFixture, UndxCentersOnPrimaryCentroid) {
-    const Undx undx(*problem_, 10, 0.5, 0.35);
+    Undx undx(*problem_, 10, 0.5, 0.35);
     const auto parents = make_parents(10);
     std::vector<double> g(problem_->num_variables(), 0.0);
     for (std::size_t p = 0; p < 9; ++p) // primary parents only
@@ -286,7 +287,7 @@ TEST_F(OperatorFixture, UndxCentersOnPrimaryCentroid) {
 }
 
 TEST_F(OperatorFixture, UndxDegenerateParentsReturnCentroid) {
-    const Undx undx(*problem_);
+    Undx undx(*problem_);
     const auto p = random_point();
     const ParentView parents{p, p, p};
     const auto child = undx.apply(parents, rng_);
@@ -297,7 +298,7 @@ TEST_F(OperatorFixture, UndxDegenerateParentsReturnCentroid) {
 // -------------------------------------------------------------------- UM
 
 TEST_F(OperatorFixture, UmMutatesRoughlyOneVariable) {
-    const UniformMutation um(*problem_); // probability 1/L
+    UniformMutation um(*problem_); // probability 1/L
     double changed_total = 0.0;
     const int trials = 5000;
     for (int trial = 0; trial < trials; ++trial) {
@@ -310,7 +311,7 @@ TEST_F(OperatorFixture, UmMutatesRoughlyOneVariable) {
 }
 
 TEST_F(OperatorFixture, UmProbabilityOneRandomizesEverything) {
-    const UniformMutation um(*problem_, 1.0);
+    UniformMutation um(*problem_, 1.0);
     const auto p = random_point();
     const auto child = um.apply(ParentView{p}, rng_);
     int changed = 0;
@@ -322,7 +323,7 @@ TEST_F(OperatorFixture, UmProbabilityOneRandomizesEverything) {
 // -------------------------------------------------------------------- PM
 
 TEST_F(OperatorFixture, PmSmallPerturbations) {
-    const PolynomialMutation pm(*problem_, 20.0, 1.0);
+    PolynomialMutation pm(*problem_, 20.0, 1.0);
     double total_shift = 0.0;
     const int trials = 2000;
     for (int trial = 0; trial < trials; ++trial) {
@@ -338,7 +339,7 @@ TEST_F(OperatorFixture, PmSmallPerturbations) {
 }
 
 TEST_F(OperatorFixture, PmDefaultProbabilityIsOneOverL) {
-    const PolynomialMutation pm(*problem_);
+    PolynomialMutation pm(*problem_);
     double changed_total = 0.0;
     const int trials = 5000;
     for (int trial = 0; trial < trials; ++trial) {
@@ -371,19 +372,31 @@ TEST_F(OperatorFixture, CompositeAppliesBothStages) {
 // --------------------------------------------------------------- validity
 
 TEST_F(OperatorFixture, OperatorsRejectTooFewParents) {
-    const Sbx sbx(*problem_);
-    const DifferentialEvolution de(*problem_);
+    Sbx sbx(*problem_);
+    DifferentialEvolution de(*problem_);
     const auto p = random_point();
     EXPECT_THROW(sbx.apply(ParentView{p}, rng_), std::invalid_argument);
     EXPECT_THROW(de.apply(ParentView{p, p}, rng_), std::invalid_argument);
 }
 
 TEST_F(OperatorFixture, OperatorsRejectMismatchedParents) {
-    const Sbx sbx(*problem_);
+    Sbx sbx(*problem_);
     const auto p = random_point();
     const std::vector<double> shorter(p.begin(), p.end() - 1);
     EXPECT_THROW(sbx.apply(ParentView{p, shorter}, rng_),
                  std::invalid_argument);
+    // An output row shorter (or longer) than the parents is rejected
+    // before anything is written into it, by every operator body.
+    std::vector<double> short_row(p.size() - 1), long_row(p.size() + 1);
+    for (const auto& op : make_borg_operators(*problem_)) {
+        const auto parents = make_parents(op->arity());
+        EXPECT_THROW(op->apply_into(view(parents), rng_, short_row),
+                     std::invalid_argument)
+            << op->name();
+        EXPECT_THROW(op->apply_into(view(parents), rng_, long_row),
+                     std::invalid_argument)
+            << op->name();
+    }
 }
 
 TEST_F(OperatorFixture, BadParametersRejected) {
@@ -394,52 +407,47 @@ TEST_F(OperatorFixture, BadParametersRejected) {
     EXPECT_THROW(PolynomialMutation(*problem_, -1.0), std::invalid_argument);
 }
 
-// ------------------------------------------------- hot-path equivalence
+// ------------------------------------------------- recorded offspring
 //
-// apply_into() and produce_batch() are only allowed to exist because they
-// are bit-identical to apply() — same offspring, same RNG draw order — so
-// the executors can switch paths without perturbing a single run. These
-// tests are the pin.
-
-std::vector<std::unique_ptr<Variation>> all_raw_operators(
-    const problems::Problem& problem) {
-    std::vector<std::unique_ptr<Variation>> ops;
-    ops.push_back(std::make_unique<Sbx>(problem));
-    ops.push_back(std::make_unique<DifferentialEvolution>(problem));
-    ops.push_back(std::make_unique<Pcx>(problem));
-    ops.push_back(std::make_unique<Spx>(problem));
-    ops.push_back(std::make_unique<Undx>(problem));
-    ops.push_back(std::make_unique<UniformMutation>(problem));
-    ops.push_back(std::make_unique<PolynomialMutation>(problem));
-    return ops;
-}
+// Each operator has one body (apply_into); apply() wraps it. Both entry
+// points, on lockstep RNG streams, must reproduce the offspring digests
+// recorded in tests/operator_digests.hpp — 100 (resp. 50) trials per
+// operator, so one extra or missing draw desyncs every later trial and
+// moves the digest. The digests predate the single-body refactor: they
+// were captured while each operator still had an independent
+// value-returning twin that matched apply_into bit for bit.
 
 TEST_F(OperatorFixture, ApplyIntoMatchesApplyBitForBit) {
-    for (const auto& op : all_raw_operators(*problem_)) {
-        util::Rng value_rng(999), arena_rng(999);
-        std::vector<double> row(problem_->num_variables());
-        for (int trial = 0; trial < 100; ++trial) {
-            const auto parents = make_parents(op->arity());
-            const auto oracle = op->apply(view(parents), value_rng);
-            op->apply_into(view(parents), arena_rng, row);
-            // Bit-for-bit per trial; 100 trials on lockstep streams also
-            // pin the draw COUNT (one extra draw would desync trial 2).
-            EXPECT_EQ(oracle, row) << op->name() << " trial " << trial;
-        }
+    const auto problem = problems::make_problem(testops::kProblem);
+    const auto ops = testops::all_raw_operators(*problem);
+    ASSERT_EQ(ops.size(), std::size(testops::kRawDigests));
+    util::Rng parent_rng(testops::kParentSeed);
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        const testops::RecordedDigest& recorded = testops::kRawDigests[k];
+        ASSERT_EQ(ops[k]->name(), recorded.name);
+        const testops::OffspringDigests got = testops::digest_offspring(
+            *ops[k], *problem, parent_rng, testops::kRawSeed,
+            testops::kRawTrials);
+        EXPECT_EQ(got.apply_into, recorded.digest) << recorded.name;
+        EXPECT_EQ(got.apply, recorded.digest) << recorded.name;
     }
 }
 
 TEST_F(OperatorFixture, EnsembleApplyIntoMatchesApplyBitForBit) {
     // The composite (recombiner+PM) wrappers the algorithm actually uses.
-    for (const auto& op : make_borg_operators(*problem_)) {
-        util::Rng value_rng(4242), arena_rng(4242);
-        std::vector<double> row(problem_->num_variables());
-        for (int trial = 0; trial < 50; ++trial) {
-            const auto parents = make_parents(op->arity());
-            const auto oracle = op->apply(view(parents), value_rng);
-            op->apply_into(view(parents), arena_rng, row);
-            EXPECT_EQ(oracle, row) << op->name() << " trial " << trial;
-        }
+    const auto problem = problems::make_problem(testops::kProblem);
+    const auto ops = make_borg_operators(*problem);
+    ASSERT_EQ(ops.size(), std::size(testops::kEnsembleDigests));
+    util::Rng parent_rng(testops::kParentSeed);
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        const testops::RecordedDigest& recorded =
+            testops::kEnsembleDigests[k];
+        ASSERT_EQ(ops[k]->name(), recorded.name);
+        const testops::OffspringDigests got = testops::digest_offspring(
+            *ops[k], *problem, parent_rng, testops::kEnsembleSeed,
+            testops::kEnsembleTrials);
+        EXPECT_EQ(got.apply_into, recorded.digest) << recorded.name;
+        EXPECT_EQ(got.apply, recorded.digest) << recorded.name;
     }
 }
 

@@ -323,9 +323,11 @@ TEST(TcpExecutor, EpollBackendByteIdenticalIncludingKill9Churn) {
 }
 
 TEST(TcpExecutor, PollAndEpollBackendsProduceIdenticalArchives) {
-    // The agreement gate in miniature: same seed, same fleet shape, both
-    // backends — three byte-identical archives (thread reference, poll,
-    // epoll).
+    // The agreement gate in miniature: same seed, same fleet shape (two
+    // workers pipelined two deep fill the W=4 window), both backends —
+    // three byte-identical archives (thread reference, poll, epoll). The
+    // backend only decides how readiness is waited for, so both serve the
+    // same gathered-write loop and queue the same frames.
     if (!net::epoll_available())
         GTEST_SKIP() << "epoll backend not compiled into this build";
     const auto problem = problems::make_problem(kProblem);
@@ -334,17 +336,19 @@ TEST(TcpExecutor, PollAndEpollBackendsProduceIdenticalArchives) {
 
     auto fleet = [](std::uint16_t port) {
         std::vector<WorkerProc> workers;
-        for (int i = 0; i < 4; ++i)
+        for (int i = 0; i < 2; ++i)
             workers.push_back(spawn_worker(port, kProblem));
         return workers;
     };
 
     auto poll_config = test_config();
     poll_config.backend = net::PollerBackend::poll;
+    poll_config.pipeline_depth = 2;
     const TcpRun via_poll = run_tcp(poll_config, fleet);
 
     auto epoll_config = test_config();
     epoll_config.backend = net::PollerBackend::epoll;
+    epoll_config.pipeline_depth = 2;
     const TcpRun via_epoll = run_tcp(epoll_config, fleet);
 
     EXPECT_TRUE(via_poll.result.run.completed_target);
@@ -352,6 +356,15 @@ TEST(TcpExecutor, PollAndEpollBackendsProduceIdenticalArchives) {
     EXPECT_TRUE(archives_identical(reference, via_poll.archive));
     EXPECT_TRUE(archives_identical(via_poll.archive, via_epoll.archive))
         << "poll and epoll backends disagreed on the archive";
+    EXPECT_EQ(via_poll.result.net.frames_sent,
+              via_epoll.result.net.frames_sent);
+    EXPECT_EQ(via_poll.result.net.tasks_sent,
+              via_epoll.result.net.tasks_sent);
+    // Gathered writes under poll too: a handshake's HelloAck and the
+    // worker's first two tasks leave in one sendmsg, so frames outnumber
+    // send calls (one send per frame would make them equal).
+    EXPECT_GT(via_poll.result.net.frames_sent,
+              via_poll.result.net.syscalls_send);
 }
 
 TEST(TcpExecutor, PipelineDepthDoesNotChangeArchive) {
