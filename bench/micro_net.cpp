@@ -17,11 +17,13 @@
 ///     Both backends run that one loop; they differ only in how readiness
 ///     is waited for (epoll: persistent registration; poll: a pollfd
 ///     array rebuilt per wait);
+///   * epoll_ctl calls (poll: none);
 ///   * mean dispatch -> ingest latency;
 ///   * an archive byte-identity check against the thread executor at the
 ///     same (seed, window, evals) — a wrong archive voids the timing.
 ///
-/// Gates (exit non-zero on failure):
+/// Gates (exit non-zero on failure). Every gate is an archive or a count:
+/// structural numbers that do not move with host timing noise.
 ///   * agreement: a pipelined F = 16 cell must produce archives
 ///     byte-identical to the thread reference under BOTH backends;
 ///   * every timed cell's archive must match its thread reference;
@@ -29,12 +31,16 @@
 ///     syscalls per result that the retired loop shape (one send per
 ///     frame, read-until-EAGAIN probes, a 20 ms tick, an O(conns)
 ///     heartbeat scan) was recorded at in the default cell shape
-///     (kRetiredLoopSyscallsPerResult; syscall counts are structural,
-///     not timing noise, so a recorded baseline is a sound gate). Other
-///     cell shapes skip this gate. The epoll backend must also spend no more
-///     CPU per result than poll (full grid). `--quick` (the ci.sh smoke
-///     gate) runs only the agreement cell and the F = 256 pair, and
-///     relaxes the CPU gate to 1.15x to absorb single-core CI noise.
+///     (kRetiredLoopSyscallsPerResult). Other cell shapes skip this gate;
+///   * at the F = 256 cell, epoll must keep what persistent registration
+///     promises: epoll_ctl calls <= 2 per connection + 2 (one add and one
+///     remove per worker socket and for the listener), however many
+///     results flow. Write-interest churn or per-wait re-registration
+///     would scale with results and fail it.
+/// The epoll/poll CPU ratio at F = 256 is reported, not gated: with one
+/// serve loop under both backends it sits within host noise of 1.
+/// `--quick` (the ci.sh smoke gate) runs only the agreement cell and the
+/// F = 256 pair, at 12 evaluations per worker.
 ///
 /// The checked-in BENCH_net.json is regenerated from a Release build with
 /// `micro_net --json BENCH_net.json`.
@@ -104,6 +110,7 @@ struct CellResult {
     double cpu_us_per_result = 0.0;
     double wall_s = 0.0;
     double syscalls_per_result = 0.0;
+    std::uint64_t syscalls_ctl = 0;
     double latency_ms_mean = 0.0;
     double frames_per_send = 0.0;
     bool archive_match = false;
@@ -166,6 +173,7 @@ CellResult run_cell(const CellSpec& spec,
         std::chrono::duration<double>(wall1 - wall0).count();
     cell.syscalls_per_result =
         static_cast<double>(result.net.io_syscalls()) / results;
+    cell.syscalls_ctl = result.net.syscalls_ctl;
     cell.latency_ms_mean = result.net.latency_sum_s * 1e3 / results;
     cell.frames_per_send =
         result.net.syscalls_send > 0
@@ -266,7 +274,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    // ------------------------------------------------------ speed gates
+    // ---------------------------------------------------- syscall gates
     const CellResult* poll256 = nullptr;
     const CellResult* epoll256 = nullptr;
     for (const CellResult& c : cells) {
@@ -274,13 +282,17 @@ int main(int argc, char** argv) {
         (c.backend == net::PollerBackend::poll ? poll256 : epoll256) = &c;
     }
     if (poll256 != nullptr && epoll256 != nullptr) {
-        const double cpu_ratio =
-            poll256->cpu_us_per_result / epoll256->cpu_us_per_result;
+        const std::uint64_t max_ctl = 2 * epoll256->fleet + 2;
         std::printf("gate: F=256 io syscalls/result poll %.2f, epoll %.2f "
-                    "(retired loop: %.2f); epoll cpu speedup %.2fx\n",
+                    "(retired loop: %.2f); epoll_ctl %llu (limit %llu)\n",
                     poll256->syscalls_per_result,
                     epoll256->syscalls_per_result,
-                    kRetiredLoopSyscallsPerResult, cpu_ratio);
+                    kRetiredLoopSyscallsPerResult,
+                    static_cast<unsigned long long>(epoll256->syscalls_ctl),
+                    static_cast<unsigned long long>(max_ctl));
+        std::printf("report (not gated): F=256 epoll cpu speedup over poll "
+                    "%.2fx\n",
+                    poll256->cpu_us_per_result / epoll256->cpu_us_per_result);
         if (depth == kRetiredLoopDepth && delay_ms == kRetiredLoopDelayMs) {
             for (const CellResult* c : {poll256, epoll256}) {
                 if (c->syscalls_per_result >
@@ -296,15 +308,15 @@ int main(int argc, char** argv) {
             std::cout << "note: cell shape differs from the recorded "
                          "baseline's; syscall gate skipped\n";
         }
-        const double min_cpu_ratio = quick ? 1.0 / 1.15 : 1.0;
-        if (cpu_ratio < min_cpu_ratio) {
-            std::cerr << "FAIL: epoll cpu/result regressed vs poll at "
-                         "F=256 ("
-                      << cpu_ratio << "x)\n";
+        if (epoll256->syscalls_ctl > max_ctl) {
+            std::cerr << "FAIL: epoll made " << epoll256->syscalls_ctl
+                      << " epoll_ctl calls at F=256; persistent "
+                         "registration allows "
+                      << max_ctl << "\n";
             rc = 1;
         }
     } else if (!fleets.empty()) {
-        std::cout << "note: no F=256 cell in the grid; speed gates "
+        std::cout << "note: no F=256 cell in the grid; syscall gates "
                      "skipped\n";
     }
 
@@ -332,11 +344,13 @@ int main(int argc, char** argv) {
                 "\"window\": %zu, \"evals\": %llu, "
                 "\"cpu_us_per_result\": %.2f, "
                 "\"io_syscalls_per_result\": %.2f, "
+                "\"epoll_ctl_calls\": %llu, "
                 "\"latency_ms_mean\": %.3f, \"frames_per_send\": %.2f, "
                 "\"wall_s\": %.2f, \"archive_match\": %s}%s\n",
                 c.fleet, net::to_string(c.backend), c.window,
                 static_cast<unsigned long long>(c.evals),
                 c.cpu_us_per_result, c.syscalls_per_result,
+                static_cast<unsigned long long>(c.syscalls_ctl),
                 c.latency_ms_mean, c.frames_per_send, c.wall_s,
                 c.archive_match ? "true" : "false",
                 i + 1 < cells.size() ? "," : "");

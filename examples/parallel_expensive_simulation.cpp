@@ -69,9 +69,9 @@ int main() {
                 "relative to it. Efficiency includes the master core, "
                 "matching the paper's E_P = T_S / (P T_P).\n");
 
-    if (const auto* results = metrics.find_counter("thread.results")) {
-        const auto* ta = metrics.find_histogram("thread.ta_seconds");
-        const auto* tc = metrics.find_histogram("thread.tc_seconds");
+    if (const auto* results = metrics.find_counter("async.results")) {
+        const auto* ta = metrics.find_histogram("async.ta_seconds");
+        const auto* tc = metrics.find_histogram("async.tc_seconds");
         std::printf("\nmetrics across all runs: %llu results; "
                     "T_A mean %.1f us (max %.1f us), "
                     "T_C mean %.1f us over %zu messages\n",

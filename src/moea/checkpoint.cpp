@@ -29,25 +29,6 @@ void write_double(std::ostream& os, double value) {
     os << buf;
 }
 
-void write_solution(std::ostream& os, const Solution& s) {
-    os << "solution " << s.variables.size() << ' ' << s.objectives.size()
-       << ' ' << s.constraints.size() << ' ' << s.operator_index << ' '
-       << (s.evaluated ? 1 : 0);
-    for (const double v : s.variables) {
-        os << ' ';
-        write_double(os, v);
-    }
-    for (const double v : s.objectives) {
-        os << ' ';
-        write_double(os, v);
-    }
-    for (const double v : s.constraints) {
-        os << ' ';
-        write_double(os, v);
-    }
-    os << '\n';
-}
-
 void write_pool_row(std::ostream& os, const Solution& s) {
     // Dense: arity lives in the pool header, not on every row.
     os << "row " << s.operator_index << ' ' << (s.evaluated ? 1 : 0);
@@ -144,7 +125,7 @@ struct ParsedCheckpoint {
     std::vector<Solution> archived;
 };
 
-/// Sections shared by v2 and v3, in on-disk order.
+/// Sections shared by v2 and v3, in on-disk order (v2 is read-only now).
 static void write_common(const BorgMoea& algorithm, std::ostream& os) {
     os << "counters " << algorithm.issued_ << ' ' << algorithm.received_
        << ' ' << algorithm.pending_restart_mutants_ << '\n';
@@ -355,37 +336,10 @@ static void save_v3(const BorgMoea& algorithm, std::ostream& os) {
     os << '\n';
 }
 
-static void save_v2(const BorgMoea& algorithm, std::ostream& os) {
-    os << kMagicV2 << '\n';
-    write_common(algorithm, os);
-
-    const std::vector<Solution> members =
-        algorithm.population_.materialize_members();
-    os << "population " << algorithm.population_.target_size() << ' '
-       << members.size() << '\n';
-    for (const Solution& s : members) write_solution(os, s);
-
-    const auto& epsilons = algorithm.archive_.epsilons();
-    os << "archive " << algorithm.archive_.size() << ' '
-       << algorithm.archive_.epsilon_progress() << ' '
-       << algorithm.archive_.improvements() << ' ' << epsilons.size();
-    for (const double e : epsilons) {
-        os << ' ';
-        write_double(os, e);
-    }
-    os << '\n';
-    for (std::size_t i = 0; i < algorithm.archive_.size(); ++i)
-        write_solution(os, algorithm.archive_[i].materialize());
-}
-
 }; // struct CheckpointIo
 
 void save_checkpoint(const BorgMoea& algorithm, std::ostream& os) {
     CheckpointIo::save_v3(algorithm, os);
-}
-
-void save_checkpoint_v2(const BorgMoea& algorithm, std::ostream& os) {
-    CheckpointIo::save_v2(algorithm, os);
 }
 
 void load_checkpoint(BorgMoea& algorithm, std::istream& is) {

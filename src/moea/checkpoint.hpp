@@ -27,8 +27,8 @@
 /// §15) that the population and archive sections reference by row index.
 /// load_checkpoint dispatches on the magic line and still reads v2 — the
 /// per-section inline-solution format older runs saved — so existing
-/// checkpoints keep loading; save_checkpoint_v2 is retained so migration
-/// coverage can produce v2 inputs without fixture files.
+/// checkpoints keep loading (tests/golden holds v2 files the migration
+/// tests load).
 
 #include <iosfwd>
 #include <stdexcept>
@@ -46,14 +46,9 @@ public:
 /// Writes \p algorithm's full state to \p os (v3 format).
 void save_checkpoint(const BorgMoea& algorithm, std::ostream& os);
 
-/// Writes the legacy v2 format (inline solutions per section). Loadable
-/// by load_checkpoint forever; kept for migration testing and for tools
-/// that still parse v2.
-void save_checkpoint_v2(const BorgMoea& algorithm, std::ostream& os);
-
-/// Restores state saved by save_checkpoint (v3) or save_checkpoint_v2
-/// into \p algorithm, which must be configured identically (same problem
-/// dimensions and operator count). Throws CheckpointError on mismatch or
+/// Restores state saved by save_checkpoint (v3) or by the retired v2
+/// writer into \p algorithm, which must be configured identically (same
+/// problem dimensions and operator count). Throws CheckpointError on mismatch or
 /// parse failure.
 void load_checkpoint(BorgMoea& algorithm, std::istream& is);
 

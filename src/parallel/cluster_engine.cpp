@@ -152,6 +152,7 @@ double ClusterEngine::sample_ta(std::size_t group, std::int64_t actor,
     const double v =
         setup_.ta ? clamp_negative(setup_.ta->sample(groups_[group]->rng))
                   : measured_seconds;
+    last_ta_ = v;
     ta_applied_.add(v);
     if (h_ta_) h_ta_->observe(v);
     if (ctx_.trace && policy_->trace_samples())
@@ -295,6 +296,7 @@ void ClusterEngine::external_begin(EventMasterPolicy& policy,
         h_tf_ = &ctx_.metrics->histogram(prefix + ".tf_seconds");
         h_ta_ = &ctx_.metrics->histogram(prefix + ".ta_seconds");
         h_wait_ = &ctx_.metrics->histogram(prefix + ".queue_wait_seconds");
+        h_tc_ = &ctx_.metrics->histogram(prefix + ".tc_seconds");
     }
     real_start_ = std::chrono::steady_clock::now();
     emit_run_start();
@@ -312,20 +314,18 @@ ClusterEngine::external_dispatch_initial(const WorkerRef& worker) {
     return work;
 }
 
-void ClusterEngine::external_tf(const WorkerRef& worker,
-                                double measured_seconds) {
-    tf_applied_.add(measured_seconds);
-    if (h_tf_) h_tf_->observe(measured_seconds);
+ClusterEngine::ExternalServe
+ClusterEngine::external_result(const WorkerRef& worker, WorkItem work,
+                               double measured_tf, double measured_tc) {
+    tf_applied_.add(measured_tf);
+    if (h_tf_) h_tf_->observe(measured_tf);
     if (ctx_.trace && external_policy_->trace_samples())
         ctx_.trace->record({obs::EventKind::tf_sample, now(),
                             static_cast<std::int64_t>(worker.global),
-                            measured_seconds, 0});
-}
-
-ClusterEngine::ExternalServe
-ClusterEngine::external_result(const WorkerRef& worker, WorkItem work,
-                               double measured_tc) {
+                            measured_tf, 0});
     pending_tc_ = measured_tc;
+    last_ta_ = 0.0;
+    if (h_tc_) h_tc_->observe(measured_tc);
     EventMasterPolicy::Service service =
         external_policy_->serve(*this, worker, std::move(work));
     pending_tc_ = 0.0;
@@ -339,7 +339,7 @@ ClusterEngine::external_result(const WorkerRef& worker, WorkItem work,
         finish_time_ = now();
     }
     external_policy_->after_result(*this, worker);
-    return {std::move(service.next), finished_};
+    return {std::move(service.next), finished_, last_ta_};
 }
 
 void ClusterEngine::external_worker_failure(const WorkerRef& worker) {

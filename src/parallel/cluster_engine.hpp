@@ -282,9 +282,9 @@ public:
         /// stores produce byte-identical schedules; `heap` is the
         /// pre-rebuild oracle kept for equivalence gates (DESIGN.md §13).
         des::QueuePolicy queue = des::QueuePolicy::calendar;
-        /// Real-time (external-drive) mode: a transport such as the TCP
-        /// run manager owns the event loop and feeds the engine through
-        /// the external_* hooks; now() is wall-clock seconds since
+        /// Real-time (external-drive) mode: a physical transport owns the
+        /// event loop and feeds the engine through the external_* hooks
+        /// (via WindowProtocol, window_protocol.hpp); now() is wall-clock seconds since
         /// external_begin, T_A is measured, and T_C is fed from measured
         /// transport latency (tf/tc/ta distributions may all be null).
         /// run_events/run_generational are unavailable in this mode
@@ -304,12 +304,13 @@ public:
                                       std::uint64_t evaluations);
 
     // ------------------------------------------- external (real-time) drive
-    // A real transport (the TCP run manager) owns the sockets and the
-    // event loop; the engine keeps owning what it always owned — policy
-    // invocation order, trace/metrics emission, completion accounting —
-    // so an EventMasterPolicy written for the virtual cluster runs
-    // unchanged over real hardware. All external_* calls require
-    // Setup.real_time and run on the driving thread.
+    // A real transport (threads or TCP, through the one WindowProtocol
+    // core that calls these) owns the event loop; the engine keeps owning
+    // what it always owned — policy invocation order, trace/metrics
+    // emission, completion accounting — so an EventMasterPolicy written
+    // for the virtual cluster runs unchanged over real hardware. All
+    // external_* calls require Setup.real_time and run on the driving
+    // thread.
 
     /// Starts an externally driven run: installs the policy, arms the
     /// wall clock, emits run_start.
@@ -318,20 +319,20 @@ public:
     void external_spawn(const WorkerRef& worker);
     /// Claims one initial work item from the policy (window seeding).
     std::optional<WorkItem> external_dispatch_initial(const WorkerRef& worker);
-    /// Feeds one measured evaluation time into the T_F accounting.
-    void external_tf(const WorkerRef& worker, double measured_seconds);
 
     struct ExternalServe {
         std::optional<WorkItem> next; ///< fresh work, if the budget allows
         bool finished = false;        ///< target reached with this result
+        double ta = 0.0;              ///< the T_A this service applied
     };
-    /// One master service: runs policy.serve (which measures its own T_A),
-    /// charges the hold, advances completion, and fires record_result /
-    /// after_result exactly as the virtual driver would. \p measured_tc is
-    /// the observed result-return latency, consumed by the policy's first
-    /// sample_tc draw.
+    /// One master service: feeds \p measured_tf into the T_F accounting,
+    /// runs policy.serve (which measures its own T_A), charges the hold,
+    /// advances completion, and fires record_result / after_result exactly
+    /// as the virtual driver would. \p measured_tc is the observed
+    /// result-return latency, observed into `<prefix>.tc_seconds` and
+    /// consumed by the policy's first sample_tc draw.
     ExternalServe external_result(const WorkerRef& worker, WorkItem work,
-                                  double measured_tc);
+                                  double measured_tf, double measured_tc);
     /// A real worker died (socket EOF or heartbeat timeout). Emits
     /// worker_failure and counts it. The policy is *not* told: unlike the
     /// virtual cluster, a real transport retains the dispatched solution
@@ -439,6 +440,7 @@ private:
     EventMasterPolicy* external_policy_ = nullptr;
     std::chrono::steady_clock::time_point real_start_{};
     double pending_tc_ = 0.0; ///< next measured T_C, consumed by sample_tc
+    double last_ta_ = 0.0;    ///< the latest sample_ta value
 
     std::uint64_t target_ = 0;
     std::uint64_t completed_ = 0;
@@ -460,6 +462,7 @@ private:
     obs::Histogram* h_tf_ = nullptr;
     obs::Histogram* h_ta_ = nullptr;
     obs::Histogram* h_wait_ = nullptr;
+    obs::Histogram* h_tc_ = nullptr; ///< measured T_C (real-time mode)
 };
 
 } // namespace borg::parallel

@@ -13,26 +13,28 @@
 /// and all workers share one result channel — exactly the MPI_ANY_SOURCE
 /// receive loop of the original), and the framed TCP protocol of
 /// net/wire.hpp (the socket run manager sends the same variables as a
-/// Task frame and gets objectives back as a Result frame).
+/// Task frame and gets objectives back as a Result frame). Both drivers
+/// hand what arrives to the same master core (window_protocol.hpp), which
+/// owns the task table and the ingest order; the payloads here are only
+/// the thread driver's wire.
 ///
-/// Since the arena refactor (DESIGN.md §15) the in-process payloads carry
-/// no owning Solution. The master resolves the pool slot's payload spans
-/// at dispatch time — block storage is address-stable, so the spans
-/// survive pool growth — and the worker evaluates straight into the
-/// slot's objective/constraint rows. Only the handle travels back; the
-/// master stamps the `evaluated` flag (pool metadata stays single-writer)
-/// and ingests by handle without ever copying the payload.
+/// The in-process payloads carry no owning Solution (DESIGN.md §15). The
+/// master resolves the pool slot's payload spans at dispatch time — block
+/// storage is address-stable, so the spans survive pool growth — and the
+/// worker evaluates straight into the slot's objective/constraint rows.
+/// Only the task's (seq, slot) ticket and the worker's timings travel
+/// back; the master stamps the `evaluated` flag (pool metadata stays
+/// single-writer) and ingests without ever copying the payload.
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
-
-#include "moea/solution_pool.hpp"
 
 namespace borg::parallel {
 
@@ -50,25 +52,28 @@ namespace borg::parallel {
 ///    while an earlier result is still outstanding.
 enum class IngestOrder : std::uint8_t { arrival, dispatch };
 
-/// One evaluation travelling master -> worker. `seq` is the dispatch
-/// sequence number (the reorder key under IngestOrder::dispatch). The
-/// spans are the slot's payload rows, resolved by the master before the
-/// send; the worker writes objectives/constraints in place and never
-/// touches pool metadata.
+/// One evaluation travelling master -> worker. `seq` is the task's
+/// sequence number and `slot` its row in the master's task table
+/// (WindowProtocol); both come back with the result. The spans are the
+/// pool slot's payload rows, resolved by the master before the send; the
+/// worker writes objectives/constraints in place and never touches pool
+/// metadata.
 struct WorkPayload {
     std::uint64_t seq = 0;
-    moea::SolutionHandle handle;
+    std::uint32_t slot = 0;
     std::span<const double> variables;
     std::span<double> objectives;
     std::span<double> constraints;
 };
 
 /// One evaluated result travelling worker -> master. The payload already
-/// sits in the pool slot; only the claim ticket returns.
+/// sits in the pool slot; only the claim ticket and the worker's timings
+/// return.
 struct ResultPayload {
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
     std::size_t worker = 0;
-    moea::SolutionHandle handle;
+    double eval_seconds = 0.0; ///< measured T_F (problem.evaluate)
     std::chrono::steady_clock::time_point sent_at{};
 };
 

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "des/ring_queue.hpp"
 #include "net/event_poller.hpp"
 #include "net/outbox.hpp"
 #include "net/socket.hpp"
@@ -18,7 +17,7 @@
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "parallel/master_policies.hpp"
-#include "parallel/reorder_ring.hpp"
+#include "parallel/window_protocol.hpp"
 
 namespace borg::parallel {
 
@@ -44,6 +43,13 @@ std::uint64_t generate_run_token() {
 }
 
 struct TcpRunManager::Impl {
+    /// A task sent to a worker: its seq (what the wire carries) and its
+    /// row in the window's task table.
+    struct Inflight {
+        std::uint64_t seq = 0;
+        std::uint32_t slot = 0;
+    };
+
     // One connected socket in some lifecycle state. `handshaking` sockets
     // have no worker identity yet; `closing` ones carry a handshake
     // rejection that still needs to drain before the close (any bytes the
@@ -55,10 +61,10 @@ struct TcpRunManager::Impl {
         enum class State { handshaking, active, closing } state =
             State::handshaking;
         std::uint32_t worker_id = 0; ///< valid once active
-        /// Outstanding task seqs, oldest first. The worker evaluates its
+        /// Outstanding tasks, oldest first. The worker evaluates its
         /// queue FIFO, so results must come back in exactly this order —
         /// depth > 1 (pipelining) changes latency, never ingest order.
-        std::vector<std::uint64_t> inflight;
+        std::vector<Inflight> inflight;
         std::uint64_t last_heard_ms = 0;
         std::uint32_t wheel_id = net::TimingWheel::kNone;
         bool want_write = false; ///< write interest as the poller knows it
@@ -67,36 +73,15 @@ struct TcpRunManager::Impl {
         bool dead = false;
     };
 
-    // The master-side record of one dispatched evaluation. The full
-    // solution (operator tag included) never leaves this slot; the wire
-    // only moves variables out and objectives back, so the ingested
-    // solution is bit-exact with what the policy generated no matter how
-    // many times the task was reassigned. Arena-backed policies park a
-    // pool claim here (variables are encoded straight from the slot's
-    // span, objectives patched straight back in); value-based policies
-    // park an owning Solution.
-    struct TaskSlot {
-        WorkItem work;
-        bool done = false;
-        std::uint32_t dispatch_count = 0;
-        std::uint64_t dispatched_at_ns = 0; ///< latest dispatch (wall)
-    };
-
-    // What ingest needs of a completed evaluation besides its seq; parked
-    // in the reorder ring until the seq's turn under the window protocol.
-    struct ResultMeta {
-        std::uint32_t worker_id = 0;
-        double eval_seconds = 0.0;
-        double measured_tc = 0.0;
-    };
-
     TcpRunConfig config;
     net::Listener listener;
     bool ran = false;
     net::TimingWheel wheel;
 
-    // Per-run state (valid during run()).
-    ClusterEngine* engine = nullptr;
+    // Per-run state (valid during run()). The window owns the task table,
+    // the dispatch queue and credits, and ingest order; this driver owns
+    // the wire.
+    WindowProtocol* window = nullptr;
     const problems::Problem* problem = nullptr;
     obs::TraceSink* trace = nullptr;
     TcpRunStats stats;
@@ -105,15 +90,7 @@ struct TcpRunManager::Impl {
     std::vector<std::unique_ptr<Conn>> conns;
     std::vector<Conn*> active_by_id; ///< O(1) worker-id -> conn
     std::vector<Conn*> wheel_owner;  ///< wheel node id -> conn
-    std::vector<TaskSlot> tasks;
-    des::RingQueue<std::uint64_t> pending; ///< task seqs awaiting a worker
-    /// Dispatch credits: worker ids with pipeline capacity. A worker with
-    /// depth d appears up to d times; stale entries (conn died or is
-    /// already full) are skipped on pop.
-    des::RingQueue<std::uint32_t> idle;
-    ReorderRing<ResultMeta> ready;
     std::uint32_t next_worker_id = 0;
-    bool finished = false;
     bool any_dead = false; ///< gates the dead-conn sweep
     /// Decode target reused across every Result frame: its vectors keep
     /// their capacity, so the steady-state receive path never allocates.
@@ -130,11 +107,6 @@ struct TcpRunManager::Impl {
     }
 
     static std::uint64_t now_ms() { return steady_ns() / 1'000'000u; }
-
-    static WorkerRef ref_of(std::uint32_t worker_id) {
-        const auto id = static_cast<std::size_t>(worker_id);
-        return WorkerRef{0, id, id};
-    }
 
     Conn* find_active(std::uint32_t worker_id) {
         if (worker_id >= active_by_id.size()) return nullptr;
@@ -260,12 +232,12 @@ struct TcpRunManager::Impl {
         ++stats.disconnects;
         if (graceful) ++stats.graceful_leaves;
         if (trace)
-            trace->record({obs::EventKind::net_disconnect, engine->now(),
+            trace->record({obs::EventKind::net_disconnect, window->now(),
                            static_cast<std::int64_t>(conn.worker_id), 0.0,
                            graceful ? 1u : 0u});
-        if (!graceful) engine->external_worker_failure(ref_of(conn.worker_id));
+        if (!graceful) window->worker_failed(conn.worker_id);
         // Newest-first, so push_front leaves the lowest seq at the queue
-        // head (it gates the reorder ring).
+        // head (it gates dispatch-order ingest).
         for (auto it = conn.inflight.rbegin(); it != conn.inflight.rend();
              ++it)
             reassign(*it, conn.worker_id);
@@ -274,79 +246,48 @@ struct TcpRunManager::Impl {
         close_quietly(conn);
     }
 
-    /// Returns a lost task to the front of the queue (front: the lowest
-    /// outstanding seq gates the reorder buffer, so re-running it first
-    /// minimizes parked results).
-    void reassign(std::uint64_t seq, std::uint32_t worker_id) {
-        TaskSlot& slot = tasks[seq];
-        if (slot.done) return;
-        pending.push_front(seq);
+    /// Returns a lost task to the window's queue head (unless its result
+    /// already landed).
+    void reassign(const Inflight& lost, std::uint32_t worker_id) {
+        const WindowProtocol::Task* task =
+            window->outstanding(lost.slot, lost.seq);
+        if (task == nullptr) return;
+        window->requeue(lost.slot);
         ++stats.reassignments;
         if (trace)
-            trace->record({obs::EventKind::net_reassign, engine->now(),
+            trace->record({obs::EventKind::net_reassign, window->now(),
                            static_cast<std::int64_t>(worker_id),
-                           static_cast<double>(seq), slot.dispatch_count});
+                           static_cast<double>(lost.seq),
+                           task->dispatch_count});
     }
 
-    /// Matches queued tasks to dispatch credits, FIFO on both sides.
+    /// Sends queued tasks to workers with credit; a credit whose conn
+    /// died or is already full is stale.
     void dispatch_pending() {
-        while (!pending.empty() && !idle.empty()) {
-            const std::uint32_t worker_id = idle.front();
-            idle.pop_front();
-            Conn* conn = find_active(worker_id);
-            if (conn == nullptr ||
-                conn->inflight.size() >= config.pipeline_depth)
-                continue; // stale credit
-            const std::uint64_t seq = pending.front();
-            pending.pop_front();
-            TaskSlot& slot = tasks[seq];
-            ++slot.dispatch_count;
-            ++stats.tasks_sent;
-            slot.dispatched_at_ns = steady_ns();
-            conn->inflight.push_back(seq); // before queue: an overflow
-                                           // reap must reassign this seq
-            frame_scratch.clear();
-            net::encode_task_frame_into(seq, variables_of(slot.work),
-                                        frame_scratch);
-            if (queue_scratch(*conn)) after_queue(*conn);
-        }
-    }
-
-    static bool holds_work(const WorkItem& work) {
-        return work.pool != nullptr || work.solution.has_value();
+        window->dispatch(
+            [this](std::uint32_t worker_id) {
+                const Conn* conn = find_active(worker_id);
+                return conn != nullptr &&
+                       conn->inflight.size() < config.pipeline_depth;
+            },
+            [this](std::uint32_t worker_id, std::uint32_t slot,
+                   WindowProtocol::Task& task) {
+                Conn& conn = *find_active(worker_id);
+                ++stats.tasks_sent;
+                task.dispatched_at_ns = steady_ns();
+                // Before queueing: an overflow reap must reassign it.
+                conn.inflight.push_back({task.seq, slot});
+                frame_scratch.clear();
+                net::encode_task_frame_into(task.seq, variables_of(task.work),
+                                            frame_scratch);
+                if (queue_scratch(conn)) after_queue(conn);
+            });
     }
 
     static std::span<const double> variables_of(const WorkItem& work) {
         return work.pool != nullptr ? work.pool->variables(work.handle)
                                     : std::span<const double>(
                                           work.solution->variables);
-    }
-
-    // ----------------------------------------------------------- ingest
-
-    /// One master service: measured T_F and T_C feed the engine, the
-    /// policy ingests the retained (patched) solution and may fund the
-    /// next task.
-    void ingest(std::uint64_t seq, const ResultMeta& meta) {
-        TaskSlot& slot = tasks[seq];
-        const std::uint64_t now_ns = steady_ns();
-        if (now_ns > slot.dispatched_at_ns)
-            stats.latency_sum_s +=
-                static_cast<double>(now_ns - slot.dispatched_at_ns) * 1e-9;
-        const WorkerRef worker = ref_of(meta.worker_id);
-        engine->external_tf(worker, meta.eval_seconds);
-        const ClusterEngine::ExternalServe serve = engine->external_result(
-            worker, std::move(slot.work), meta.measured_tc);
-        if (serve.next) {
-            if (!holds_work(*serve.next))
-                throw TcpError("tcp manager: policy produced an empty work "
-                               "item (statistics-only policies cannot run "
-                               "over a real transport)");
-            const std::uint64_t next_seq = tasks.size();
-            tasks.push_back(TaskSlot{std::move(*serve.next)});
-            pending.push_back(next_seq);
-        }
-        if (serve.finished) finished = true;
     }
 
     // ------------------------------------------------------- handshakes
@@ -385,9 +326,9 @@ struct TcpRunManager::Impl {
         ++stats.connects;
         if (hello.connect_attempts > 1)
             stats.connect_retries += hello.connect_attempts - 1;
-        engine->external_spawn(ref_of(id));
+        window->spawn(id);
         if (trace)
-            trace->record({obs::EventKind::net_connect, engine->now(),
+            trace->record({obs::EventKind::net_connect, window->now(),
                            static_cast<std::int64_t>(id),
                            static_cast<double>(hello.connect_attempts), 0});
         if (!queue_frame(conn, net::HelloAck{true, id,
@@ -396,20 +337,20 @@ struct TcpRunManager::Impl {
             return;
         after_queue(conn);
         for (std::size_t d = 0; d < config.pipeline_depth; ++d)
-            idle.push_back(id);
+            window->add_credit(id);
     }
 
     void handle_result(Conn& conn, net::Result& result) {
         if (conn.state != Conn::State::active || conn.inflight.empty() ||
-            conn.inflight.front() != result.seq ||
-            result.seq >= tasks.size()) {
+            conn.inflight.front().seq != result.seq) {
             conn_lost(conn, /*graceful=*/false);
             return;
         }
-        TaskSlot& slot = tasks[result.seq];
+        const std::uint32_t slot = conn.inflight.front().slot;
         conn.inflight.erase(conn.inflight.begin());
-        idle.push_back(conn.worker_id);
-        if (slot.done) {
+        window->add_credit(conn.worker_id);
+        WindowProtocol::Task* task = window->outstanding(slot, result.seq);
+        if (task == nullptr) {
             // Another incarnation of this task already landed (it was
             // reassigned and both copies finished); drop the duplicate.
             ++stats.stale_results;
@@ -420,46 +361,28 @@ struct TcpRunManager::Impl {
             conn_lost(conn, /*graceful=*/false);
             return;
         }
-        if (slot.work.pool != nullptr) {
-            // Patch the wire payload straight into the arena slot; the
-            // master stamps `evaluated` (pool metadata is master-owned).
-            moea::SolutionPool& pool = *slot.work.pool;
+        WorkItem& work = task->work;
+        if (work.pool != nullptr) {
+            // Patch the wire payload straight into the arena slot.
             std::ranges::copy(result.objectives,
-                              pool.objectives_mut(slot.work.handle).begin());
+                              work.pool->objectives_mut(work.handle).begin());
             std::ranges::copy(result.constraints,
-                              pool.constraints_mut(slot.work.handle).begin());
-            pool.set_evaluated(slot.work.handle, true);
+                              work.pool->constraints_mut(work.handle).begin());
         } else {
             // Copy (not move): `result` is the reused scratch decode
             // target, so stealing its vectors would shed their capacity.
-            slot.work.solution->set_objectives(result.objectives);
-            slot.work.solution->constraints = result.constraints;
+            work.solution->set_objectives(result.objectives);
+            work.solution->constraints = result.constraints;
         }
-        slot.done = true;
         ++stats.results_received;
 
         const std::uint64_t now_ns = steady_ns();
-        ResultMeta meta;
-        meta.worker_id = conn.worker_id;
-        meta.eval_seconds = result.eval_seconds;
-        meta.measured_tc = now_ns > result.sent_at_ns
-                               ? static_cast<double>(now_ns -
-                                                     result.sent_at_ns) *
-                                     1e-9
-                               : 0.0;
-
-        if (config.ingest == IngestOrder::arrival) {
-            ingest(result.seq, meta);
-            return;
-        }
-        // Window protocol: park until this result's sequence turn, then
-        // drain everything that became consecutive.
-        ready.park(result.seq, meta);
-        while (!finished) {
-            const auto turn = ready.pop_ready();
-            if (!turn) break;
-            ingest(turn->seq, turn->value);
-        }
+        const double measured_tc =
+            now_ns > result.sent_at_ns
+                ? static_cast<double>(now_ns - result.sent_at_ns) * 1e-9
+                : 0.0;
+        window->complete(slot,
+                         {conn.worker_id, result.eval_seconds, measured_tc});
     }
 
     /// Non-Result frames only; Results take the allocation-free
@@ -514,7 +437,7 @@ struct TcpRunManager::Impl {
         }
         try {
             std::optional<std::span<const std::uint8_t>> frame;
-            while (!conn.dead && !finished &&
+            while (!conn.dead && !window->finished() &&
                    conn.state != Conn::State::closing &&
                    (frame = conn.reader.next_frame())) {
                 if (net::decode_result_frame(*frame, scratch_result))
@@ -691,36 +614,13 @@ struct TcpRunManager::Impl {
         problem = &run_problem;
         trace = ctx.trace;
 
-        ClusterEngine::Setup setup;
-        setup.real_time = true;
-        setup.processors = config.workers_expected + 1;
-        setup.groups = {{config.workers_expected, 1, 0}};
-        ClusterEngine run_engine(std::move(setup), ctx);
-        engine = &run_engine;
-        engine->external_begin(policy, evaluations);
-
-        ready.reset(config.workers_expected);
-        // The slot table grows by one per funded task; reserving its
-        // final size (bounded: the window protocol creates at most N + W
-        // slots) keeps the steady-state loop free of reallocations.
-        tasks.reserve(static_cast<std::size_t>(
-            std::min<std::uint64_t>(evaluations + config.workers_expected,
-                                    std::uint64_t{1} << 20)));
-
-        // Claim the whole window up front: W tasks generated before any
-        // ingest, exactly like the thread executor's seeding loop — this
-        // is what makes the dispatch-order archive a pure function of
+        // The whole window is claimed up front, before any worker
+        // connects, so the dispatch-order archive is a pure function of
         // (seed, W, N) rather than of connection timing.
-        for (std::size_t w = 0; w < config.workers_expected; ++w) {
-            std::optional<WorkItem> work = engine->external_dispatch_initial(
-                WorkerRef{0, w, w});
-            if (!work) break;
-            if (!holds_work(*work))
-                throw TcpError("tcp manager: policy produced an empty "
-                               "initial work item");
-            pending.push_back(tasks.size());
-            tasks.push_back(TaskSlot{std::move(*work)});
-        }
+        WindowProtocol run_window(config.workers_expected, config.ingest,
+                                  ctx);
+        window = &run_window;
+        window->begin(policy, evaluations);
 
         const auto run_start = SteadyClock::now();
         try {
@@ -729,11 +629,11 @@ struct TcpRunManager::Impl {
             // The transport counters are often the diagnosis (e.g. an
             // outbox overflow reaping the only worker before the run
             // timeout fires) — publish them on the failure path too.
-            fold_poller_stats();
+            fold_run_stats();
             if (ctx.metrics) publish_metrics(*ctx.metrics);
             for (auto& conn : conns)
                 if (!conn->dead) close_quietly(*conn);
-            engine = nullptr;
+            window = nullptr;
             problem = nullptr;
             throw;
         }
@@ -742,25 +642,26 @@ struct TcpRunManager::Impl {
         listener.close();
         broadcast_shutdown();
 
-        fold_poller_stats();
+        fold_run_stats();
 
         TcpRunResult result;
-        result.run = engine->external_finish();
+        result.run = window->finish();
         result.net = stats;
         if (ctx.metrics) publish_metrics(*ctx.metrics);
-        engine = nullptr;
+        window = nullptr;
         problem = nullptr;
         return result;
     }
 
-    void fold_poller_stats() {
+    void fold_run_stats() {
+        stats.latency_sum_s = window->latency_sum_s();
         stats.syscalls_wait = poller->stats().wait_syscalls;
         stats.syscalls_ctl = poller->stats().ctl_syscalls;
         stats.wakeups = poller->stats().wakeups;
     }
 
     void serve_loop(SteadyClock::time_point run_start) {
-        while (!finished) {
+        while (!window->finished()) {
             const double elapsed_s =
                 std::chrono::duration<double>(SteadyClock::now() - run_start)
                     .count();
@@ -786,7 +687,7 @@ struct TcpRunManager::Impl {
                 throw TcpError(std::string("tcp manager: ") + error.what());
             }
             for (const net::PollerEvent& event : events) {
-                if (finished) break;
+                if (window->finished()) break;
                 if (event.data == nullptr) {
                     accept_all();
                     continue;
@@ -797,7 +698,7 @@ struct TcpRunManager::Impl {
                 if (!conn.dead && (event.readable || event.hangup))
                     read_from(conn);
             }
-            if (finished) break;
+            if (window->finished()) break;
             service_wheel();
             dispatch_pending();
             flush_dirty();

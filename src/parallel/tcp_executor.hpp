@@ -7,21 +7,23 @@
 ///
 /// The master binds a listening socket; `borg_worker` processes connect,
 /// self-describe (handshake), evaluate tasks, and heartbeat. The manager
-/// owns only the transport — sockets, frames, worker liveness, task
-/// retention and reassignment. Scheduling semantics come from the same
-/// EventMasterPolicy objects the virtual-time executors use, driven
-/// through ClusterEngine's external (real-time) mode, so an AsyncBorgPolicy
-/// runs byte-for-byte the same algorithm over real hardware as it does in
-/// simulation.
+/// owns only the wire — sockets, frames, handshakes, heartbeats, outboxes,
+/// and the reassignment of a lost worker's tasks. Everything above the
+/// wire (window seeding, the task table, ingest order, the engine's
+/// trace and metrics) is the WindowProtocol core the thread executor
+/// drives too (window_protocol.hpp), serving the same EventMasterPolicy
+/// objects the virtual-time executors use through ClusterEngine's
+/// external (real-time) mode.
 ///
 /// Determinism: under IngestOrder::dispatch (the default) results are
-/// ingested strictly in task-sequence order through a reorder buffer, and
-/// the master retains every dispatched Solution (the wire round-trip only
-/// carries variables out and objectives back). The final archive is then a
-/// pure function of (seed, window = workers_expected, evaluations) —
-/// byte-identical to ThreadMasterSlaveExecutor in dispatch mode with the
-/// same window, and invariant under worker churn, late joins, kill -9, and
-/// reassignment (tests/test_tcp_executor.cpp holds the gates).
+/// ingested strictly in task-sequence order, and the master retains every
+/// dispatched Solution (the wire round-trip only carries variables out
+/// and objectives back). The final archive is then a pure function of
+/// (seed, window = workers_expected, evaluations) — byte-identical to
+/// ThreadMasterSlaveExecutor in dispatch mode with the same window and to
+/// a single-threaded replay of the window protocol, and invariant under
+/// worker churn, late joins, kill -9, and reassignment
+/// (tests/test_tcp_executor.cpp holds the gates).
 ///
 /// Fault model: a dead socket (kill -9 → EOF/reset) reassigns the worker's
 /// outstanding task immediately; a hung worker is reaped by heartbeat

@@ -11,8 +11,17 @@
 ///  * workers loop: receive work, evaluate (a DelayedProblem physically
 ///    blocks for the sampled T_F), send the result back;
 ///  * the master blocks on the shared result channel (MPI_ANY_SOURCE),
-///    ingests each result, and immediately dispatches fresh work to that
-///    worker — no barriers anywhere.
+///    ingests each result, and immediately dispatches fresh work — no
+///    barriers anywhere.
+///
+/// The executor is a transport only: threads, channels and zero-copy
+/// evaluation into the pool's rows. The master loop above the wire —
+/// window seeding, the task table, ingest order, and the T_F/T_C/T_A
+/// accounting — is the WindowProtocol core the TCP run manager drives
+/// too (window_protocol.hpp), serving the same AsyncBorgPolicy the
+/// virtual executors run. A thread run therefore emits the engine's trace
+/// and `async.*` metrics, feeds a TrajectoryRecorder, and cross-validates
+/// against its trace exactly like the virtual and TCP runs.
 ///
 /// Besides demonstrating the production path at workstation scale, this
 /// executor is the measurement instrument of the model-calibration
@@ -27,14 +36,16 @@
 #include "moea/borg.hpp"
 #include "parallel/message.hpp"
 #include "parallel/run_context.hpp"
+#include "parallel/virtual_cluster.hpp"
 #include "problems/problem.hpp"
 
 namespace borg::parallel {
 
-struct ThreadRunResult {
-    double elapsed = 0.0; ///< wall-clock seconds
-    std::uint64_t evaluations = 0;
-    /// Measured master processing time (receive + generate) per result.
+/// The engine's run summary (elapsed is wall-clock seconds; T_F, T_A and
+/// master busy time are measured) plus the raw calibration samples.
+struct ThreadRunResult : VirtualRunResult {
+    /// The T_A the engine applied to each ingested result: the measured
+    /// master step (receive + generate).
     std::vector<double> ta_samples;
     /// Measured one-way result-channel latencies (send timestamp to
     /// master pickup), the physical analogue of T_C.
@@ -59,12 +70,11 @@ public:
     ///
     /// If an evaluation throws inside a worker thread, the exception is
     /// captured, every thread is shut down and joined, and the exception
-    /// is rethrown here (it previously escaped the thread body and called
-    /// std::terminate). ctx.trace, if given, receives the event stream —
+    /// is rethrown here. ctx.trace receives the engine's event stream —
     /// emitted from the master thread only, with times in wall-clock
-    /// seconds since run start; ctx.metrics receives instruments under the
-    /// "thread." prefix; ctx.recorder is not consulted (wall-clock runs
-    /// checkpoint through their own measured samples).
+    /// seconds since run start; ctx.metrics the "async." instruments
+    /// (`async.tc_seconds` holds the measured channel latencies);
+    /// ctx.recorder per-result checkpoints and the final snapshot.
     ThreadRunResult run(moea::BorgMoea& algorithm,
                         const problems::Problem& problem,
                         std::uint64_t evaluations,

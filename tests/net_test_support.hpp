@@ -3,9 +3,11 @@
 
 /// Process supervisor for the TCP run-manager tests: spawns real
 /// borg_worker processes (fork + exec of BORG_WORKER_BIN, injected by
-/// CMake), waits for them, and can kill -9 one mid-evaluation — the
-/// fault the net tier exists to prove survivable. Also provides the
-/// byte-identity helpers shared by the loopback tests.
+/// CMake into the tiers that fork workers), waits for them, and can
+/// kill -9 one mid-evaluation — the fault the net tier exists to prove
+/// survivable. Also provides the byte-identity helpers and reference
+/// archives shared by the loopback and thread-executor tests; those need
+/// no worker binary.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -13,21 +15,21 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "moea/borg.hpp"
 #include "moea/solution.hpp"
+#include "moea/solution_pool.hpp"
 #include "parallel/message.hpp"
 #include "parallel/thread_executor.hpp"
 #include "problems/problem.hpp"
 
 namespace borg::testnet {
 
-#ifndef BORG_WORKER_BIN
-#error "BORG_WORKER_BIN must be defined (path to the borg_worker binary)"
-#endif
+#ifdef BORG_WORKER_BIN
 
 /// One spawned borg_worker. Reap (wait/kill9) before destruction; the
 /// destructor force-kills leaked processes so a failed ASSERT cannot
@@ -129,6 +131,8 @@ inline WorkerProc spawn_worker(std::uint16_t port,
     return WorkerProc(pid);
 }
 
+#endif // BORG_WORKER_BIN
+
 /// Exact (bitwise, via ==) equality of two archives, member by member —
 /// the determinism gate: a TCP run's archive must match the thread
 /// executor's dispatch-mode archive byte for byte.
@@ -156,6 +160,35 @@ reference_archive(const problems::Problem& problem, double epsilon,
     parallel::ThreadMasterSlaveExecutor executor(
         window, parallel::IngestOrder::dispatch);
     executor.run(algorithm, problem, evaluations);
+    return algorithm.archive().solutions();
+}
+
+/// The window protocol replayed on one thread, with no transport and no
+/// master core: claim W offspring, then for each i in 0..N-1 evaluate
+/// offspring i, ingest it, and claim one more while fewer than N were
+/// claimed. Under IngestOrder::dispatch every transport's archive is a
+/// pure function of (seed, W, N), so this is the independent oracle for
+/// it.
+inline std::vector<moea::Solution>
+window_serial_archive(const problems::Problem& problem, double epsilon,
+                      std::uint64_t seed, std::size_t window,
+                      std::uint64_t evaluations) {
+    moea::BorgParams params = moea::BorgParams::for_problem(problem, epsilon);
+    moea::BorgMoea algorithm(problem, params, seed);
+    std::deque<moea::SolutionHandle> inflight;
+    std::uint64_t issued = 0;
+    for (; issued < window && issued < evaluations; ++issued)
+        inflight.push_back(algorithm.next_offspring_handle());
+    for (std::uint64_t i = 0; i < evaluations; ++i) {
+        const moea::SolutionHandle handle = inflight.front();
+        inflight.pop_front();
+        moea::evaluate(problem, algorithm.pool(), handle);
+        algorithm.receive_handle(handle);
+        if (issued < evaluations) {
+            inflight.push_back(algorithm.next_offspring_handle());
+            ++issued;
+        }
+    }
     return algorithm.archive().solutions();
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "problems/problem.hpp"
 
@@ -224,6 +226,19 @@ TEST(Checkpoint, RejectsConstraintArityMismatch) {
 
 // ------------------------------------------------------- v2 -> v3 migration
 
+#ifndef BORG_GOLDEN_DIR
+#error "BORG_GOLDEN_DIR must be defined (tests/golden in the source tree)"
+#endif
+
+/// Opens a checked-in v2 checkpoint from tests/golden. Each was saved by
+/// the v2 writer from a serial run named in the file name (problem, seed,
+/// evaluations), before that writer was retired.
+std::ifstream v2_fixture(const std::string& name) {
+    std::ifstream is(std::string(BORG_GOLDEN_DIR) + "/" + name);
+    if (!is) ADD_FAILURE() << "missing v2 fixture " << name;
+    return is;
+}
+
 /// A v2 checkpoint (inline solutions per section) must load under the v3
 /// code and continue bit-identically — clusters have archived v2 files.
 TEST(CheckpointMigration, V2LoadsAndResumesBitIdentical) {
@@ -232,10 +247,8 @@ TEST(CheckpointMigration, V2LoadsAndResumesBitIdentical) {
     BorgMoea uninterrupted(*problem, params_for(*problem), 42);
     run_serial(uninterrupted, *problem, 8000);
 
-    BorgMoea first_half(*problem, params_for(*problem), 42);
-    run_serial(first_half, *problem, 3000);
-    std::stringstream legacy;
-    save_checkpoint_v2(first_half, legacy);
+    // zdt1, seed 42, stopped at 3000 evaluations.
+    std::ifstream legacy = v2_fixture("checkpoint_v2_zdt1_seed42_3000.txt");
 
     BorgMoea resumed(*problem, params_for(*problem), 999);
     load_checkpoint(resumed, legacy);
@@ -264,8 +277,9 @@ TEST(CheckpointMigration, V2ToV3RewriteEqualsDirectV3Save) {
 
         std::stringstream direct_v3;
         save_checkpoint(original, direct_v3);
-        std::stringstream legacy;
-        save_checkpoint_v2(original, legacy);
+        // The same run (seed 33, 2500 evaluations) saved as v2.
+        std::ifstream legacy = v2_fixture(std::string("checkpoint_v2_") +
+                                          name + "_seed33_2500.txt");
 
         BorgMoea migrated(*problem, params, 34);
         load_checkpoint(migrated, legacy);

@@ -211,7 +211,7 @@ TEST(ThreadTrace, TraceCarriesOneResultPerEvaluation) {
     EXPECT_EQ(agg.results, result.evaluations);
     EXPECT_TRUE(agg.saw_run_end);
     EXPECT_DOUBLE_EQ(agg.elapsed, result.elapsed);
-    const auto* ta = metrics.find_histogram("thread.ta_seconds");
+    const auto* ta = metrics.find_histogram("async.ta_seconds");
     ASSERT_NE(ta, nullptr);
     EXPECT_EQ(ta->count(), 2000u);
 }

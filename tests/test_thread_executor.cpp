@@ -10,7 +10,12 @@
 #include <string>
 
 #include "metrics/hypervolume.hpp"
+#include "net_test_support.hpp"
+#include "obs/event_trace.hpp"
+#include "obs/metrics_registry.hpp"
 #include "parallel/message.hpp"
+#include "parallel/trace_check.hpp"
+#include "parallel/trajectory.hpp"
 #include "problems/delayed.hpp"
 #include "problems/problem.hpp"
 #include "problems/reference_set.hpp"
@@ -134,6 +139,112 @@ TEST(ThreadExecutor, SingleWorkerDegeneratesToSerialOrder) {
     for (std::size_t i = 0; i < serial.archive().size(); ++i)
         EXPECT_TRUE(std::ranges::equal(threaded.archive()[i].objectives,
                                        serial.archive()[i].objectives));
+}
+
+TEST(ThreadExecutor, DispatchArchiveMatchesSerialWindowEmulation) {
+    // The determinism contract checked against an oracle that shares no
+    // code with the master: under dispatch ingest the thread run's
+    // archive must equal the window protocol replayed on one thread —
+    // unconstrained, five-objective, and constrained (srn) problems.
+    struct Case {
+        const char* problem;
+        double epsilon;
+    };
+    for (const Case c : {Case{"zdt1", 0.01}, Case{"dtlz2_5", 0.1},
+                         Case{"srn", 1.0}}) {
+        const auto problem = problems::make_problem(c.problem);
+        for (const std::size_t window : {1u, 3u, 8u}) {
+            const std::uint64_t seed = 40 + window;
+            moea::BorgMoea algo(
+                *problem, moea::BorgParams::for_problem(*problem, c.epsilon),
+                seed);
+            ThreadMasterSlaveExecutor exec(window, IngestOrder::dispatch);
+            exec.run(algo, *problem, 3000);
+            const std::vector<moea::Solution> expected =
+                testnet::window_serial_archive(*problem, c.epsilon, seed,
+                                               window, 3000);
+            ASSERT_FALSE(expected.empty());
+            EXPECT_TRUE(testnet::archives_identical(
+                algo.archive().solutions(), expected))
+                << c.problem << " W=" << window;
+        }
+    }
+}
+
+// ------------------------------------------------------- observability
+
+/// One traced, metered, recorded thread run shared by the tests below.
+struct ObservedRun {
+    static constexpr std::uint64_t kEvals = 4500;
+
+    ObservedRun()
+        : problem(problems::make_problem("zdt1")),
+          normalizer(problems::reference_set_for("zdt1")),
+          recorder(normalizer, 1000),
+          algo(*problem, quick_params(*problem), 21) {
+        ThreadMasterSlaveExecutor exec(4, IngestOrder::dispatch);
+        result = exec.run(algo, *problem, kEvals,
+                          {.recorder = &recorder, .trace = &trace,
+                           .metrics = &metrics});
+    }
+
+    std::unique_ptr<problems::Problem> problem;
+    metrics::HypervolumeNormalizer normalizer;
+    TrajectoryRecorder recorder;
+    moea::BorgMoea algo;
+    obs::EventTrace trace;
+    obs::MetricsRegistry metrics;
+    ThreadRunResult result;
+};
+
+TEST(ThreadExecutor, TraceCrossValidatesAgainstTheRunResult) {
+    const ObservedRun run;
+    EXPECT_TRUE(run.result.completed_target);
+    EXPECT_EQ(run.result.evaluations, ObservedRun::kEvals);
+    for (const std::string& discrepancy :
+         cross_validate(run.trace, run.result))
+        ADD_FAILURE() << discrepancy;
+}
+
+TEST(ThreadExecutor, TaSamplesAreTheEngineAppliedTa) {
+    const ObservedRun run;
+    ASSERT_EQ(run.result.ta_samples.size(), ObservedRun::kEvals);
+    EXPECT_EQ(run.result.ta_applied.count, ObservedRun::kEvals);
+    const stats::Summary samples = stats::summarize(run.result.ta_samples);
+    EXPECT_NEAR(samples.mean, run.result.ta_applied.mean,
+                1e-9 * run.result.ta_applied.mean);
+    EXPECT_DOUBLE_EQ(samples.min, run.result.ta_applied.min);
+    EXPECT_DOUBLE_EQ(samples.max, run.result.ta_applied.max);
+}
+
+TEST(ThreadExecutor, RecorderGetsPerResultCheckpointsAndFinalize) {
+    const ObservedRun run;
+    // Checkpoints at 1000..4000, then finalize's terminal point at 4500.
+    const std::vector<TrajectoryPoint>& points = run.recorder.points();
+    ASSERT_EQ(points.size(), 5u);
+    for (std::size_t i = 0; i + 1 < points.size(); ++i) {
+        EXPECT_EQ(points[i].evaluations, 1000u * (i + 1));
+        EXPECT_LE(points[i].time, points[i + 1].time);
+    }
+    EXPECT_EQ(points.back().evaluations, ObservedRun::kEvals);
+    EXPECT_DOUBLE_EQ(points.back().time, run.result.elapsed);
+    EXPECT_GT(run.recorder.final_hypervolume(), 0.5);
+}
+
+TEST(ThreadExecutor, MetricsCarryOneTcAndTaSamplePerResult) {
+    const ObservedRun run;
+    const obs::Histogram* tc = run.metrics.find_histogram("async.tc_seconds");
+    const obs::Histogram* ta = run.metrics.find_histogram("async.ta_seconds");
+    const obs::Histogram* tf = run.metrics.find_histogram("async.tf_seconds");
+    ASSERT_NE(tc, nullptr);
+    ASSERT_NE(ta, nullptr);
+    ASSERT_NE(tf, nullptr);
+    EXPECT_EQ(tc->count(), ObservedRun::kEvals);
+    EXPECT_EQ(ta->count(), ObservedRun::kEvals);
+    EXPECT_EQ(tf->count(), ObservedRun::kEvals);
+    const obs::Counter* results = run.metrics.find_counter("async.results");
+    ASSERT_NE(results, nullptr);
+    EXPECT_EQ(results->value(), ObservedRun::kEvals);
 }
 
 /// Forwards to ZDT1 but throws once a configured number of evaluations has
