@@ -1,4 +1,4 @@
-/// Fleet soak benchmark and poll-vs-epoll agreement gate for the TCP run
+/// Fleet soak benchmark and archive agreement gate for the TCP run
 /// manager (DESIGN.md §16).
 ///
 /// The scalability claims of the asynchronous master live or die on the
@@ -7,16 +7,14 @@
 /// bookkeeping are the master's whole CPU budget. This driver forks real
 /// borg_worker fleets (sleep-dominated evaluations, so on a small
 /// container the workers park in nanosleep and the master's event loop is
-/// the only busy party) at F in {64, 128, 256, 512} against both poller
-/// backends and reports, per cell:
+/// the only busy party) at F in {64, 128, 256, 512} and reports, per cell:
 ///
 ///   * master CPU per result (getrusage RUSAGE_SELF around run(): the
 ///     workers are separate processes, so this isolates engine + loop);
 ///   * io syscalls per result (send + recv + wait + ctl) — the number the
 ///     serve loop's gathered writes and single-shot reads exist to shrink.
-///     Both backends run that one loop; they differ only in how readiness
-///     is waited for (epoll: persistent registration; poll: a pollfd
-///     array rebuilt per wait);
+///     The readiness backend is the build's (net::Poller: epoll on Linux,
+///     poll elsewhere);
 ///   * epoll_ctl calls (poll: none);
 ///   * mean dispatch -> ingest latency;
 ///   * an archive byte-identity check against the thread executor at the
@@ -24,10 +22,10 @@
 ///
 /// Gates (exit non-zero on failure). Every gate is an archive or a count:
 /// structural numbers that do not move with host timing noise.
-///   * agreement: a pipelined F = 16 cell must produce archives
-///     byte-identical to the thread reference under BOTH backends;
+///   * agreement: a pipelined F = 16 cell must produce an archive
+///     byte-identical to the thread reference;
 ///   * every timed cell's archive must match its thread reference;
-///   * at the F = 256 cell, BOTH backends must spend <= half the io
+///   * at the F = 256 cell, the master must spend <= half the io
 ///     syscalls per result that the retired loop shape (one send per
 ///     frame, read-until-EAGAIN probes, a 20 ms tick, an O(conns)
 ///     heartbeat scan) was recorded at in the default cell shape
@@ -36,11 +34,9 @@
 ///     promises: epoll_ctl calls <= 2 per connection + 2 (one add and one
 ///     remove per worker socket and for the listener), however many
 ///     results flow. Write-interest churn or per-wait re-registration
-///     would scale with results and fail it.
-/// The epoll/poll CPU ratio at F = 256 is reported, not gated: with one
-/// serve loop under both backends it sits within host noise of 1.
+///     would scale with results and fail it. (Under poll the count is 0.)
 /// `--quick` (the ci.sh smoke gate) runs only the agreement cell and the
-/// F = 256 pair, at 12 evaluations per worker.
+/// F = 256 cell, at 12 evaluations per worker.
 ///
 /// The checked-in BENCH_net.json is regenerated from a Release build with
 /// `micro_net --json BENCH_net.json`.
@@ -62,12 +58,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "moea/borg.hpp"
+#include "net/event_poller.hpp"
 #include "net_test_support.hpp"
 #include "parallel/tcp_executor.hpp"
 #include "problems/problem.hpp"
@@ -104,7 +100,6 @@ double cpu_seconds_self() {
 
 struct CellResult {
     std::size_t fleet = 0;
-    net::PollerBackend backend = net::PollerBackend::poll;
     std::size_t window = 0;
     std::uint64_t evals = 0;
     double cpu_us_per_result = 0.0;
@@ -122,12 +117,10 @@ struct CellSpec {
     std::uint64_t evals;
     std::uint64_t seed;
     int delay_ms;
-    net::PollerBackend backend;
 };
 
 /// One full master run against a freshly forked fleet. The reference
-/// archive for (window, evals) is supplied by the caller (cached across
-/// the backend pair).
+/// archive for (window, evals) is supplied by the caller.
 CellResult run_cell(const CellSpec& spec,
                     const std::vector<moea::Solution>& reference) {
     const auto problem = problems::make_problem(kProblem);
@@ -138,7 +131,6 @@ CellResult run_cell(const CellSpec& spec,
     parallel::TcpRunConfig config;
     config.workers_expected = spec.fleet * spec.depth;
     config.pipeline_depth = spec.depth;
-    config.backend = spec.backend;
     config.heartbeat_interval_ms = 250;
     // Fork storms on a loaded single-core machine can stall a worker for
     // seconds before its first byte; reaping it would change the fleet
@@ -163,7 +155,6 @@ CellResult run_cell(const CellSpec& spec,
 
     CellResult cell;
     cell.fleet = spec.fleet;
-    cell.backend = spec.backend;
     cell.window = config.workers_expected;
     cell.evals = spec.evals;
     const double results =
@@ -213,103 +204,75 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_uint("seed", 20260809));
     const std::string json_path = args.get("json", "");
 
-    if (!net::epoll_available()) {
-        // Non-Linux builds carry only the poll backend; the comparative
-        // gates are meaningless, so report and pass trivially (ci.sh
-        // still runs us, and must stay green).
-        std::cout << "micro_net: epoll backend unavailable on this "
-                     "platform; skipping the backend comparison\n";
-        return 0;
-    }
+    std::cout << "poller: " << net::Poller::kName << "\n";
 
     const auto problem = problems::make_problem(kProblem);
     int rc = 0;
 
     // ------------------------------------------------ agreement gate
-    // Small pipelined fleet, both backends, thread-executor reference:
-    // three byte-identical archives or every number below is worthless.
+    // Small pipelined fleet against the thread-executor reference: the
+    // archives must be byte-identical or every number below is worthless.
     {
         const std::size_t fleet = 16;
         const std::uint64_t evals = 800;
         const std::vector<moea::Solution> reference = reference_archive(
             *problem, kEpsilon, seed, fleet * depth, evals);
-        for (const auto backend :
-             {net::PollerBackend::poll, net::PollerBackend::epoll}) {
-            const CellResult cell = run_cell(
-                {fleet, depth, evals, seed, delay_ms, backend}, reference);
-            std::cout << "agreement F=16 backend=" << net::to_string(backend)
-                      << (cell.archive_match ? ": archives identical\n"
-                                             : ": MISMATCH\n");
-            if (!cell.archive_match) rc = 1;
-        }
-        if (rc != 0) {
-            std::cerr << "FAIL: backend archives diverged from the thread "
+        const CellResult cell =
+            run_cell({fleet, depth, evals, seed, delay_ms}, reference);
+        std::cout << "agreement F=16"
+                  << (cell.archive_match ? ": archives identical\n"
+                                         : ": MISMATCH\n");
+        if (!cell.archive_match) {
+            std::cerr << "FAIL: the TCP archive diverged from the thread "
                          "executor\n";
-            return rc;
+            return 1;
         }
     }
 
     // ------------------------------------------------------ timed grid
     std::vector<CellResult> cells;
-    std::map<std::size_t, std::vector<moea::Solution>> references;
     for (const std::size_t fleet : fleets) {
         const std::uint64_t evals = evals_per_worker * fleet;
-        auto& reference = references[fleet];
-        if (reference.empty())
-            reference = reference_archive(*problem, kEpsilon, seed,
-                                          fleet * depth, evals);
-        for (const auto backend :
-             {net::PollerBackend::poll, net::PollerBackend::epoll}) {
-            const CellResult cell = run_cell(
-                {fleet, depth, evals, seed, delay_ms, backend}, reference);
-            std::printf(
-                "F=%-4zu %-5s cpu/result %8.1f us  syscalls/result %6.2f  "
-                "latency %6.2f ms  frames/send %5.2f  wall %5.2f s  %s\n",
-                cell.fleet, net::to_string(cell.backend),
-                cell.cpu_us_per_result, cell.syscalls_per_result,
-                cell.latency_ms_mean, cell.frames_per_send, cell.wall_s,
-                cell.archive_match ? "archive ok" : "ARCHIVE MISMATCH");
-            if (!cell.archive_match) rc = 1;
-            cells.push_back(cell);
-        }
+        const std::vector<moea::Solution> reference = reference_archive(
+            *problem, kEpsilon, seed, fleet * depth, evals);
+        const CellResult cell =
+            run_cell({fleet, depth, evals, seed, delay_ms}, reference);
+        std::printf(
+            "F=%-4zu cpu/result %8.1f us  syscalls/result %6.2f  "
+            "latency %6.2f ms  frames/send %5.2f  wall %5.2f s  %s\n",
+            cell.fleet, cell.cpu_us_per_result, cell.syscalls_per_result,
+            cell.latency_ms_mean, cell.frames_per_send, cell.wall_s,
+            cell.archive_match ? "archive ok" : "ARCHIVE MISMATCH");
+        if (!cell.archive_match) rc = 1;
+        cells.push_back(cell);
     }
 
     // ---------------------------------------------------- syscall gates
-    const CellResult* poll256 = nullptr;
-    const CellResult* epoll256 = nullptr;
-    for (const CellResult& c : cells) {
-        if (c.fleet != 256) continue;
-        (c.backend == net::PollerBackend::poll ? poll256 : epoll256) = &c;
-    }
-    if (poll256 != nullptr && epoll256 != nullptr) {
-        const std::uint64_t max_ctl = 2 * epoll256->fleet + 2;
-        std::printf("gate: F=256 io syscalls/result poll %.2f, epoll %.2f "
-                    "(retired loop: %.2f); epoll_ctl %llu (limit %llu)\n",
-                    poll256->syscalls_per_result,
-                    epoll256->syscalls_per_result,
+    const CellResult* cell256 = nullptr;
+    for (const CellResult& c : cells)
+        if (c.fleet == 256) cell256 = &c;
+    if (cell256 != nullptr) {
+        const std::uint64_t max_ctl = 2 * cell256->fleet + 2;
+        std::printf("gate: F=256 io syscalls/result %.2f (retired loop: "
+                    "%.2f); epoll_ctl %llu (limit %llu)\n",
+                    cell256->syscalls_per_result,
                     kRetiredLoopSyscallsPerResult,
-                    static_cast<unsigned long long>(epoll256->syscalls_ctl),
+                    static_cast<unsigned long long>(cell256->syscalls_ctl),
                     static_cast<unsigned long long>(max_ctl));
-        std::printf("report (not gated): F=256 epoll cpu speedup over poll "
-                    "%.2fx\n",
-                    poll256->cpu_us_per_result / epoll256->cpu_us_per_result);
         if (depth == kRetiredLoopDepth && delay_ms == kRetiredLoopDelayMs) {
-            for (const CellResult* c : {poll256, epoll256}) {
-                if (c->syscalls_per_result >
-                    0.5 * kRetiredLoopSyscallsPerResult) {
-                    std::cerr << "FAIL: " << net::to_string(c->backend)
-                              << " must halve the retired loop's io "
-                                 "syscalls per result at F=256 (got "
-                              << c->syscalls_per_result << ")\n";
-                    rc = 1;
-                }
+            if (cell256->syscalls_per_result >
+                0.5 * kRetiredLoopSyscallsPerResult) {
+                std::cerr << "FAIL: the master must halve the retired "
+                             "loop's io syscalls per result at F=256 (got "
+                          << cell256->syscalls_per_result << ")\n";
+                rc = 1;
             }
         } else {
             std::cout << "note: cell shape differs from the recorded "
                          "baseline's; syscall gate skipped\n";
         }
-        if (epoll256->syscalls_ctl > max_ctl) {
-            std::cerr << "FAIL: epoll made " << epoll256->syscalls_ctl
+        if (cell256->syscalls_ctl > max_ctl) {
+            std::cerr << "FAIL: " << cell256->syscalls_ctl
                       << " epoll_ctl calls at F=256; persistent "
                          "registration allows "
                       << max_ctl << "\n";
@@ -331,6 +294,7 @@ int main(int argc, char** argv) {
             << "  \"pipeline_depth\": " << depth << ",\n"
             << "  \"evals_per_worker\": " << evals_per_worker << ",\n"
             << "  \"eval_delay_ms\": " << delay_ms << ",\n"
+            << "  \"poller\": \"" << net::Poller::kName << "\",\n"
             << "  \"agreement\": true,\n"
             << "  \"retired_loop_io_syscalls_per_result\": "
             << kRetiredLoopSyscallsPerResult << ",\n"
@@ -340,14 +304,13 @@ int main(int argc, char** argv) {
             char buf[384];
             std::snprintf(
                 buf, sizeof(buf),
-                "    {\"fleet\": %zu, \"backend\": \"%s\", "
-                "\"window\": %zu, \"evals\": %llu, "
+                "    {\"fleet\": %zu, \"window\": %zu, \"evals\": %llu, "
                 "\"cpu_us_per_result\": %.2f, "
                 "\"io_syscalls_per_result\": %.2f, "
                 "\"epoll_ctl_calls\": %llu, "
                 "\"latency_ms_mean\": %.3f, \"frames_per_send\": %.2f, "
                 "\"wall_s\": %.2f, \"archive_match\": %s}%s\n",
-                c.fleet, net::to_string(c.backend), c.window,
+                c.fleet, c.window,
                 static_cast<unsigned long long>(c.evals),
                 c.cpu_us_per_result, c.syscalls_per_result,
                 static_cast<unsigned long long>(c.syscalls_ctl),

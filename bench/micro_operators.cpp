@@ -17,11 +17,10 @@
 /// additionally times the end-to-end master hot loop — generation +
 /// ingestion per offspring, evaluation excluded — on the paper's two
 /// problems at population 100 (ε = 0.25) and at the 10^4-member archive
-/// configuration (ε = 0.06), through both the arena handle path and the
-/// allocation-per-offspring value API (informational), and gates the T_A
-/// headline: the population-100 median speedup over the pre-arena seed
-/// must be >= 2x, and each 10^4-member cell must individually be >= 2x
-/// over the seed.
+/// configuration (ε = 0.06), through the handle path the master runs,
+/// and gates the T_A headline: the population-100 median speedup over
+/// the pre-arena seed must be >= 2x, and each 10^4-member cell must
+/// individually be >= 2x over the seed.
 /// The full grid produces the checked-in BENCH_operators.json
 /// (regenerate from a Release build with
 /// `micro_operators --json BENCH_operators.json`).
@@ -182,8 +181,7 @@ struct LoopCell {
     std::string problem;
     double epsilon = 0.0;
     std::size_t archive = 0;
-    double arena_ns = 0.0; ///< handle path: next_offspring_handle/receive_handle
-    double value_ns = 0.0; ///< value path: next_offspring/receive (0 = skipped)
+    double arena_ns = 0.0; ///< handle path: generate + ingest
     double seed_ns = 0.0;  ///< pre-arena seed, same protocol (see kSeedBaseline)
     double speedup_vs_seed = 0.0;
 };
@@ -213,6 +211,10 @@ double seed_baseline_ns(const std::string& problem, double epsilon) {
     return 0.0;
 }
 
+/// The grid's two ε: population 100, and the 10^4-member archive.
+constexpr double kPop100Epsilon = 0.25;
+constexpr double kArchive10kEpsilon = 0.06;
+
 constexpr int kLoopWarmup = 20000;
 constexpr int kLoopTimed = 30000;
 
@@ -239,32 +241,7 @@ double time_arena_loop(problems::Problem& problem, const BorgParams& params,
     return ns / kLoopTimed;
 }
 
-double time_value_loop(problems::Problem& problem, const BorgParams& params) {
-    BorgMoea alg(problem, params, 42);
-    for (int i = 0; i < kLoopWarmup; ++i) {
-        Solution s = alg.next_offspring();
-        evaluate(problem, s);
-        alg.receive(std::move(s));
-    }
-    double ns = 0.0;
-    for (int i = 0; i < kLoopTimed; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        Solution s = alg.next_offspring();
-        const auto t1 = std::chrono::steady_clock::now();
-        evaluate(problem, s);
-        const auto t2 = std::chrono::steady_clock::now();
-        alg.receive(std::move(s));
-        const auto t3 = std::chrono::steady_clock::now();
-        ns += elapsed_ns(t0, t1) + elapsed_ns(t2, t3);
-    }
-    return ns / kLoopTimed;
-}
-
-/// The value path allocates per offspring; measuring it at the 10^4-member
-/// configuration would double an already long run for a comparison the
-/// gate only needs at population 100, so measure_value is false there.
-LoopCell master_loop_cell(const std::string& name, double epsilon,
-                          bool measure_value) {
+LoopCell master_loop_cell(const std::string& name, double epsilon) {
     LoopCell cell;
     cell.problem = name;
     cell.epsilon = epsilon;
@@ -274,7 +251,6 @@ LoopCell master_loop_cell(const std::string& name, double epsilon,
     BorgParams params = BorgParams::for_problem(*problem, epsilon);
     params.initial_population_size = 100;
     cell.arena_ns = time_arena_loop(*problem, params, cell.archive);
-    if (measure_value) cell.value_ns = time_value_loop(*problem, params);
     if (cell.seed_ns > 0.0 && cell.arena_ns > 0.0)
         cell.speedup_vs_seed = cell.seed_ns / cell.arena_ns;
     return cell;
@@ -335,38 +311,31 @@ int main(int argc, char** argv) {
                  "apply_into) and produce_batch bit-identical on every "
                  "operator\n";
 
-    // Full grid: the end-to-end master hot loop (the T_A headline). The
-    // population-100 cells also time the allocation-per-offspring value
-    // API as an in-binary reference; the 10^4-member cells compare against
-    // the recorded seed baseline only.
+    // Full grid: the end-to-end master hot loop (the T_A headline),
+    // compared against the recorded seed baseline.
     std::vector<LoopCell> loop_cells;
     if (!quick) {
         std::cout << "\nmaster hot loop: generation + ingestion ns/offspring"
                      " (evaluation excluded), 20k warm-up + 30k timed\n";
-        util::Table loop_table({"problem", "eps", "archive", "value ns",
-                                "arena ns", "seed ns", "vs seed"});
-        for (const double eps : {0.25, 0.06})
+        util::Table loop_table({"problem", "eps", "archive", "arena ns",
+                                "seed ns", "vs seed"});
+        for (const double eps : {kPop100Epsilon, kArchive10kEpsilon})
             for (const char* name : {"dtlz2_5", "uf11"})
-                loop_cells.push_back(
-                    master_loop_cell(name, eps, /*measure_value=*/eps == 0.25));
+                loop_cells.push_back(master_loop_cell(name, eps));
         std::vector<double> pop100_speedups;
         for (const LoopCell& cell : loop_cells) {
-            char eps_buf[16], value_buf[32], arena_buf[32], seed_buf[32],
-                speed_buf[32];
+            char eps_buf[16], arena_buf[32], seed_buf[32], speed_buf[32];
             std::snprintf(eps_buf, sizeof(eps_buf), "%.2f", cell.epsilon);
-            std::snprintf(value_buf, sizeof(value_buf), "%.0f",
-                          cell.value_ns);
             std::snprintf(arena_buf, sizeof(arena_buf), "%.0f",
                           cell.arena_ns);
             std::snprintf(seed_buf, sizeof(seed_buf), "%.0f", cell.seed_ns);
             std::snprintf(speed_buf, sizeof(speed_buf), "%.2fx",
                           cell.speedup_vs_seed);
             loop_table.add_row({cell.problem, eps_buf,
-                                std::to_string(cell.archive),
-                                cell.value_ns > 0.0 ? value_buf : "-",
-                                arena_buf, seed_buf, speed_buf});
+                                std::to_string(cell.archive), arena_buf,
+                                seed_buf, speed_buf});
 
-            if (cell.value_ns > 0.0) {
+            if (cell.epsilon == kPop100Epsilon) {
                 pop100_speedups.push_back(cell.speedup_vs_seed);
             } else if (cell.speedup_vs_seed < 2.0) {
                 // Gate: each 10^4-member cell individually >= 2x vs seed.
@@ -376,10 +345,6 @@ int main(int argc, char** argv) {
             }
         }
         loop_table.print(std::cout);
-        // The value_ns column is informational only: the value API is now a
-        // thin wrapper over the same arena engine, so its delta (one
-        // materialize + store per offspring) sits inside single-run timer
-        // noise on a shared machine and is not a stable gate.
         // Gate: population-100 median speedup vs seed >= 2x (the
         // acceptance-criterion headline; with two problems the median is
         // their midpoint).
@@ -429,10 +394,10 @@ int main(int argc, char** argv) {
             std::snprintf(
                 buf, sizeof(buf),
                 "    {\"problem\": \"%s\", \"epsilon\": %.2f, "
-                "\"archive\": %zu, \"value_ns\": %.0f, \"arena_ns\": %.0f, "
+                "\"archive\": %zu, \"arena_ns\": %.0f, "
                 "\"seed_ns\": %.0f, \"speedup_vs_seed\": %.2f}%s\n",
-                c.problem.c_str(), c.epsilon, c.archive, c.value_ns,
-                c.arena_ns, c.seed_ns, c.speedup_vs_seed,
+                c.problem.c_str(), c.epsilon, c.archive, c.arena_ns,
+                c.seed_ns, c.speedup_vs_seed,
                 i + 1 < loop_cells.size() ? "," : "");
             out << buf;
         }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI: plain Release build + full tests (fast, slow, threads, and
-# the net tier's loopback TCP fault-injection suite), a clang-tidy pass
+# the net tier's loopback TCP fault-injection suite) plus five repeats of
+# the TCP loopback tests, a clang-tidy pass
 # over the engine/parallel layer (skipped when clang-tidy is not
 # installed), the arena-ownership lint, the trace_check observability
 # gate, the hypervolume, ε-archive, and DES agreement+speedup smoke
@@ -17,6 +18,13 @@ echo "=== Release build + tests (all tiers) ==="
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "=== TCP loopback tests, repeated (schedule races fail here) ==="
+# The loopback suite forks real worker fleets; a test that races its own
+# fleet passes most runs, so one clean pass proves little. Five parallel
+# repeats make such a race fail CI instead of a later change.
+ctest --test-dir build -R '^TcpExecutor\.' --output-on-failure \
+  --repeat until-fail:5 -j "$jobs"
 
 echo "=== clang-tidy (static analysis; gate on new warnings) ==="
 # The compile database is always generated (editors and other tooling
@@ -68,8 +76,9 @@ echo "=== operator gate (recorded-offspring agreement + timing smoke) ==="
 # Fails if any operator's apply()/apply_into offspring diverge from the
 # digests recorded in tests/operator_digests.hpp, or if produce_batch
 # diverges from sequential apply_into calls. The full grid
-# (BENCH_operators.json) additionally times the end-to-end master hot
-# loop against the pre-arena seed baseline.
+# (BENCH_operators.json, not run here) additionally times the master hot
+# loop — next_offspring_handle + receive_handle, the calls the parallel
+# master serves — against seed baselines recorded on another host.
 ./build/bench/micro_operators --quick --json build/BENCH_operators.json
 
 echo "=== evaluation-time-bias gate (bias + countermeasure smoke) ==="
@@ -80,14 +89,13 @@ echo "=== evaluation-time-bias gate (bias + countermeasure smoke) ==="
 # speculative duplication stops bounding the straggler staleness tail.
 ./build/bench/micro_bias --quick --json build/BENCH_bias.json
 
-echo "=== net backend gate (agreement + syscall-count smoke) ==="
-# Forks a real 256-process borg_worker fleet against both poller
-# backends. Fails if either backend's archive diverges from the thread
-# executor, if either backend does not at least halve the io syscalls per
-# result recorded for the retired tick-and-send-per-frame loop, or if
-# epoll makes more than 2 epoll_ctl calls per connection (+2 for the
-# listener). All three are counts, not timings; the CPU ratio is printed.
-# On non-Linux builds (no epoll) it reports and passes trivially.
+echo "=== net gate (agreement + syscall-count smoke) ==="
+# Forks a real 256-process borg_worker fleet against the build's poller
+# (epoll on Linux, poll elsewhere). Fails if the archive diverges from the
+# thread executor, if the master does not at least halve the io syscalls
+# per result recorded for the retired tick-and-send-per-frame loop, or if
+# it makes more than 2 epoll_ctl calls per connection (+2 for the
+# listener; poll makes none). All three are counts, not timings.
 ./build/bench/micro_net --quick --json build/BENCH_net.json
 
 echo "=== Sanitizer build (address,undefined) + fast/threads/net tiers ==="

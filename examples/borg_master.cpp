@@ -16,6 +16,7 @@
 #include <string>
 
 #include "moea/borg.hpp"
+#include "net/event_poller.hpp"
 #include "obs/metrics_registry.hpp"
 #include "parallel/message.hpp"
 #include "parallel/tcp_executor.hpp"
@@ -42,8 +43,8 @@ int main(int argc, char** argv) {
     const util::CliArgs args(argc, argv);
     args.check_known({"listen", "workers-expected", "heartbeat-ms",
                       "heartbeat-timeout-ms", "problem", "evals", "seed",
-                      "epsilon", "ingest", "timeout-s", "backend",
-                      "pipeline-depth", "token"});
+                      "epsilon", "ingest", "timeout-s", "pipeline-depth",
+                      "token"});
 
     parallel::TcpRunConfig config;
     std::string listen = args.get("listen", "127.0.0.1:0");
@@ -69,16 +70,6 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    const std::string backend =
-        args.get("backend", net::to_string(config.backend));
-    if (backend == "poll") {
-        config.backend = net::PollerBackend::poll;
-    } else if (backend == "epoll") {
-        config.backend = net::PollerBackend::epoll;
-    } else {
-        std::fprintf(stderr, "borg_master: --backend must be poll or epoll\n");
-        return 1;
-    }
     config.pipeline_depth =
         static_cast<std::size_t>(args.get_uint("pipeline-depth", 1));
     // --token N uses N (0 = auth disabled); omitting the flag generates a
@@ -141,7 +132,7 @@ int main(int argc, char** argv) {
     std::printf("bytes sent/recv   : %llu / %llu\n",
                 static_cast<unsigned long long>(result.net.bytes_sent),
                 static_cast<unsigned long long>(result.net.bytes_received));
-    std::printf("backend           : %s\n", net::to_string(config.backend));
+    std::printf("poller            : %s\n", net::Poller::kName);
     if (result.net.results_received > 0)
         std::printf("io syscalls       : %llu (%.2f per result)\n",
                     static_cast<unsigned long long>(result.net.io_syscalls()),

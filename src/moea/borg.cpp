@@ -136,18 +136,6 @@ SolutionHandle BorgMoea::next_offspring_handle() {
     return handle;
 }
 
-Solution BorgMoea::next_offspring() {
-    const SolutionHandle handle = next_offspring_handle();
-    Solution offspring = pool_.materialize(handle);
-    // The handle form exposes full-width zero-filled objective rows for
-    // unevaluated offspring; the value form historically returned empty
-    // vectors until evaluation.
-    offspring.objectives.clear();
-    offspring.constraints.clear();
-    pool_.release(handle);
-    return offspring;
-}
-
 void BorgMoea::maybe_restart() {
     if (params_.enable_restarts &&
         controller_.should_restart(archive_, population_)) {
@@ -176,17 +164,6 @@ void BorgMoea::receive_handle(SolutionHandle handle) {
 
 void BorgMoea::receive_batch(std::span<const SolutionHandle> handles) {
     for (const SolutionHandle handle : handles) receive_handle(handle);
-}
-
-void BorgMoea::receive(Solution solution) {
-    if (!solution.evaluated)
-        throw std::invalid_argument("borg: received unevaluated solution");
-    ++received_;
-
-    population_.inject(solution, rng_);
-    archive_.add(solution);
-
-    maybe_restart();
 }
 
 void run_serial(BorgMoea& algorithm, const problems::Problem& problem,

@@ -8,31 +8,29 @@
 /// The algorithm is exposed as a *master state machine* with two entry
 /// points:
 ///
-///   * next_offspring() — produce one (unevaluated) candidate: uniform
-///     random during initialization, restart mutants while a restart is
-///     refilling the population, otherwise an offspring from the
-///     auto-adaptive operator ensemble;
-///   * receive(solution) — ingest one evaluated candidate: steady-state
-///     population injection, ε-archive update (which credits the producing
-///     operator), and stagnation/restart checks.
+///   * next_offspring_handle() — produce one (unevaluated) candidate:
+///     uniform random during initialization, restart mutants while a
+///     restart is refilling the population, otherwise an offspring from
+///     the auto-adaptive operator ensemble;
+///   * receive_handle(handle) — ingest one evaluated candidate:
+///     steady-state population injection, ε-archive update (which credits
+///     the producing operator), and stagnation/restart checks.
 ///
 /// The serial algorithm is the trivial loop {generate; evaluate; receive},
-/// provided by run_serial(). The asynchronous executor calls
-/// next_offspring() whenever a worker becomes free and receive() whenever a
-/// result returns — the exact protocol of the paper's MPI implementation.
-/// Because both modes share this class, any observed behavioural difference
-/// between serial and parallel runs is attributable to evaluation *order*,
-/// not to divergent implementations.
+/// provided by run_serial(). The asynchronous executors call
+/// next_offspring_handle() whenever a worker becomes free and
+/// receive_handle() whenever a result returns — the exact protocol of the
+/// paper's MPI implementation. Because both modes share this class, any
+/// observed behavioural difference between serial and parallel runs is
+/// attributable to evaluation *order*, not to divergent implementations.
 ///
 /// Storage (DESIGN.md §15): all solutions — population members, archive
 /// members, and in-flight offspring — live as rows of one SolutionPool
-/// arena owned by the algorithm. The primary entry points are the handle
-/// forms next_offspring_handle()/receive_handle(): an offspring is a pool
-/// row the caller evaluates in place and hands back, and acceptance into
-/// the archive transfers the row instead of copying it. The historical
-/// value forms next_offspring()/receive(Solution) are wrappers with
-/// identical RNG draw order, kept for callers that ship solutions across
-/// process boundaries.
+/// arena owned by the algorithm. An offspring is a pool row the caller
+/// evaluates in place (or patches with a worker's reply) and hands back;
+/// acceptance into the archive transfers the row instead of copying it.
+/// A solution from elsewhere (an island migrant, a test fixture) enters
+/// by `pool().store()` and then receive_handle().
 
 #include <cstdint>
 #include <functional>
@@ -110,13 +108,6 @@ public:
     /// executors may batch however their timing works out without
     /// changing the run.
     void receive_batch(std::span<const SolutionHandle> handles);
-
-    /// Produces the next candidate to evaluate (value form; same RNG draw
-    /// order as next_offspring_handle()).
-    Solution next_offspring();
-
-    /// Ingests an evaluated candidate (objectives must be set).
-    void receive(Solution solution);
 
     /// The arena all population/archive members and issued offspring live
     /// in. Exposed so evaluators can write objective rows in place.
@@ -208,8 +199,8 @@ private:
 };
 
 /// Runs the serial Borg MOEA for \p max_evaluations function evaluations.
-/// \p on_evaluation, if set, is called after every receive() with the
-/// running evaluation count — the hook the trajectory recorder uses.
+/// \p on_evaluation, if set, is called after every receive_handle() with
+/// the running evaluation count — the hook the trajectory recorder uses.
 void run_serial(BorgMoea& algorithm, const problems::Problem& problem,
                 std::uint64_t max_evaluations,
                 const std::function<void(std::uint64_t)>& on_evaluation = {});

@@ -64,14 +64,16 @@ VirtualRunResult run_serial_virtual(moea::BorgMoea& algorithm,
 
     for (std::uint64_t i = 0; i < evaluations; ++i) {
         const auto t0 = SteadyClock::now();
-        moea::Solution offspring = algorithm.next_offspring();
+        const moea::SolutionHandle offspring =
+            algorithm.next_offspring_handle();
         const auto t1 = SteadyClock::now();
-        moea::evaluate(problem, offspring);
+        moea::evaluate(problem, algorithm.pool(), offspring);
         const auto t2 = SteadyClock::now();
-        algorithm.receive(std::move(offspring));
+        algorithm.receive_handle(offspring);
         const auto t3 = SteadyClock::now();
-        // Measured T_A covers generate + receive, excluding the real
-        // evaluation in the middle (that time belongs to T_F).
+        // Measured T_A covers generate + receive — the calls the parallel
+        // master's serve() times — excluding the real evaluation in the
+        // middle (that time belongs to T_F).
         const double generate_and_receive =
             std::chrono::duration<double>((t1 - t0) + (t3 - t2)).count();
         const double ta = config.ta ? config.ta->sample(rng)

@@ -9,9 +9,10 @@
 /// implementation:
 ///
 ///   * whenever a worker becomes free, the master generates a new
-///     offspring for it (BorgMoea::next_offspring);
+///     offspring for it (BorgMoea::next_offspring_handle);
 ///   * whenever a worker's result returns, the master ingests it
-///     immediately (BorgMoea::receive) and hands the worker fresh work;
+///     immediately (BorgMoea::receive_handle) and hands the worker fresh
+///     work;
 ///   * workers never wait on each other; they only queue (FIFO) for the
 ///     master.
 ///

@@ -111,12 +111,8 @@ double ClusterEngine::sample_tf(const WorkerRef& worker,
         TimeSampleContext tctx;
         tctx.worker = worker.global;
         tctx.now = now();
-        if (work != nullptr) {
-            if (work->pool != nullptr)
-                tctx.variables = work->pool->variables(work->handle);
-            else if (work->solution)
-                tctx.variables = work->solution->variables;
-        }
+        if (work != nullptr && work->pool != nullptr)
+            tctx.variables = work->pool->variables(work->handle);
         v = setup_.time_model->sample(groups_[worker.group]->rng, tctx);
     } else {
         v = setup_.tf->sample(groups_[worker.group]->rng) *

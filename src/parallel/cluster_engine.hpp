@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "des/environment.hpp"
-#include "moea/solution.hpp"
 #include "moea/solution_pool.hpp"
 #include "parallel/run_context.hpp"
 #include "parallel/virtual_cluster.hpp"
@@ -87,16 +86,14 @@ struct GroupSpec {
     std::int64_t trace_id = 0;
 };
 
-/// What a worker carries between master interactions. Arena-backed
-/// policies (AsyncBorgPolicy) put a pool claim here — `pool` + `handle`
-/// name the slot the offspring lives in, and ingestion moves the handle
-/// instead of copying the payload. Value-based policies (islands, the
-/// sync executor) put an owning Solution in `solution` instead. The
-/// statistics-only simulation policy leaves both empty — the work item
-/// then only marks "has work". If a worker dies holding an arena claim,
-/// the engine returns the slot to the pool before telling the policy.
+/// What a worker carries between master interactions: a pool claim —
+/// `pool` + `handle` name the row the offspring lives in, the worker's
+/// objectives land in that row, and ingestion moves the handle instead of
+/// copying the payload. The statistics-only simulation policy leaves
+/// `pool` null — the work item then only marks "has work". If a worker
+/// dies holding a claim, the engine returns the row to the pool before
+/// telling the policy.
 struct WorkItem {
-    std::optional<moea::Solution> solution;
     moea::SolutionPool* pool = nullptr;
     moea::SolutionHandle handle;
 

@@ -24,11 +24,8 @@ AsyncBorgPolicy::dispatch_initial(ClusterEngine& engine,
                                   const WorkerRef& worker) {
     (void)worker;
     if (issued_ >= engine.target()) return std::nullopt;
-    WorkItem work;
-    work.pool = &algorithm_.pool();
-    work.handle = algorithm_.next_offspring_handle();
     ++issued_;
-    return work;
+    return offspring_work(algorithm_);
 }
 
 void AsyncBorgPolicy::evaluate(WorkItem& work) {
@@ -50,10 +47,7 @@ EventMasterPolicy::Service AsyncBorgPolicy::serve(ClusterEngine& engine,
     algorithm_.receive_handle(work.handle);
     std::optional<WorkItem> next;
     if (issued_ < engine.target()) {
-        WorkItem fresh;
-        fresh.pool = &algorithm_.pool();
-        fresh.handle = algorithm_.next_offspring_handle();
-        next = fresh;
+        next = offspring_work(algorithm_);
         ++issued_;
     }
     const double measured = seconds_since(start);
@@ -146,9 +140,7 @@ AsyncSpecPolicy::make_next(ClusterEngine& engine, const WorkerRef& worker) {
         return dup;
     }
 
-    WorkItem fresh;
-    fresh.pool = &algorithm_.pool();
-    fresh.handle = algorithm_.next_offspring_handle();
+    WorkItem fresh = offspring_work(algorithm_);
     fresh.task_seq = next_seq_++;
     Task t;
     t.primary = fresh.handle;

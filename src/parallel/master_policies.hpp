@@ -42,6 +42,14 @@ namespace borg::parallel {
 
 class BiasMonitor;
 
+/// A fresh offspring of \p algorithm as a work item: a row of its pool.
+inline WorkItem offspring_work(moea::BorgMoea& algorithm) {
+    WorkItem work;
+    work.pool = &algorithm.pool();
+    work.handle = algorithm.next_offspring_handle();
+    return work;
+}
+
 /// The asynchronous Borg protocol as a master policy: every master
 /// interaction ingests one result and immediately hands back fresh work
 /// while the evaluation budget lasts (DESIGN.md §10).

@@ -8,6 +8,7 @@
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "parallel/cluster_engine.hpp"
+#include "parallel/master_policies.hpp"
 #include "util/rng.hpp"
 
 namespace borg::parallel {
@@ -50,21 +51,21 @@ public:
     std::optional<WorkItem>
     dispatch_initial(ClusterEngine& engine, const WorkerRef& worker) override {
         if (!claim(engine)) return std::nullopt;
-        return WorkItem{islands_[worker.group].algorithm->next_offspring()};
+        return offspring_work(*islands_[worker.group].algorithm);
     }
 
     void evaluate(WorkItem& work) override {
         const moea::BorgMoea& any = *islands_.front().algorithm;
-        moea::evaluate(any.problem(), *work.solution);
+        moea::evaluate(any.problem(), *work.pool, work.handle);
     }
 
     Service serve(ClusterEngine& engine, const WorkerRef& worker,
                   WorkItem work) override {
         Island& island = islands_[worker.group];
         const auto start = SteadyClock::now();
-        island.algorithm->receive(std::move(*work.solution));
+        island.algorithm->receive_handle(work.handle);
         std::optional<WorkItem> next;
-        if (claim(engine)) next = WorkItem{island.algorithm->next_offspring()};
+        if (claim(engine)) next = offspring_work(*island.algorithm);
         const double measured = seconds_since(start);
         const auto actor = static_cast<std::int64_t>(worker.group);
         // Protocol order: result message, ingest + generate, fresh-work
@@ -143,16 +144,18 @@ private:
         des::Environment& env = engine.env();
         const auto& archive = islands_[from].algorithm->archive();
         if (archive.empty()) co_return;
-        moea::Solution migrant =
+        // The copy is taken at launch: the source archive may change while
+        // the migrant waits for the target master.
+        moea::BorgMoea& target = *islands_[to].algorithm;
+        const moea::SolutionHandle migrant = target.pool().store(
             archive[static_cast<std::size_t>(
-                        engine.group_rng(from).below(archive.size()))]
-                .materialize();
+                engine.group_rng(from).below(archive.size()))]);
 
         const double wait_start = env.now();
         co_await engine.group_master(to).acquire();
         engine.add_wait(env.now() - wait_start);
         const auto start = SteadyClock::now();
-        islands_[to].algorithm->receive(std::move(migrant));
+        target.receive_handle(migrant);
         const double measured = seconds_since(start);
         const auto actor = static_cast<std::int64_t>(to);
         const double tc = engine.sample_tc(to, actor);

@@ -17,9 +17,9 @@
 ///    master-slave Borg instances (each 1 master + subset workers);
 ///  * every `migration_interval` results (per island), the island sends a
 ///    copy of a random ε-archive member to its ring neighbour; migrants
-///    enter through the neighbour master's normal receive() path and are
-///    charged T_C (message) + T_A (ingestion) of master hold time — the
-///    honest cost of the hierarchy;
+///    enter through the neighbour master's normal receive_handle() path
+///    and are charged T_C (message) + T_A (ingestion) of master hold
+///    time — the honest cost of the hierarchy;
 ///  * the final result merges all island archives into one global
 ///    ε-dominance archive.
 ///

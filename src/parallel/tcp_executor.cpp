@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <random>
 #include <thread>
@@ -85,7 +86,8 @@ struct TcpRunManager::Impl {
     const problems::Problem* problem = nullptr;
     obs::TraceSink* trace = nullptr;
     TcpRunStats stats;
-    std::unique_ptr<net::EventPoller> poller;
+    /// Readiness backend (DESIGN.md §16): epoll on Linux, poll elsewhere.
+    std::optional<net::Poller> poller;
     net::OutboxPool outbox_pool;
     std::vector<std::unique_ptr<Conn>> conns;
     std::vector<Conn*> active_by_id; ///< O(1) worker-id -> conn
@@ -221,7 +223,7 @@ struct TcpRunManager::Impl {
     /// A peer left: by Goodbye frame (graceful), or by EOF / reset /
     /// heartbeat timeout / outbox overflow (a failure). Outstanding work
     /// is reassigned either way; only failures count as worker_failure —
-    /// the transport retains the dispatched solution, so unlike the
+    /// the transport retains the dispatched pool row, so unlike the
     /// virtual cluster the policy is never told (no claim is lost).
     void conn_lost(Conn& conn, bool graceful) {
         if (conn.dead) return;
@@ -278,16 +280,11 @@ struct TcpRunManager::Impl {
                 // Before queueing: an overflow reap must reassign it.
                 conn.inflight.push_back({task.seq, slot});
                 frame_scratch.clear();
-                net::encode_task_frame_into(task.seq, variables_of(task.work),
-                                            frame_scratch);
+                net::encode_task_frame_into(
+                    task.seq, task.work.pool->variables(task.work.handle),
+                    frame_scratch);
                 if (queue_scratch(conn)) after_queue(conn);
             });
-    }
-
-    static std::span<const double> variables_of(const WorkItem& work) {
-        return work.pool != nullptr ? work.pool->variables(work.handle)
-                                    : std::span<const double>(
-                                          work.solution->variables);
     }
 
     // ------------------------------------------------------- handshakes
@@ -346,6 +343,17 @@ struct TcpRunManager::Impl {
             conn_lost(conn, /*graceful=*/false);
             return;
         }
+        // eval_seconds feeds the engine's T_F, and the payload is copied
+        // into a row of fixed width: a reply that breaks either is a
+        // protocol violation. The task is still in conn.inflight, so
+        // conn_lost reassigns it.
+        if (!std::isfinite(result.eval_seconds) || result.eval_seconds < 0.0 ||
+            result.objectives.size() != problem->num_objectives() ||
+            result.constraints.size() != problem->num_constraints()) {
+            ++stats.invalid_results;
+            conn_lost(conn, /*graceful=*/false);
+            return;
+        }
         const std::uint32_t slot = conn.inflight.front().slot;
         conn.inflight.erase(conn.inflight.begin());
         window->add_credit(conn.worker_id);
@@ -356,24 +364,12 @@ struct TcpRunManager::Impl {
             ++stats.stale_results;
             return;
         }
-        if (result.objectives.size() != problem->num_objectives() ||
-            result.constraints.size() != problem->num_constraints()) {
-            conn_lost(conn, /*graceful=*/false);
-            return;
-        }
+        // Patch the wire payload straight into the arena row.
         WorkItem& work = task->work;
-        if (work.pool != nullptr) {
-            // Patch the wire payload straight into the arena slot.
-            std::ranges::copy(result.objectives,
-                              work.pool->objectives_mut(work.handle).begin());
-            std::ranges::copy(result.constraints,
-                              work.pool->constraints_mut(work.handle).begin());
-        } else {
-            // Copy (not move): `result` is the reused scratch decode
-            // target, so stealing its vectors would shed their capacity.
-            work.solution->set_objectives(result.objectives);
-            work.solution->constraints = result.constraints;
-        }
+        std::ranges::copy(result.objectives,
+                          work.pool->objectives_mut(work.handle).begin());
+        std::ranges::copy(result.constraints,
+                          work.pool->constraints_mut(work.handle).begin());
         ++stats.results_received;
 
         const std::uint64_t now_ns = steady_ns();
@@ -562,6 +558,7 @@ struct TcpRunManager::Impl {
         metrics.counter("net.heartbeat_timeouts")
             .inc(stats.heartbeat_timeouts);
         metrics.counter("net.stale_results").inc(stats.stale_results);
+        metrics.counter("net.invalid_results").inc(stats.invalid_results);
         metrics.counter("net.connect_retries").inc(stats.connect_retries);
         metrics.counter("net.tasks_sent").inc(stats.tasks_sent);
         metrics.counter("net.results_received").inc(stats.results_received);
@@ -605,7 +602,7 @@ struct TcpRunManager::Impl {
             throw std::invalid_argument("tcp manager: pipeline_depth == 0");
 
         try {
-            poller = net::make_poller(config.backend);
+            poller.emplace();
         } catch (const net::SocketError& error) {
             throw TcpError(std::string("tcp manager: ") + error.what());
         }

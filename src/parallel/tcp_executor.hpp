@@ -17,18 +17,19 @@
 ///
 /// Determinism: under IngestOrder::dispatch (the default) results are
 /// ingested strictly in task-sequence order, and the master retains every
-/// dispatched Solution (the wire round-trip only carries variables out
-/// and objectives back). The final archive is then a pure function of
-/// (seed, window = workers_expected, evaluations) — byte-identical to
-/// ThreadMasterSlaveExecutor in dispatch mode with the same window and to
-/// a single-threaded replay of the window protocol, and invariant under
-/// worker churn, late joins, kill -9, and reassignment
+/// dispatched offspring as a pool row (the wire round-trip only carries
+/// variables out and objectives back). The final archive is then a pure
+/// function of (seed, window = workers_expected, evaluations) —
+/// byte-identical to ThreadMasterSlaveExecutor in dispatch mode with the
+/// same window and to a single-threaded replay of the window protocol,
+/// and invariant under worker churn, late joins, kill -9, and reassignment
 /// (tests/test_tcp_executor.cpp holds the gates).
 ///
-/// Fault model: a dead socket (kill -9 → EOF/reset) reassigns the worker's
-/// outstanding task immediately; a hung worker is reaped by heartbeat
-/// timeout (the backstop — workers evaluate single-threaded, so the
-/// timeout must exceed the worst-case single evaluation). A Goodbye frame
+/// Fault model: a dead socket (kill -9 → EOF/reset) or a Result that fails
+/// validation reassigns the worker's outstanding tasks immediately; a hung
+/// worker is reaped by heartbeat timeout (the backstop — workers evaluate
+/// single-threaded, so the timeout must exceed the worst-case single
+/// evaluation). A Goodbye frame
 /// is a graceful leave: the worker departs without being counted as a
 /// failure, and any outstanding task is reassigned. Workers may join at
 /// any point during the run.
@@ -40,7 +41,6 @@
 #include <string>
 
 #include "moea/borg.hpp"
-#include "net/event_poller.hpp"
 #include "parallel/cluster_engine.hpp"
 #include "parallel/message.hpp"
 #include "parallel/run_context.hpp"
@@ -78,17 +78,6 @@ struct TcpRunConfig {
     /// Abort the run (TcpError) after this many wall-clock seconds.
     /// 0 disables — but tests should always set it (harness safety net).
     double run_timeout_s = 0.0;
-    /// Readiness backend (DESIGN.md §16); it only decides how the master
-    /// waits for readiness. `epoll` (Linux only; run() throws TcpError
-    /// elsewhere) registers each fd once; `poll` rebuilds its pollfd array
-    /// per wait. Both serve the same loop: timing-wheel-driven wait
-    /// timeouts (no tick), one gathered sendmsg(2) draining a whole outbox
-    /// per flush, and single-shot 64 KiB reads — so the archive, and every
-    /// send/recv count, is the same under either. Defaults to epoll where
-    /// the build carries it, else poll.
-    net::PollerBackend backend = net::epoll_available()
-                                     ? net::PollerBackend::epoll
-                                     : net::PollerBackend::poll;
     /// Tasks kept in flight per connection. 1 reproduces the classic
     /// one-task-per-worker protocol; d > 1 hides the master round-trip by
     /// letting each worker hold a backlog (its results still return in
@@ -125,6 +114,10 @@ struct TcpRunStats {
     std::uint64_t reassignments = 0;     ///< tasks re-queued after a loss
     std::uint64_t heartbeat_timeouts = 0;
     std::uint64_t stale_results = 0;     ///< results for already-done tasks
+    /// Results refused at the trust boundary (non-finite or negative
+    /// eval_seconds, wrong objective/constraint arity); each reaps its
+    /// connection and reassigns the task.
+    std::uint64_t invalid_results = 0;
     std::uint64_t connect_retries = 0;   ///< summed worker connect backoffs
     std::uint64_t tasks_sent = 0;        ///< Task frames (incl. redispatch)
     std::uint64_t results_received = 0;

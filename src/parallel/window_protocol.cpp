@@ -46,7 +46,7 @@ void WindowProtocol::begin(EventMasterPolicy& policy,
 }
 
 void WindowProtocol::install(std::uint32_t slot, WorkItem&& work) {
-    if (work.pool == nullptr && !work.solution)
+    if (work.pool == nullptr)
         throw std::logic_error(
             "window protocol: policy produced an empty work item "
             "(statistics-only policies cannot run over a real transport)");

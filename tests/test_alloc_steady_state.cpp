@@ -104,8 +104,6 @@ std::uint64_t tcp_run_allocations(std::uint64_t evaluations) {
     parallel::TcpRunConfig config;
     config.workers_expected = 8;
     config.pipeline_depth = 2;
-    config.backend = net::epoll_available() ? net::PollerBackend::epoll
-                                            : net::PollerBackend::poll;
     config.heartbeat_interval_ms = 50;
     config.heartbeat_timeout_ms = 2000;
     config.run_timeout_s = 20.0;

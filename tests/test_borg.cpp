@@ -25,7 +25,8 @@ TEST(Borg, InitializationIssuesRandomSolutions) {
     const auto problem = problems::make_problem("zdt1");
     BorgMoea algo(*problem, quick_params(*problem), 1);
     for (int i = 0; i < 100; ++i) {
-        const Solution s = algo.next_offspring();
+        const SolutionHandle h = algo.next_offspring_handle();
+        const ConstSolutionView s = algo.pool().view(h);
         EXPECT_EQ(s.operator_index, kNoOperator);
         EXPECT_TRUE(problem->within_bounds(s.variables));
         EXPECT_FALSE(s.evaluated);
@@ -37,9 +38,9 @@ TEST(Borg, ReceiveGrowsPopulationAndArchive) {
     const auto problem = problems::make_problem("zdt1");
     BorgMoea algo(*problem, quick_params(*problem), 2);
     for (int i = 0; i < 50; ++i) {
-        Solution s = algo.next_offspring();
-        evaluate(*problem, s);
-        algo.receive(std::move(s));
+        const SolutionHandle h = algo.next_offspring_handle();
+        evaluate(*problem, algo.pool(), h);
+        algo.receive_handle(h);
     }
     EXPECT_EQ(algo.evaluations(), 50u);
     EXPECT_EQ(algo.population().size(), 50u);
@@ -51,10 +52,10 @@ TEST(Borg, OperatorOffspringAfterInitialization) {
     BorgMoea algo(*problem, quick_params(*problem), 3);
     run_serial(algo, *problem, 150);
     // Beyond the initial population, offspring carry operator credit.
-    const Solution s =
-        const_cast<BorgMoea&>(algo).next_offspring();
-    EXPECT_GE(s.operator_index, 0);
-    EXPECT_LT(s.operator_index, static_cast<int>(algo.num_operators()));
+    const SolutionHandle h = algo.next_offspring_handle();
+    const int op = algo.pool().operator_index(h);
+    EXPECT_GE(op, 0);
+    EXPECT_LT(op, static_cast<int>(algo.num_operators()));
 }
 
 TEST(Borg, ManyOffspringBeforeAnyResultIsSafe) {
@@ -62,12 +63,13 @@ TEST(Borg, ManyOffspringBeforeAnyResultIsSafe) {
     // the master must keep producing work without any results back.
     const auto problem = problems::make_problem("zdt1");
     BorgMoea algo(*problem, quick_params(*problem), 4);
-    std::vector<Solution> inflight;
-    for (int i = 0; i < 500; ++i) inflight.push_back(algo.next_offspring());
+    std::vector<SolutionHandle> inflight;
+    for (int i = 0; i < 500; ++i)
+        inflight.push_back(algo.next_offspring_handle());
     EXPECT_EQ(algo.issued(), 500u);
-    for (Solution& s : inflight) {
-        evaluate(*problem, s);
-        algo.receive(std::move(s));
+    for (const SolutionHandle h : inflight) {
+        evaluate(*problem, algo.pool(), h);
+        algo.receive_handle(h);
     }
     EXPECT_EQ(algo.evaluations(), 500u);
 }
@@ -75,8 +77,10 @@ TEST(Borg, ManyOffspringBeforeAnyResultIsSafe) {
 TEST(Borg, RejectsUnevaluatedResult) {
     const auto problem = problems::make_problem("zdt1");
     BorgMoea algo(*problem, quick_params(*problem), 5);
-    Solution s = algo.next_offspring();
-    EXPECT_THROW(algo.receive(std::move(s)), std::invalid_argument);
+    const SolutionHandle h = algo.next_offspring_handle();
+    EXPECT_THROW(algo.receive_handle(h), std::invalid_argument);
+    // The caller keeps ownership of the rejected row.
+    EXPECT_TRUE(algo.pool().is_live(h));
 }
 
 TEST(Borg, OperatorUsageAccumulates) {
@@ -214,15 +218,15 @@ TEST(Borg, RestartMutantsFlowThroughPipeline) {
     // offspring are injection mutants without operator credit.
     std::uint64_t i = 0;
     while (algo.pending_restart_mutants() == 0 && i < 50000) {
-        Solution s = algo.next_offspring();
-        evaluate(*problem, s);
-        algo.receive(std::move(s));
+        const SolutionHandle h = algo.next_offspring_handle();
+        evaluate(*problem, algo.pool(), h);
+        algo.receive_handle(h);
         ++i;
     }
     ASSERT_GT(algo.pending_restart_mutants(), 0u)
         << "no restart fired within 50k evaluations";
-    const Solution mutant = algo.next_offspring();
-    EXPECT_EQ(mutant.operator_index, kNoOperator);
+    const SolutionHandle mutant = algo.next_offspring_handle();
+    EXPECT_EQ(algo.pool().operator_index(mutant), kNoOperator);
 }
 
 } // namespace

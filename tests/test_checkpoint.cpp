@@ -96,9 +96,9 @@ TEST(Checkpoint, WorksMidRestartRefill) {
     BorgMoea algo(*problem, params, 5);
     std::uint64_t i = 0;
     while (algo.pending_restart_mutants() == 0 && i < 50000) {
-        Solution s = algo.next_offspring();
-        evaluate(*problem, s);
-        algo.receive(std::move(s));
+        const SolutionHandle h = algo.next_offspring_handle();
+        evaluate(*problem, algo.pool(), h);
+        algo.receive_handle(h);
         ++i;
     }
     ASSERT_GT(algo.pending_restart_mutants(), 0u);
@@ -109,10 +109,12 @@ TEST(Checkpoint, WorksMidRestartRefill) {
     load_checkpoint(restored, snapshot);
     EXPECT_EQ(restored.pending_restart_mutants(),
               algo.pending_restart_mutants());
-    const Solution a = algo.next_offspring();
-    const Solution b = restored.next_offspring();
-    EXPECT_EQ(a.variables, b.variables);
-    EXPECT_EQ(a.operator_index, b.operator_index);
+    const SolutionHandle a = algo.next_offspring_handle();
+    const SolutionHandle b = restored.next_offspring_handle();
+    EXPECT_TRUE(std::ranges::equal(algo.pool().variables(a),
+                                   restored.pool().variables(b)));
+    EXPECT_EQ(algo.pool().operator_index(a),
+              restored.pool().operator_index(b));
 }
 
 TEST(Checkpoint, ConstrainedSolutionsRoundTrip) {

@@ -97,6 +97,29 @@ std::string dump_result(const VirtualRunResult& r) {
     return out;
 }
 
+/// Every member of a final archive, in archive order: variables,
+/// objectives and constraints at 17 significant digits, plus the
+/// producing operator.
+std::string dump_archive(const std::vector<moea::Solution>& archive) {
+    std::string out;
+    kv(out, "size", static_cast<std::uint64_t>(archive.size()));
+    const auto row = [&out](const char* key, const std::vector<double>& v) {
+        out += key;
+        for (const double x : v) {
+            out += ' ';
+            out += num(x);
+        }
+        out += '\n';
+    };
+    for (const moea::Solution& s : archive) {
+        out += "member operator=" + std::to_string(s.operator_index) + '\n';
+        row("x", s.variables);
+        row("f", s.objectives);
+        row("g", s.constraints);
+    }
+    return out;
+}
+
 // ------------------------------------------------------- fixture plumbing
 
 std::string fixture_path(const std::string& name) {
@@ -230,6 +253,30 @@ TEST(GoldenTraces, MultiMasterP12Islands3) {
 
     check_golden("mm_p12_i3.trace.jsonl", trace.to_jsonl());
     check_golden("mm_p12_i3.result.txt", out);
+    check_golden("mm_p12_i3.archive.txt",
+                 dump_archive(result.combined_archive));
+}
+
+// Islands whose workers die mid-run: each lost offspring's row returns to
+// its island's pool and its claim to the run's evaluation budget.
+TEST(GoldenTraces, MultiMasterIslandsWithFailures) {
+    const auto problem = problems::make_problem("zdt1");
+    Streams s;
+    MultiMasterConfig mm;
+    mm.cluster = VirtualClusterConfig{12, s.tf.get(), s.tc.get(),
+                                      s.ta.get(), 71};
+    mm.cluster.worker_failure_at = {kInf, 0.15, kInf, kInf, kInf,
+                                    0.3,  kInf, 0.2,  kInf};
+    mm.islands = 3;
+    mm.migration_interval = 40;
+    MultiMasterExecutor exec(
+        *problem, moea::BorgParams::for_problem(*problem, 0.01), mm);
+    const auto result = exec.run(450);
+    EXPECT_EQ(result.failed_workers, 3u);
+    EXPECT_TRUE(result.completed_target);
+    check_golden("mm_p12_i3_fail.result.txt", dump_result(result));
+    check_golden("mm_p12_i3_fail.archive.txt",
+                 dump_archive(result.combined_archive));
 }
 
 TEST(GoldenTraces, SimulationModelCells) {
@@ -388,6 +435,8 @@ TEST(GoldenTraces, SerialVirtualBaseline) {
     const auto result =
         run_serial_virtual(algo, *problem, cfg, 300);
     check_golden("serial_virtual.result.txt", dump_result(result));
+    check_golden("serial_virtual.archive.txt",
+                 dump_archive(algo.archive().solutions()));
 }
 
 } // namespace

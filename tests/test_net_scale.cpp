@@ -1,7 +1,7 @@
 /// Unit tests for the fleet-scale net primitives (DESIGN.md §16): the
 /// OutboxRing byte queue and its pool, the heartbeat TimingWheel, the
-/// RingQueue::push_front reassignment path, and the EventPoller backends
-/// (poll everywhere; epoll exercised only where the build carries it).
+/// RingQueue::push_front reassignment path, and the poller backends
+/// (poll everywhere; epoll where the build carries it).
 ///
 /// The loopback integration suites prove the run manager as a whole;
 /// these tests pin the primitives' edge cases directly — wrap-around,
@@ -254,9 +254,10 @@ TEST(RingQueue, PushFrontSurvivesGrowthAndHeadUnderflow) {
 
 /// Exercises one backend against a unix socketpair: read readiness,
 /// write-interest transitions, hangup on peer close, deregistration.
-void exercise_poller(net::PollerBackend backend) {
-    auto poller = net::make_poller(backend);
-    ASSERT_EQ(poller->backend(), backend);
+template <typename Poller>
+void exercise_poller() {
+    Poller backend;
+    Poller* poller = &backend;
 
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -306,19 +307,18 @@ void exercise_poller(net::PollerBackend backend) {
 }
 
 TEST(EventPoller, PollBackendBasics) {
-    exercise_poller(net::PollerBackend::poll);
+    exercise_poller<net::PollPoller>();
 }
 
+#ifdef __linux__
+
 TEST(EventPoller, EpollBackendBasics) {
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
-    exercise_poller(net::PollerBackend::epoll);
+    exercise_poller<net::EpollPoller>();
 }
 
 TEST(EventPoller, EpollRegistrationIsPersistent) {
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
-    auto poller = net::make_poller(net::PollerBackend::epoll);
+    net::EpollPoller backend;
+    net::EpollPoller* poller = &backend;
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     poller->add(fds[0], nullptr, false);
@@ -342,16 +342,17 @@ TEST(EventPoller, EpollRegistrationIsPersistent) {
     ::close(fds[1]);
 }
 
-TEST(EventPoller, MakePollerRejectsUnavailableBackend) {
-    if (net::epoll_available())
-        GTEST_SKIP() << "epoll present on this platform; nothing to reject";
-    EXPECT_THROW(net::make_poller(net::PollerBackend::epoll),
-                 net::SocketError);
-}
+#endif // __linux__
 
 TEST(EventPoller, BackendNamesAreStable) {
-    EXPECT_STREQ(net::to_string(net::PollerBackend::poll), "poll");
-    EXPECT_STREQ(net::to_string(net::PollerBackend::epoll), "epoll");
+    // The names land in BENCH_net.json and borg_master's report.
+    EXPECT_STREQ(net::PollPoller::kName, "poll");
+#ifdef __linux__
+    EXPECT_STREQ(net::EpollPoller::kName, "epoll");
+    EXPECT_STREQ(net::Poller::kName, "epoll");
+#else
+    EXPECT_STREQ(net::Poller::kName, "poll");
+#endif
 }
 
 } // namespace

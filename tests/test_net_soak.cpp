@@ -1,12 +1,11 @@
 /// Fleet soak for the TCP run manager (DESIGN.md §16): a 64-process
-/// worker fleet on loopback, pipelined two-deep, driven by the epoll
-/// backend — the smallest configuration that exercises every fleet-scale
-/// mechanism at once (persistent registration, gathered writes across
-/// dozens of dirty connections per wakeup, the heartbeat timing wheel at
-/// real population) while staying inside a CTest timeout. The full
-/// {64..512} x {poll,epoll} cost grid lives in bench/micro_net; this test
-/// pins correctness and sane syscall shape at fleet scale on every CI
-/// run.
+/// worker fleet on loopback, pipelined two-deep, driven by the build's
+/// poller (epoll on Linux) — the smallest configuration that exercises
+/// every fleet-scale mechanism at once (persistent registration, gathered
+/// writes across dozens of dirty connections per wakeup, the heartbeat
+/// timing wheel at real population) while staying inside a CTest timeout.
+/// The full {64..512} cost grid lives in bench/micro_net; this test pins
+/// correctness and sane syscall shape at fleet scale on every CI run.
 ///
 /// Sleep-dominated evaluations (--eval-delay-ms) keep 64 workers
 /// runnable on a single-core container: the fleet spends its time
@@ -39,8 +38,6 @@ constexpr std::size_t kWindow = kFleet * kDepth; // keeps every worker fed
 constexpr std::uint64_t kEvals = 1500;
 
 TEST(TcpSoak, SixtyFourWorkerFleetEpollPipelined) {
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
     const auto problem = problems::make_problem(kProblem);
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
@@ -48,7 +45,6 @@ TEST(TcpSoak, SixtyFourWorkerFleetEpollPipelined) {
     parallel::TcpRunConfig config;
     config.workers_expected = kWindow;
     config.pipeline_depth = kDepth;
-    config.backend = net::PollerBackend::epoll;
     config.heartbeat_interval_ms = 250;
     config.heartbeat_timeout_ms = 5000; // fork storms stall slow machines
     config.run_timeout_s = 60.0;

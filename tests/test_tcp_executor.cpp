@@ -19,10 +19,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <thread>
+#include <variant>
 
 #include "moea/borg.hpp"
+#include "net/socket.hpp"
+#include "net/wire.hpp"
 #include "net_test_support.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
@@ -85,6 +90,51 @@ std::uint64_t counter_value(const obs::MetricsRegistry& metrics,
     return c != nullptr ? c->value() : 0;
 }
 
+/// A fleet that forms only after a misbehaving first peer is done: the
+/// master's run starts with \p first as its sole peer, and four good
+/// workers (launched with \p worker_args) are spawned from a helper
+/// thread only once \p first has returned — so whatever the first peer
+/// provokes has happened before the run can complete, however the host
+/// schedules the processes.
+struct GatedRun {
+    TcpRun tcp;
+    int first_result = -1; ///< what \p first returned
+};
+
+template <typename FirstPeer>
+GatedRun run_gated(const parallel::TcpRunConfig& config, FirstPeer first,
+                   const std::vector<std::string>& worker_args = {}) {
+    GatedRun out;
+    std::thread starter;
+    std::vector<WorkerProc> fleet;
+    const auto launch = [&](std::uint16_t port) {
+        starter = std::thread([&, port] {
+            out.first_result = first(port);
+            for (int i = 0; i < 4; ++i)
+                fleet.push_back(spawn_worker(port, kProblem, worker_args));
+        });
+        return std::vector<WorkerProc>{};
+    };
+    try {
+        out.tcp = run_tcp(config, launch);
+    } catch (...) {
+        if (starter.joinable()) starter.join();
+        throw;
+    }
+    starter.join();
+    for (auto& w : fleet) w.wait_exit_or_kill(2000);
+    return out;
+}
+
+/// First peer for run_gated: a borg_worker that must be turned away.
+/// Returns its exit code (the reject code is 2).
+auto rejected_worker(std::string problem, std::vector<std::string> args) {
+    return [problem = std::move(problem),
+            args = std::move(args)](std::uint16_t port) {
+        return spawn_worker(port, problem, args).wait_exit_or_kill(10000);
+    };
+}
+
 // ----------------------------------------------------------- happy path
 
 TEST(TcpExecutor, ByteIdenticalToThreadExecutorAtSameSeedAndWindow) {
@@ -120,6 +170,8 @@ TEST(TcpExecutor, ByteIdenticalToThreadExecutorAtSameSeedAndWindow) {
 TEST(TcpExecutor, LateJoinAndGracefulLeaveConverge) {
     // Two founding workers leave gracefully after 20 evaluations each;
     // two more join late. The run must converge on the same archive.
+    // The late joiners evaluate with a 2 ms delay, so the ~260 remaining
+    // evaluations outlast the second joiner's handshake and both connect.
     const auto problem = problems::make_problem(kProblem);
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
@@ -134,8 +186,10 @@ TEST(TcpExecutor, LateJoinAndGracefulLeaveConverge) {
             spawn_worker(port, kProblem, {"--leave-after-evals", "20"}));
         late_joiner = std::thread([port, &late] {
             std::this_thread::sleep_for(std::chrono::milliseconds(300));
-            late.push_back(spawn_worker(port, kProblem));
-            late.push_back(spawn_worker(port, kProblem));
+            late.push_back(
+                spawn_worker(port, kProblem, {"--eval-delay-ms", "2"}));
+            late.push_back(
+                spawn_worker(port, kProblem, {"--eval-delay-ms", "2"}));
         });
         return workers;
     });
@@ -259,19 +313,11 @@ TEST(TcpExecutor, MismatchedProblemSignatureIsRejected) {
     // A worker built for the wrong problem must be turned away with a
     // reason (exit code 2) and never dispatched to; the run completes on
     // the correctly-configured fleet.
-    // The imposter blocks awaiting its HelloAck until the master starts
-    // polling, so its exit code is collected after the run.
-    std::optional<WorkerProc> imposter;
-    const TcpRun tcp = run_tcp(test_config(), [&](std::uint16_t port) {
-        imposter.emplace(spawn_worker(port, "dtlz2_3"));
-        std::vector<WorkerProc> workers;
-        for (int i = 0; i < 4; ++i)
-            workers.push_back(spawn_worker(port, kProblem));
-        return workers;
-    });
+    const GatedRun run =
+        run_gated(test_config(), rejected_worker("dtlz2_3", {}));
+    const TcpRun& tcp = run.tcp;
 
-    ASSERT_TRUE(imposter.has_value());
-    EXPECT_EQ(imposter->wait_exit(), 2);
+    EXPECT_EQ(run.first_result, 2);
     EXPECT_TRUE(tcp.result.run.completed_target);
     EXPECT_EQ(tcp.result.net.handshake_rejects, 1u);
     EXPECT_EQ(tcp.result.net.connects, 4u);
@@ -281,17 +327,14 @@ TEST(TcpExecutor, MismatchedProblemSignatureIsRejected) {
 // ------------------------------------------------- fleet-scale I/O (§16)
 
 TEST(TcpExecutor, EpollBackendByteIdenticalIncludingKill9Churn) {
-    // The epoll backend runs the identical dispatch/ingest state machine,
-    // so even with a worker SIGKILLed mid-evaluation the archive must
-    // match the thread executor byte for byte.
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
+    // The build's poller (epoll on Linux) serves the dispatch/ingest state
+    // machine, so even with a worker SIGKILLed mid-evaluation the archive
+    // must match the thread executor byte for byte.
     const auto problem = problems::make_problem(kProblem);
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
 
     auto config = test_config();
-    config.backend = net::PollerBackend::epoll;
     std::thread killer;
     const TcpRun tcp = run_tcp(config, [&](std::uint16_t port) {
         std::vector<WorkerProc> workers;
@@ -312,73 +355,27 @@ TEST(TcpExecutor, EpollBackendByteIdenticalIncludingKill9Churn) {
     EXPECT_EQ(tcp.result.run.failed_workers, 1u);
     EXPECT_GE(tcp.result.net.reassignments, 1u);
     EXPECT_TRUE(archives_identical(reference, tcp.archive))
-        << "epoll backend + kill -9 changed the dispatch-mode archive";
+        << "kill -9 changed the dispatch-mode archive";
     // Persistent registration actually ran: epoll_ctl syscalls happened,
     // and every wait/recv/send was counted.
+#ifdef __linux__
     EXPECT_GE(tcp.result.net.syscalls_ctl, 4u);
+#endif
     EXPECT_GT(tcp.result.net.syscalls_wait, 0u);
     EXPECT_GE(tcp.result.net.frames_sent, tcp.result.net.tasks_sent);
     EXPECT_EQ(counter_value(tcp.metrics, "net.syscalls_ctl"),
               tcp.result.net.syscalls_ctl);
 }
 
-TEST(TcpExecutor, PollAndEpollBackendsProduceIdenticalArchives) {
-    // The agreement gate in miniature: same seed, same fleet shape (two
-    // workers pipelined two deep fill the W=4 window), both backends —
-    // three byte-identical archives (thread reference, poll, epoll). The
-    // backend only decides how readiness is waited for, so both serve the
-    // same gathered-write loop and queue the same frames.
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
-    const auto problem = problems::make_problem(kProblem);
-    const std::vector<moea::Solution> reference =
-        reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
-
-    auto fleet = [](std::uint16_t port) {
-        std::vector<WorkerProc> workers;
-        for (int i = 0; i < 2; ++i)
-            workers.push_back(spawn_worker(port, kProblem));
-        return workers;
-    };
-
-    auto poll_config = test_config();
-    poll_config.backend = net::PollerBackend::poll;
-    poll_config.pipeline_depth = 2;
-    const TcpRun via_poll = run_tcp(poll_config, fleet);
-
-    auto epoll_config = test_config();
-    epoll_config.backend = net::PollerBackend::epoll;
-    epoll_config.pipeline_depth = 2;
-    const TcpRun via_epoll = run_tcp(epoll_config, fleet);
-
-    EXPECT_TRUE(via_poll.result.run.completed_target);
-    EXPECT_TRUE(via_epoll.result.run.completed_target);
-    EXPECT_TRUE(archives_identical(reference, via_poll.archive));
-    EXPECT_TRUE(archives_identical(via_poll.archive, via_epoll.archive))
-        << "poll and epoll backends disagreed on the archive";
-    EXPECT_EQ(via_poll.result.net.frames_sent,
-              via_epoll.result.net.frames_sent);
-    EXPECT_EQ(via_poll.result.net.tasks_sent,
-              via_epoll.result.net.tasks_sent);
-    // Gathered writes under poll too: a handshake's HelloAck and the
-    // worker's first two tasks leave in one sendmsg, so frames outnumber
-    // send calls (one send per frame would make them equal).
-    EXPECT_GT(via_poll.result.net.frames_sent,
-              via_poll.result.net.syscalls_send);
-}
-
 TEST(TcpExecutor, PipelineDepthDoesNotChangeArchive) {
     // Two workers at depth 2 fill the same W=4 window one worker-FIFO at
     // a time: results still ingest in dispatch order, so the archive is
     // the same function of (seed, W, evals) as depth 1 with four workers.
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
     const auto problem = problems::make_problem(kProblem);
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
 
     auto config = test_config();
-    config.backend = net::PollerBackend::epoll;
     config.pipeline_depth = 2;
     const TcpRun tcp = run_tcp(config, [&](std::uint16_t port) {
         std::vector<WorkerProc> workers;
@@ -391,6 +388,10 @@ TEST(TcpExecutor, PipelineDepthDoesNotChangeArchive) {
     EXPECT_EQ(tcp.result.net.results_received, kEvals);
     EXPECT_TRUE(archives_identical(reference, tcp.archive))
         << "pipelining depth changed the dispatch-mode archive";
+    // Gathered writes: a handshake's HelloAck and the worker's first two
+    // tasks leave in one sendmsg, so frames outnumber send calls (one
+    // send per frame would make them equal).
+    EXPECT_GT(tcp.result.net.frames_sent, tcp.result.net.syscalls_send);
 }
 
 TEST(TcpExecutor, SlowReaderBackpressureDrainsWithoutCorruption) {
@@ -400,15 +401,12 @@ TEST(TcpExecutor, SlowReaderBackpressureDrainsWithoutCorruption) {
     // resume draining the outbox ring across wakeups. The archive must
     // come out identical to a thread run at the same window — flow
     // control may stall frames, never corrupt or reorder them.
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
     constexpr std::size_t kBurst = 96;
     const auto problem = problems::make_problem(kProblem);
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kBurst, kEvals);
 
     auto config = test_config();
-    config.backend = net::PollerBackend::epoll;
     config.workers_expected = kBurst;
     config.pipeline_depth = kBurst;
     config.send_buffer_bytes = 1; // kernel clamps to its floor (~4 KiB)
@@ -444,10 +442,7 @@ TEST(TcpExecutor, OutboxOverflowReapsRunawayConnection) {
     // outbox turns one wedged reader into a worker_failure instead of
     // unbounded master memory. No other worker exists, so the run times
     // out; the failure path must still publish net.* metrics.
-    if (!net::epoll_available())
-        GTEST_SKIP() << "epoll backend not compiled into this build";
     auto config = test_config();
-    config.backend = net::PollerBackend::epoll;
     config.workers_expected = 64;
     config.pipeline_depth = 64;
     config.max_outbox_bytes = 4096;
@@ -483,18 +478,12 @@ TEST(TcpExecutor, RunTokenMismatchIsRejectedWithoutDisturbingTheRun) {
     auto config = test_config();
     config.run_token = token;
 
-    std::optional<WorkerProc> imposter;
-    const TcpRun tcp = run_tcp(config, [&](std::uint16_t port) {
-        imposter.emplace(spawn_worker(port, kProblem, {"--token", "12345"}));
-        std::vector<WorkerProc> workers;
-        for (int i = 0; i < 4; ++i)
-            workers.push_back(spawn_worker(
-                port, kProblem, {"--token", std::to_string(token)}));
-        return workers;
-    });
+    const GatedRun run =
+        run_gated(config, rejected_worker(kProblem, {"--token", "12345"}),
+                  {"--token", std::to_string(token)});
+    const TcpRun& tcp = run.tcp;
 
-    ASSERT_TRUE(imposter.has_value());
-    EXPECT_EQ(imposter->wait_exit(), 2);
+    EXPECT_EQ(run.first_result, 2);
     EXPECT_TRUE(tcp.result.run.completed_target);
     EXPECT_EQ(tcp.result.net.auth_rejects, 1u);
     EXPECT_EQ(tcp.result.net.connects, 4u);
@@ -506,22 +495,116 @@ TEST(TcpExecutor, WireVersionSkewIsRejectedPolitely) {
     // must answer with a v1 HelloAck carrying the reason (not just slam
     // the socket), so the skewed worker exits with the reject code and a
     // diagnosable message instead of a bare transport failure.
-    std::optional<WorkerProc> future_worker;
-    const TcpRun tcp = run_tcp(test_config(), [&](std::uint16_t port) {
-        future_worker.emplace(
-            spawn_worker(port, kProblem, {"--send-wire-version", "2"}));
-        std::vector<WorkerProc> workers;
-        for (int i = 0; i < 4; ++i)
-            workers.push_back(spawn_worker(port, kProblem));
-        return workers;
-    });
+    const GatedRun run = run_gated(
+        test_config(),
+        rejected_worker(kProblem, {"--send-wire-version", "2"}));
+    const TcpRun& tcp = run.tcp;
 
-    ASSERT_TRUE(future_worker.has_value());
-    EXPECT_EQ(future_worker->wait_exit(), 2);
+    EXPECT_EQ(run.first_result, 2);
     EXPECT_TRUE(tcp.result.run.completed_target);
     EXPECT_EQ(tcp.result.net.version_skew_rejects, 1u);
     EXPECT_EQ(counter_value(tcp.metrics, "net.version_skew_rejects"), 1u);
     EXPECT_TRUE(tcp.result.run.completed_target);
+}
+
+// ------------------------------------------------- result validation
+
+/// First peer for run_gated, speaking the wire codec itself: it
+/// handshakes as a kProblem worker, answers its first Task with a Result
+/// that \p corrupt spoils, and then waits for the master to hang up.
+/// Returns 1 when the master closed the connection after that Result,
+/// 0 when the exchange went off script.
+template <typename Corrupt>
+auto scripted_peer(Corrupt corrupt) {
+    return [corrupt](std::uint16_t port) {
+        net::Socket socket = net::Socket::connect_to("127.0.0.1", port);
+        if (!socket.valid()) return 0;
+        const auto problem = problems::make_problem(kProblem);
+        net::Hello hello;
+        hello.num_variables =
+            static_cast<std::uint32_t>(problem->num_variables());
+        hello.num_objectives =
+            static_cast<std::uint32_t>(problem->num_objectives());
+        hello.num_constraints =
+            static_cast<std::uint32_t>(problem->num_constraints());
+        hello.problem = problem->name();
+        if (!socket.send_all(net::encode_frame(hello))) return 0;
+
+        net::FrameReader reader;
+        std::vector<std::uint8_t> buffer(4096);
+        const auto next = [&]() -> std::optional<net::Message> {
+            for (;;) {
+                if (std::optional<net::Message> m = reader.next()) return m;
+                const net::Socket::IoResult io = socket.recv_some(buffer);
+                if (io.closed) return std::nullopt;
+                reader.feed({buffer.data(), io.bytes});
+            }
+        };
+        const std::optional<net::Message> ack = next();
+        const auto* accepted =
+            ack ? std::get_if<net::HelloAck>(&*ack) : nullptr;
+        if (accepted == nullptr || !accepted->accepted) return 0;
+        const std::optional<net::Message> task = next();
+        const auto* assigned = task ? std::get_if<net::Task>(&*task) : nullptr;
+        if (assigned == nullptr) return 0;
+
+        const net::Task& work = *assigned;
+        net::Result result;
+        result.seq = work.seq;
+        result.eval_seconds = 0.001;
+        result.objectives.resize(problem->num_objectives());
+        result.constraints.resize(problem->num_constraints());
+        problem->evaluate(work.variables, result.objectives);
+        corrupt(result);
+        if (!socket.send_all(net::encode_frame(result))) return 0;
+        while (next()) {
+        }
+        return 1;
+    };
+}
+
+TEST(TcpExecutor, InvalidResultsAreRejectedAndReassigned) {
+    // A worker-reported T_F that is NaN or negative must not reach the
+    // engine's T_F statistics, and a payload of the wrong arity must not
+    // reach a pool row: either Result is refused, its connection reaped,
+    // and the task reassigned — the archive stays the reference archive.
+    const auto problem = problems::make_problem(kProblem);
+    const std::vector<moea::Solution> reference =
+        reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
+
+    struct Case {
+        const char* name;
+        void (*corrupt)(net::Result&);
+    };
+    const Case cases[] = {
+        {"NaN eval_seconds",
+         [](net::Result& r) {
+             r.eval_seconds = std::numeric_limits<double>::quiet_NaN();
+         }},
+        {"negative eval_seconds",
+         [](net::Result& r) { r.eval_seconds = -1.0; }},
+        {"extra objective",
+         [](net::Result& r) { r.objectives.push_back(0.0); }},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const GatedRun run =
+            run_gated(test_config(), scripted_peer(c.corrupt));
+        const TcpRun& tcp = run.tcp;
+
+        EXPECT_EQ(run.first_result, 1) << "the scripted peer went off script";
+        EXPECT_TRUE(tcp.result.run.completed_target);
+        EXPECT_EQ(tcp.result.net.invalid_results, 1u);
+        EXPECT_EQ(counter_value(tcp.metrics, "net.invalid_results"), 1u);
+        EXPECT_GE(tcp.result.net.reassignments, 1u);
+        EXPECT_EQ(tcp.result.net.connects, 5u);
+        EXPECT_EQ(tcp.result.run.failed_workers, 1u);
+        EXPECT_EQ(tcp.result.run.tf_applied.count, kEvals);
+        EXPECT_TRUE(std::isfinite(tcp.result.run.tf_applied.mean));
+        EXPECT_GE(tcp.result.run.tf_applied.min, 0.0);
+        EXPECT_TRUE(archives_identical(reference, tcp.archive))
+            << "a refused result changed the dispatch-mode archive";
+    }
 }
 
 // -------------------------------------------------------------- guardrails
