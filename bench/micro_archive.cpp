@@ -1,21 +1,37 @@
 /// ε-archive insertion benchmark and agreement gate.
 ///
-/// The master's per-result bookkeeping T_A is dominated by
-/// EpsilonBoxArchive::add — the quantity the paper's saturation bound
+/// The master's per-result bookkeeping T_A is dominated by the two
+/// dominance passes of an ingest — EpsilonBoxArchive::add and
+/// Population::inject — the quantity the paper's saturation bound
 /// P_UB = T_F / (2·T_C + T_A) caps scalability with (Eq. 3, Table II's
-/// 23–78 µs means). This driver times the indexed ArchiveEngine against
-/// the NaiveArchive reference oracle at steady-state archive sizes
-/// {1e2, 1e3, 1e4}: each cell prefills both archives with the same
-/// 20k-candidate stream of jittered 5-objective simplex points (mostly
-/// mutually nondominated — ε alone controls the resident size), asserting
-/// verdict-by-verdict, membership, and counter agreement along the way,
-/// then reports median ns/add on the steady-state archive.
+/// 23–78 µs means). This driver has two kinds of cell:
 ///
-/// ci.sh runs `--quick` (the 1e3-size cell only) as a smoke gate: exit is
-/// non-zero if the engine disagrees with the oracle or is not faster. The
-/// full grid additionally gates ≥2x on the 1e4 cell and produces the
-/// checked-in BENCH_archive.json (regenerate from a Release build with
-/// `micro_archive --json BENCH_archive.json`).
+///  * Simplex cells time the ArchiveEngine against the NaiveArchive
+///    reference oracle at steady-state archive sizes {1e2, 1e3, 1e4}:
+///    each prefills both archives with the same 20k-candidate stream of
+///    jittered 5-objective simplex points (mostly mutually nondominated —
+///    ε alone controls the resident size), asserting verdict-by-verdict,
+///    membership, and counter agreement along the way, then reports median
+///    ns/add on the steady-state archive.
+///  * The replay cells predict the saturation benchmark's ingest ledger
+///    (`moea.ingest_us_per_eval` on tcp_archive10k_saturated). A seeded
+///    serial Borg run on DTLZ2_5 (ε = 0.06) is warmed up for 20 000
+///    evaluations in-process; the archive and population are snapshotted,
+///    and the next 20 000 evaluated offspring are recorded — the span one
+///    saturation-benchmark run serves. The archive cell
+///    replays that stream into the engine and the oracle restored from the
+///    snapshot (agreement checked as above); the inject cell replays it
+///    into a Population restored from the snapshot and into a scalar
+///    reference of the injection rule kept in this file, checking every
+///    verdict and the final membership. Nothing is downloaded: the stream
+///    is a pure function of the seed.
+///
+/// ci.sh runs `--quick` (the 1e3-size simplex cell plus both replay cells)
+/// as a smoke gate: exit is non-zero if the engine disagrees with the
+/// oracle, if injection disagrees with its reference, or if the engine is
+/// not faster on the 1e3 cell. The full grid additionally gates ≥2x on the
+/// 1e4 cell and produces the checked-in BENCH_archive.json (regenerate
+/// from a Release build with `micro_archive --json BENCH_archive.json`).
 ///
 /// Flags: --sizes 100,1000,10000  --prefill 20000  --samples 5  --seed 7
 ///        --json FILE  --quick
@@ -26,10 +42,14 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "moea/borg.hpp"
 #include "moea/epsilon_archive.hpp"
+#include "moea/population.hpp"
+#include "problems/problem.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -149,6 +169,187 @@ bool prefill_with_agreement(ArchiveEngine& engine, NaiveArchive& naive,
     return true;
 }
 
+// ------------------------------------------------------------- replay
+
+/// The archive10k operating point's recorded offspring stream and the
+/// archive/population state it starts from.
+struct Replay {
+    std::vector<double> epsilons;
+    std::vector<Solution> archive;
+    std::vector<Solution> population;
+    std::size_t population_target = 0;
+    std::vector<Solution> stream;
+};
+
+constexpr std::uint64_t kReplayWarmup = 20000;
+constexpr std::size_t kReplayStream = 20000;
+constexpr double kReplayEpsilon = 0.06;
+constexpr std::uint64_t kReplaySeed = 3;
+
+Replay record_replay(std::uint64_t seed) {
+    const auto problem = problems::make_problem("dtlz2_5");
+    BorgMoea algorithm(*problem,
+                       BorgParams::for_problem(*problem, kReplayEpsilon),
+                       seed);
+    run_serial(algorithm, *problem, kReplayWarmup);
+    Replay replay;
+    replay.epsilons = algorithm.params().epsilons;
+    replay.archive = algorithm.archive().solutions();
+    replay.population = algorithm.population().materialize_members();
+    replay.population_target = algorithm.population().target_size();
+    for (std::size_t i = 0; i < kReplayStream; ++i) {
+        const SolutionHandle h = algorithm.next_offspring_handle();
+        evaluate(*problem, algorithm.pool(), h);
+        replay.stream.push_back(algorithm.pool().materialize(h));
+        algorithm.receive_handle(h);
+    }
+    return replay;
+}
+
+/// Population::inject's rule as a plain scalar loop over owning
+/// Solutions: the agreement reference for the inject cell.
+bool reference_inject(std::vector<Solution>& members, std::size_t target,
+                      const Solution& offspring, util::Rng& rng) {
+    if (members.size() < target) {
+        members.push_back(offspring);
+        return true;
+    }
+    std::vector<std::size_t> dominated;
+    bool dominated_by = false;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        const Dominance d = compare_constrained(
+            offspring.objectives, offspring.total_violation(),
+            members[i].objectives, members[i].total_violation());
+        if (d == Dominance::kDominates) dominated.push_back(i);
+        if (d == Dominance::kDominatedBy) dominated_by = true;
+    }
+    if (dominated.empty() && dominated_by) return false;
+    const std::size_t victim =
+        dominated.empty()
+            ? static_cast<std::size_t>(rng.below(members.size()))
+            : dominated[static_cast<std::size_t>(
+                  rng.below(dominated.size()))];
+    members[victim] = offspring;
+    return true;
+}
+
+struct ReplayReport {
+    std::size_t archive_size = 0;    ///< after the replay
+    std::size_t population_size = 0; ///< after the replay
+    double engine_ns = 0.0; ///< ArchiveEngine ns/add
+    double naive_ns = 0.0;  ///< NaiveArchive ns/add
+    double inject_ns = 0.0; ///< Population ns/inject
+};
+
+/// Median over \p samples of one timed pass over the stream, each pass
+/// starting from a fresh restore (untimed) so every sample sees the same
+/// states.
+template <typename Make, typename Step>
+double median_ns_per_replay(std::size_t samples, const Replay& replay,
+                            Make make, Step step) {
+    std::vector<double> per_item;
+    for (std::size_t s = 0; s < samples; ++s) {
+        auto state = make();
+        const auto t0 = std::chrono::steady_clock::now();
+        for (const Solution& offspring : replay.stream)
+            step(*state, offspring);
+        const auto t1 = std::chrono::steady_clock::now();
+        per_item.push_back(elapsed_ns(t0, t1) /
+                           static_cast<double>(replay.stream.size()));
+    }
+    std::sort(per_item.begin(), per_item.end());
+    return per_item[per_item.size() / 2];
+}
+
+/// Agreement first (exit code 2 on divergence), then timings.
+bool run_replay(const Replay& replay, std::size_t samples,
+                ReplayReport& report, std::uint64_t& sink) {
+    ArchiveEngine engine(replay.epsilons);
+    NaiveArchive naive(replay.epsilons);
+    engine.restore(replay.archive, 0, 0);
+    naive.restore(replay.archive, 0, 0);
+    for (std::size_t i = 0; i < replay.stream.size(); ++i) {
+        if (engine.add(replay.stream[i]) != naive.add(replay.stream[i])) {
+            std::cerr << "FAIL: replay verdict disagreement at offspring "
+                      << i << "\n";
+            return false;
+        }
+    }
+    if (engine.size() != naive.size()) {
+        std::cerr << "FAIL: replay archive size disagreement\n";
+        return false;
+    }
+    report.archive_size = engine.size();
+    for (std::size_t i = 0; i < engine.size(); ++i) {
+        if (!std::ranges::equal(engine[i].objectives, naive[i].objectives)) {
+            std::cerr << "FAIL: replay membership disagreement at member "
+                      << i << "\n";
+            return false;
+        }
+    }
+
+    constexpr std::uint64_t kInjectSeed = 0x5eed;
+    Population population(replay.population_target);
+    population.restore(replay.population, replay.population_target);
+    std::vector<Solution> reference = replay.population;
+    util::Rng rng(kInjectSeed);
+    util::Rng reference_rng(kInjectSeed);
+    for (std::size_t i = 0; i < replay.stream.size(); ++i) {
+        if (population.inject(replay.stream[i], rng) !=
+            reference_inject(reference, replay.population_target,
+                             replay.stream[i], reference_rng)) {
+            std::cerr << "FAIL: inject verdict disagreement at offspring "
+                      << i << "\n";
+            return false;
+        }
+    }
+    report.population_size = population.size();
+    if (population.size() != reference.size()) {
+        std::cerr << "FAIL: inject population size disagreement\n";
+        return false;
+    }
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        if (!std::ranges::equal(population[i].objectives,
+                                reference[i].objectives)) {
+            std::cerr << "FAIL: inject membership disagreement at member "
+                      << i << "\n";
+            return false;
+        }
+    }
+
+    const auto restored = [&](auto archive) {
+        archive->restore(replay.archive, 0, 0);
+        return archive;
+    };
+    const auto add = [&sink](auto& archive, const Solution& s) {
+        sink += static_cast<std::uint64_t>(archive.add(s));
+    };
+    report.engine_ns = median_ns_per_replay(
+        samples, replay,
+        [&] {
+            return restored(std::make_unique<ArchiveEngine>(replay.epsilons));
+        },
+        add);
+    report.naive_ns = median_ns_per_replay(
+        samples, replay,
+        [&] {
+            return restored(std::make_unique<NaiveArchive>(replay.epsilons));
+        },
+        add);
+    util::Rng timing_rng(kInjectSeed);
+    report.inject_ns = median_ns_per_replay(
+        samples, replay,
+        [&] {
+            auto p = std::make_unique<Population>(replay.population_target);
+            p->restore(replay.population, replay.population_target);
+            return p;
+        },
+        [&](Population& p, const Solution& s) {
+            sink += p.inject(s, timing_rng) ? 1u : 0u;
+        });
+    return true;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -211,6 +412,23 @@ int main(int argc, char** argv) {
                        speedup_buf});
     }
     table.print(std::cout);
+
+    const Replay replay = record_replay(kReplaySeed);
+    ReplayReport rep;
+    if (!run_replay(replay, quick ? 1 : samples, rep, sink)) return 2;
+    std::cout << "\nreplay: DTLZ2_5 eps " << kReplayEpsilon << ", seed "
+              << kReplaySeed << ", " << kReplayWarmup
+              << " serial warm-up, " << replay.stream.size()
+              << " recorded offspring (agreement: engine = oracle, "
+                 "inject = reference)\n";
+    util::Table replay_table({"archive n", "population n", "engine ns/add",
+                              "naive ns/add", "inject ns", "ingest us"});
+    replay_table.add_row(
+        {std::to_string(rep.archive_size),
+         std::to_string(rep.population_size), format_ns(rep.engine_ns),
+         format_ns(rep.naive_ns), format_ns(rep.inject_ns),
+         format_ns((rep.engine_ns + rep.inject_ns) / 1000.0)});
+    replay_table.print(std::cout);
     if (sink == 0) std::cerr << "no candidate was ever accepted?\n";
 
     // Smoke gates. Quick (ci.sh): the engine must beat the oracle on the
@@ -257,7 +475,20 @@ int main(int argc, char** argv) {
                           i + 1 < cells.size() ? "," : "");
             out << buf;
         }
-        out << "  ]\n}\n";
+        char buf[512];
+        std::snprintf(buf, sizeof(buf),
+                      "  ],\n  \"replay\": {\"problem\": \"dtlz2_5\", "
+                      "\"epsilon\": %.2f, \"seed\": %llu, \"warmup\": %llu, "
+                      "\"stream\": %zu, \"archive_size\": %zu, "
+                      "\"population_size\": %zu, \"engine_ns\": %.1f, "
+                      "\"naive_ns\": %.1f, \"inject_ns\": %.1f}\n}\n",
+                      kReplayEpsilon,
+                      static_cast<unsigned long long>(kReplaySeed),
+                      static_cast<unsigned long long>(kReplayWarmup),
+                      replay.stream.size(), rep.archive_size,
+                      rep.population_size, rep.engine_ns, rep.naive_ns,
+                      rep.inject_ns);
+        out << buf;
         std::cout << "wrote " << json_path << "\n";
     }
     return rc;

@@ -187,21 +187,23 @@ struct LoopCell {
 };
 
 /// Steady-state master loop ns/offspring measured at the pre-arena seed
-/// (commit 36199b5, the tree before the SolutionPool refactor) on this
-/// machine with the identical protocol: BorgParams::for_problem(problem,
-/// ε), initial_population_size = 100, seed 42, 20k warm-up + 30k timed,
-/// evaluation excluded. These anchor the speedup_vs_seed column; re-measure
-/// them when moving BENCH_operators.json to new hardware.
+/// (commit 36199b5, the tree before the SolutionPool refactor) with the
+/// identical protocol: BorgParams::for_problem(problem, ε),
+/// initial_population_size = 100, seed 42, 20k warm-up + 30k timed,
+/// evaluation excluded; median of three single-pass runs of a Release
+/// build on a 4-vCPU Intel Xeon VM (the host BENCH_operators.json is
+/// recorded on). These anchor the speedup_vs_seed column; re-measure them
+/// when moving BENCH_operators.json to new hardware.
 struct SeedBaseline {
     const char* problem;
     double epsilon;
     double ns_per_offspring;
 };
 constexpr SeedBaseline kSeedBaseline[] = {
-    {"dtlz2_5", 0.25, 5132.0},
-    {"uf11", 0.25, 8066.0},
-    {"dtlz2_5", 0.06, 235647.0},
-    {"uf11", 0.06, 180073.0},
+    {"dtlz2_5", 0.25, 4424.0},
+    {"uf11", 0.25, 7013.0},
+    {"dtlz2_5", 0.06, 264291.0},
+    {"uf11", 0.06, 174116.0},
 };
 
 double seed_baseline_ns(const std::string& problem, double epsilon) {
@@ -404,7 +406,8 @@ int main(int argc, char** argv) {
         out << "  ],\n"
             << "  \"seed_baseline\": \"commit 36199b5 (pre-arena), same "
                "machine and protocol: 20k warm-up + 30k timed offspring, "
-               "seed 42, initial population 100, evaluation excluded\"\n";
+               "seed 42, initial population 100, evaluation excluded; "
+               "median of 3 runs\"\n";
         out << "}\n";
         std::cout << "wrote " << json_path << "\n";
     }

@@ -62,8 +62,10 @@ echo "=== hypervolume engine gate (agreement + speedup smoke) ==="
 
 echo "=== archive engine gate (agreement + speedup smoke) ==="
 # Fails if ArchiveEngine diverges from the NaiveArchive oracle on any
-# verdict, member, or counter over the 20k-candidate prefill stream, or
-# is not faster on the 1e3-member steady-state cell.
+# verdict, member, or counter over the 20k-candidate prefill stream or
+# the recorded archive10k replay stream, if Population::inject diverges
+# from its scalar reference on that replay stream, or if the engine is
+# not faster on the 1e3-member steady-state cell.
 ./build/bench/micro_archive --quick --json build/BENCH_archive.json
 
 echo "=== DES engine gate (agreement + speedup smoke) ==="

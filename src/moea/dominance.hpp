@@ -4,6 +4,7 @@
 /// \file dominance.hpp
 /// Pareto and ε-box dominance comparisons (minimization convention).
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -84,6 +85,81 @@ std::uint64_t box_key_hash(std::span<const std::int64_t> box);
 /// Pareto comparison of two box-index vectors.
 Dominance compare_boxes(std::span<const std::int64_t> a,
                         std::span<const std::int64_t> b);
+
+/// Calls \p f(i) for every set bit i of a DominanceTiles::scan bitmask,
+/// in ascending order.
+template <typename F>
+void for_each_set_bit(std::span<const std::uint64_t> bits, F&& f) {
+    for (std::size_t w = 0; w < bits.size(); ++w)
+        for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+            f(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+}
+
+/// Objective-major mirror of a row set, laid out for the dominance kernel
+/// (DESIGN.md §15). Rows pair up into 2-row tiles; tile t holds objective
+/// j of rows 2t and 2t + 1 side by side, then the two rows' violations, so
+/// one tile is M + 1 native two-double vectors and a random row read stays
+/// inside one tile. A row that holds nothing (padding up to a whole 4-row
+/// block, a free archive slot) is all NaN: NaN compares neither better nor
+/// worse, so such a row never dominates and is never dominated.
+/// Violations are total_violation() sums: non-negative, or NaN.
+///
+/// The population mirrors member objectives and total violations here;
+/// the archive mirrors ε-box coordinates (as doubles, which compare
+/// exactly like the int64 box for every finite box) with violation 0.
+class DominanceTiles {
+public:
+    std::size_t size() const noexcept { return rows_; }
+    std::size_t num_objectives() const noexcept { return m_; }
+
+    /// Drops every row and sets the objective count. Keeps capacity.
+    void reset(std::size_t num_objectives);
+    /// Grows to \p rows (>= size()); the new rows are all NaN.
+    void resize(std::size_t rows);
+    /// Overwrites row \p i (values.size() must equal num_objectives()).
+    void set_row(std::size_t i, std::span<const double> values,
+                 double violation);
+    /// Makes row \p i all NaN.
+    void clear_row(std::size_t i);
+
+    /// Objective \p j of row \p i.
+    double value(std::size_t i, std::size_t j) const {
+        return tiles_[tile_offset(i) + 2 * j + (i & 1)];
+    }
+
+    /// Starts loading row \p i's tile into cache.
+    void prefetch(std::size_t i) const {
+        const double* tile = tiles_.data() + tile_offset(i);
+        __builtin_prefetch(tile);
+        __builtin_prefetch(tile + tile_stride() - 1);
+    }
+
+    /// The kernel: compares a candidate against every row under Deb's
+    /// rule (compare_constrained with the candidate first). Bit i of
+    /// \p dominates (resized to one bit per row) is set iff the candidate
+    /// dominates row i; the result is true iff some row dominates the
+    /// candidate. Feasible and infeasible rows share one branch-free body.
+    bool scan(std::span<const double> candidate, double candidate_violation,
+              std::vector<std::uint64_t>& dominates) const;
+
+    /// The kernel's single-row form: compare_constrained(row a, row b).
+    Dominance compare_rows(std::size_t a, std::size_t b) const;
+
+    /// Dominance tournament over rows: the first contestant is the
+    /// incumbent, and each later one replaces it iff it dominates it
+    /// (compare_rows == kDominates). Requires a non-empty span.
+    std::size_t tournament(std::span<const std::uint64_t> contestants) const;
+
+private:
+    std::size_t tile_stride() const noexcept { return 2 * (m_ + 1); }
+    std::size_t tile_offset(std::size_t i) const noexcept {
+        return (i / 2) * tile_stride();
+    }
+
+    std::size_t m_ = 0;
+    std::size_t rows_ = 0;
+    std::vector<double> tiles_;
+};
 
 /// Squared Euclidean distance from \p objectives to the lower corner of its
 /// ε-box; the within-box tiebreaker (the solution nearer the corner wins).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 namespace borg::moea {
@@ -33,10 +32,9 @@ void validate_candidate(ConstSolutionView solution,
 ArchiveEngine::ArchiveEngine(std::vector<double> epsilons)
     : epsilons_(std::move(epsilons)) {
     validate_epsilons(epsilons_);
-    const std::size_t m = epsilons_.size();
-    axis_min_.assign(m, 0);
-    axis_max_.assign(m, 0);
-    scratch_box_.assign(m, 0);
+    scratch_box_.assign(epsilons_.size(), 0);
+    scratch_box_values_.assign(epsilons_.size(), 0.0);
+    boxes_.reset(epsilons_.size());
 }
 
 ArchiveEngine::ArchiveEngine(SolutionPool& pool, std::vector<double> epsilons)
@@ -91,19 +89,22 @@ std::uint32_t ArchiveEngine::allocate_slot() {
         return slot;
     }
     slot_handles_.emplace_back();
-    box_arena_.resize(box_arena_.size() + epsilons_.size(), 0);
+    boxes_.resize(slot_handles_.size());
     slot_sum_.push_back(0);
+    slot_install_.push_back(0);
     slot_hash_.push_back(0);
     slot_evicted_.push_back(0);
     return static_cast<std::uint32_t>(slot_handles_.size() - 1);
 }
 
 void ArchiveEngine::release_slot(std::uint32_t slot) {
-    // The arena row and index entries stay allocated for reuse; only the
-    // payload row returns to the pool so evicted solutions do not linger.
+    // The slot's entries stay allocated for reuse; its box row turns NaN
+    // (so the dominance scan passes over it) and the payload row returns
+    // to the pool so evicted solutions do not linger.
     digest_sum_ -= row_hash(pool_->objectives(slot_handles_[slot]));
     pool_->release(slot_handles_[slot]);
     slot_handles_[slot] = SolutionHandle{};
+    boxes_.clear_row(slot);
     free_slots_.push_back(slot);
 }
 
@@ -117,81 +118,42 @@ void ArchiveEngine::erase_from_map(std::uint32_t slot) {
     }
 }
 
-void ArchiveEngine::refresh_axis_bounds() {
-    const std::size_t m = epsilons_.size();
-    if (order_.empty()) {
-        axis_min_.assign(m, 0);
-        axis_max_.assign(m, 0);
-        return;
-    }
-    axis_min_.assign(m, std::numeric_limits<std::int64_t>::max());
-    axis_max_.assign(m, std::numeric_limits<std::int64_t>::min());
-    for (const std::uint32_t slot : order_) {
-        const auto box = box_of(slot);
-        for (std::size_t i = 0; i < m; ++i) {
-            axis_min_[i] = std::min(axis_min_[i], box[i]);
-            axis_max_[i] = std::max(axis_max_[i], box[i]);
-        }
-    }
-}
-
-bool ArchiveEngine::below_axis_min() const {
-    for (std::size_t i = 0; i < scratch_box_.size(); ++i)
-        if (scratch_box_[i] < axis_min_[i]) return true;
-    return false;
-}
-
-bool ArchiveEngine::above_axis_max() const {
-    for (std::size_t i = 0; i < scratch_box_.size(); ++i)
-        if (scratch_box_[i] > axis_max_[i]) return true;
-    return false;
-}
-
 void ArchiveEngine::reset_structures() noexcept {
     for (const SolutionHandle h : slot_handles_)
         if (!h.is_null()) pool_->release(h);
     slot_handles_.clear();
-    box_arena_.clear();
+    boxes_.reset(epsilons_.size());
     slot_sum_.clear();
+    slot_install_.clear();
     slot_hash_.clear();
     slot_evicted_.clear();
     free_slots_.clear();
     order_.clear();
-    by_sum_.clear();
     box_map_.clear();
     digest_sum_ = 0;
 }
 
 void ArchiveEngine::install(ConstSolutionView solution, SolutionHandle owned) {
-    // Precondition: scratch_box_ holds the candidate's ε-box.
+    // Precondition: scratch_box_/scratch_box_values_ hold the candidate's
+    // ε-box.
     const std::uint32_t slot = allocate_slot();
     slot_handles_[slot] =
         owned.is_null() ? pool_for(solution).store(solution) : owned;
     digest_sum_ += row_hash(pool_->objectives(slot_handles_[slot]));
-    std::copy(scratch_box_.begin(), scratch_box_.end(),
-              box_arena_.begin() +
-                  static_cast<std::ptrdiff_t>(slot * epsilons_.size()));
+    boxes_.set_row(slot, scratch_box_values_, 0.0);
     std::int64_t sum = 0;
     for (const std::int64_t c : scratch_box_) sum += c;
     slot_sum_[slot] = sum;
+    slot_install_[slot] = next_install_++;
     slot_hash_[slot] = box_key_hash(scratch_box_);
-
-    const auto pos = std::lower_bound(
-        by_sum_.begin(), by_sum_.end(), sum,
-        [&](std::uint32_t s, std::int64_t v) { return slot_sum_[s] < v; });
-    by_sum_.insert(pos, slot);
     box_map_.emplace(slot_hash_[slot], slot);
-
-    if (order_.empty()) {
-        axis_min_.assign(scratch_box_.begin(), scratch_box_.end());
-        axis_max_.assign(scratch_box_.begin(), scratch_box_.end());
-    } else {
-        for (std::size_t i = 0; i < scratch_box_.size(); ++i) {
-            axis_min_[i] = std::min(axis_min_[i], scratch_box_[i]);
-            axis_max_[i] = std::max(axis_max_[i], scratch_box_[i]);
-        }
-    }
     order_.push_back(slot);
+}
+
+void ArchiveEngine::compute_box(std::span<const double> objectives) {
+    epsilon_box_into(objectives, epsilons_, scratch_box_);
+    for (std::size_t i = 0; i < scratch_box_.size(); ++i)
+        scratch_box_values_[i] = static_cast<double>(scratch_box_[i]);
 }
 
 void ArchiveEngine::discard(SolutionHandle owned) {
@@ -230,7 +192,7 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
             return ArchiveAdd::kRejected;
         }
         reset_structures(); // releases members only, never the candidate row
-        epsilon_box_into(solution.objectives, epsilons_, scratch_box_);
+        compute_box(solution.objectives);
         install(solution, owned);
         ++improvements_;
         ++progress_; // violation improved: counts as search progress
@@ -241,7 +203,7 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
         reset_structures();
     }
 
-    epsilon_box_into(solution.objectives, epsilons_, scratch_box_);
+    compute_box(solution.objectives);
     const std::uint64_t hash = box_key_hash(scratch_box_);
 
     // Same-box contest in O(1) via the exact hash index. Members are
@@ -250,21 +212,19 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
     auto [lo, hi] = box_map_.equal_range(hash);
     for (auto it = lo; it != hi; ++it) {
         const std::uint32_t slot = it->second;
-        const auto incumbent_box = box_of(slot);
-        if (!std::equal(incumbent_box.begin(), incumbent_box.end(),
-                        scratch_box_.begin()))
+        if (!same_box(slot))
             continue; // different box with a colliding hash
         const double d_new =
             distance_to_box_corner(solution.objectives, scratch_box_,
                                    epsilons_);
         const double d_old = distance_to_box_corner(
-            member_view(slot).objectives, incumbent_box, epsilons_);
+            member_view(slot).objectives, scratch_box_, epsilons_);
         if (!(d_new < d_old)) {
             discard(owned);
             return ArchiveAdd::kRejected;
         }
-        // The winner inherits the incumbent's slot — box, sum, hash, and
-        // both indexes stay valid — but moves to the back of the
+        // The winner inherits the incumbent's slot — box row, sum, hash
+        // and install stamp stay valid — but moves to the back of the
         // iteration order, matching the naive drop-and-append.
         digest_sum_ -= row_hash(member_view(slot).objectives);
         if (owned.is_null()) {
@@ -280,46 +240,31 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
         return ArchiveAdd::kReplacedSameBox;
     }
 
-    std::int64_t cand_sum = 0;
-    for (const std::int64_t c : scratch_box_) cand_sum += c;
-
-    // Rejection: a dominating box is <= on every axis and differs, so its
-    // coordinate sum is strictly smaller. Scanning ascending by sum tests
-    // the strongest members (nearest the ideal corner) first, which is
-    // where a dominator of a typical dominated candidate lives. If the
-    // candidate is below the occupied range on any single axis, nothing
-    // can dominate it and the scan is skipped outright.
-    if (!below_axis_min()) {
-        for (const std::uint32_t slot : by_sum_) {
-            if (slot_sum_[slot] >= cand_sum) break;
-            if (compare_boxes(box_of(slot), scratch_box_) ==
-                Dominance::kDominates) {
-                discard(owned);
-                return ArchiveAdd::kRejected;
-            }
-        }
+    // One kernel pass over every slot's box row (free slots are NaN and
+    // take no part). Members are mutually box-nondominated, so a candidate
+    // that some member dominates can dominate no member: rejection and
+    // eviction never both apply.
+    if (boxes_.scan(scratch_box_values_, 0.0, scratch_bits_)) {
+        discard(owned);
+        return ArchiveAdd::kRejected;
     }
-
-    // Eviction: anything the candidate dominates has a strictly larger
-    // sum — scan the tail of the sum order, skipped entirely when the
-    // candidate exceeds the occupied range on any single axis.
     scratch_evicted_.clear();
-    if (!above_axis_max()) {
-        for (std::size_t k = by_sum_.size(); k-- > 0;) {
-            const std::uint32_t slot = by_sum_[k];
-            if (slot_sum_[slot] <= cand_sum) break;
-            if (compare_boxes(scratch_box_, box_of(slot)) ==
-                Dominance::kDominates)
-                scratch_evicted_.push_back(slot);
-        }
-    }
+    for_each_set_bit(scratch_bits_, [this](std::size_t slot) {
+        scratch_evicted_.push_back(static_cast<std::uint32_t>(slot));
+    });
 
     if (!scratch_evicted_.empty()) {
+        // Evicted rows go back to the pool largest box sum first, the
+        // oldest install first among equal sums. The pool recycles rows
+        // LIFO, so this order decides which rows later offspring get.
+        std::sort(scratch_evicted_.begin(), scratch_evicted_.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      if (slot_sum_[a] != slot_sum_[b])
+                          return slot_sum_[a] > slot_sum_[b];
+                      return slot_install_[a] < slot_install_[b];
+                  });
         for (const std::uint32_t slot : scratch_evicted_)
             slot_evicted_[slot] = 1;
-        std::erase_if(by_sum_, [&](std::uint32_t s) {
-            return slot_evicted_[s] != 0;
-        });
         std::erase_if(order_, [&](std::uint32_t s) {
             return slot_evicted_[s] != 0;
         });
@@ -328,7 +273,6 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
             slot_evicted_[slot] = 0;
             release_slot(slot);
         }
-        refresh_axis_bounds();
     }
 
     install(solution, owned);
@@ -405,7 +349,7 @@ void ArchiveEngine::restore(const std::vector<Solution>& solutions,
     reset_structures();
     for (const Solution& s : solutions) {
         validate_candidate(s, epsilons_);
-        epsilon_box_into(s.objectives, epsilons_, scratch_box_);
+        compute_box(s.objectives);
         install(s, SolutionHandle{});
     }
     progress_ = progress;

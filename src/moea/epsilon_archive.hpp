@@ -24,20 +24,17 @@
 ///
 /// Two implementations share this contract (DESIGN.md §12):
 ///
-///   * ArchiveEngine — the production archive. Every insertion is resolved
-///     through three indexes instead of a full scan: an exact FNV-1a hash
-///     over the ε-box coordinates answers same-box contests in O(1); a
-///     box-coordinate-sum-sorted index bounds and orders the dominance
-///     scans (only members with a smaller sum can reject the candidate,
-///     only members with a larger sum can be evicted by it, and scanning
-///     the small-sum members first finds dominators early); per-objective
-///     min/max bounds skip either scan entirely when the candidate is
-///     outside the occupied range on any single axis. Box computation uses
-///     reusable scratch and member payloads live as SolutionPool rows
-///     (DESIGN.md §15) — a slot holds a pool handle, not a Solution — so
-///     the steady-state add path allocates nothing: accepted owned handles
-///     are adopted in place, the box multimap recycles its nodes through a
-///     freelist arena, and evicted rows return to the pool's free list.
+///   * ArchiveEngine — the production archive. An exact FNV-1a hash over
+///     the ε-box coordinates answers same-box contests in O(1); every
+///     other insertion is one dense pass of the dominance kernel
+///     (DominanceTiles, DESIGN.md §15) over the members' boxes, which
+///     finds a dominating member and the members to evict at once. Box
+///     computation uses reusable scratch and member payloads live as
+///     SolutionPool rows (DESIGN.md §15) — a slot holds a pool handle, not
+///     a Solution — so the steady-state add path allocates nothing:
+///     accepted owned handles are adopted in place, the box multimap
+///     recycles its nodes through a freelist arena, and evicted rows
+///     return to the pool's free list.
 ///   * NaiveArchive — the original O(n·m)-scan-per-add implementation,
 ///     kept verbatim as the reference oracle. Randomized equivalence tests
 ///     and bench/micro_archive pin the engine against it: identical
@@ -197,41 +194,38 @@ private:
     /// Installs an already-boxed candidate as a fresh member (no contests).
     void install(ConstSolutionView solution, SolutionHandle owned);
     void erase_from_map(std::uint32_t slot);
-    void refresh_axis_bounds();
-    /// True iff no member can Pareto-dominate scratch_box_ (single-axis
-    /// lower-bound test).
-    bool below_axis_min() const;
-    /// True iff scratch_box_ can Pareto-dominate no member (single-axis
-    /// upper-bound test).
-    bool above_axis_max() const;
     void reset_structures() noexcept;
-
-    /// Box row of a slot inside the flat arena.
-    std::span<const std::int64_t> box_of(std::uint32_t slot) const {
-        return {box_arena_.data() +
-                    static_cast<std::size_t>(slot) * epsilons_.size(),
-                epsilons_.size()};
+    /// Fills scratch_box_ and scratch_box_values_ with the ε-box of
+    /// \p objectives.
+    void compute_box(std::span<const double> objectives);
+    /// True iff \p slot's box equals scratch_box_.
+    bool same_box(std::uint32_t slot) const {
+        for (std::size_t j = 0; j < scratch_box_values_.size(); ++j)
+            if (boxes_.value(slot, j) != scratch_box_values_[j]) return false;
+        return true;
     }
 
     std::vector<double> epsilons_;
 
     // Member payloads are SolutionPool rows addressed through stable slot
-    // ids: slots never move while a member lives, so the hash and sum
-    // indexes can address them by id, and the dominance scans touch only
-    // the dense sum array and the flat box arena — never the payloads.
+    // ids: slots never move while a member lives, so the hash index can
+    // address them by id, and the dominance scan touches only the box
+    // mirror — never the payloads.
     SolutionPool* pool_ = nullptr;          ///< shared (or = owned_pool_)
     std::unique_ptr<SolutionPool> owned_pool_;
     std::vector<SolutionHandle> slot_handles_;
-    std::vector<std::int64_t> box_arena_;   ///< slot * m .. +m: ε-box coords
-    std::vector<std::int64_t> slot_sum_;    ///< Σ box coords (dominance bound)
-    std::vector<std::uint64_t> slot_hash_;  ///< box_key_hash of the box row
+    /// Row = slot: ε-box coordinates as doubles, violation 0; free slots
+    /// are NaN, so they never dominate and are never evicted.
+    DominanceTiles boxes_;
+    std::vector<std::int64_t> slot_sum_;     ///< Σ box coords
+    std::vector<std::uint64_t> slot_install_; ///< install() stamp
+    std::vector<std::uint64_t> slot_hash_;   ///< box_key_hash of the box row
     std::vector<std::uint8_t> slot_evicted_; ///< transient compaction marks
     std::vector<std::uint32_t> free_slots_;
+    std::uint64_t next_install_ = 0;
 
     /// Iteration order: order_[i] is the slot of the i-th member.
     std::vector<std::uint32_t> order_;
-    /// Slots sorted ascending by slot_sum_; ties in arbitrary order.
-    std::vector<std::uint32_t> by_sum_;
     /// Exact box index: FNV key → slot. A multimap because distinct boxes
     /// may share a hash; hits are confirmed by coordinate comparison. The
     /// freelist allocator recycles nodes so steady-state insert/erase
@@ -242,13 +236,12 @@ private:
         util::FreelistAllocator<
             std::pair<const std::uint64_t, std::uint32_t>>>;
     BoxMap box_map_;
-    /// Per-objective min/max box coordinate over current members.
-    std::vector<std::int64_t> axis_min_;
-    std::vector<std::int64_t> axis_max_;
 
     // Reusable scratch: the steady-state add path allocates nothing.
     std::vector<std::int64_t> scratch_box_;
-    std::vector<std::uint32_t> scratch_evicted_; ///< slots marked this add
+    std::vector<double> scratch_box_values_;     ///< scratch_box_ as doubles
+    std::vector<std::uint64_t> scratch_bits_;    ///< kernel output per slot
+    std::vector<std::uint32_t> scratch_evicted_; ///< slots evicted this add
 
     /// Wrap-around sum of row_hash() over current members (commutative,
     /// so eviction subtracts what installation added).

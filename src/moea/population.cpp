@@ -5,54 +5,6 @@
 
 namespace borg::moea {
 
-namespace {
-
-/// Injection scan kernel specialized on the objective count: one pass over
-/// the dense objective mirror collecting the members the offspring
-/// dominates (in index order) and whether any member dominates it. The
-/// branchless flag-OR inner compare is exactly compare_pareto without the
-/// early exit — same flags, same Dominance — but the compiler can keep the
-/// offspring's objectives in registers and vectorize, which matters at
-/// restart-grown population sizes (the scan is the largest slice of the
-/// master's per-offspring T_A on the 10^4-member benchmark). Members with
-/// a nonzero cached violation (and any scan with an infeasible offspring)
-/// take the generic constrained comparison, preserving Deb's rule bit for
-/// bit.
-template <int M>
-void scan_rows(const double* rows, const double* violations,
-               std::size_t count, const double* offspring,
-               double offspring_violation,
-               std::vector<std::size_t>& dominated,
-               bool& offspring_dominated) {
-    double o[M];
-    for (int j = 0; j < M; ++j) o[j] = offspring[j];
-    for (std::size_t i = 0; i < count; ++i) {
-        const double* row = rows + i * static_cast<std::size_t>(M);
-        Dominance result;
-        if (offspring_violation > 0.0 || violations[i] > 0.0) [[unlikely]] {
-            result = compare_constrained(
-                {offspring, static_cast<std::size_t>(M)},
-                offspring_violation, {row, static_cast<std::size_t>(M)},
-                violations[i]);
-        } else {
-            bool a_better = false;
-            bool b_better = false;
-            for (int j = 0; j < M; ++j) {
-                a_better |= o[j] < row[j];
-                b_better |= row[j] < o[j];
-            }
-            result = a_better && b_better ? Dominance::kNondominated
-                     : a_better          ? Dominance::kDominates
-                     : b_better          ? Dominance::kDominatedBy
-                                         : Dominance::kEqual;
-        }
-        if (result == Dominance::kDominates) dominated.push_back(i);
-        else if (result == Dominance::kDominatedBy) offspring_dominated = true;
-    }
-}
-
-} // namespace
-
 Population::Population(std::size_t target_size) : target_size_(target_size) {
     if (target_size == 0)
         throw std::invalid_argument("population: target size must be >= 1");
@@ -86,21 +38,14 @@ void Population::clear() noexcept {
     if (pool_ != nullptr)
         for (const SolutionHandle h : members_) pool_->release(h);
     members_.clear();
-    cached_objectives_.clear();
-    cached_violation_.clear();
+    mirror_.reset(mirror_.num_objectives());
 }
 
 void Population::cache_member(std::size_t i) {
     const ConstSolutionView member = pool_->view(members_[i]);
-    num_objectives_ = member.objectives.size();
-    if (cached_objectives_.size() < (i + 1) * num_objectives_) {
-        cached_objectives_.resize((i + 1) * num_objectives_);
-        cached_violation_.resize(i + 1);
-    }
-    std::copy(member.objectives.begin(), member.objectives.end(),
-              cached_objectives_.begin() +
-                  static_cast<std::ptrdiff_t>(i * num_objectives_));
-    cached_violation_[i] = member.total_violation();
+    if (mirror_.size() == 0) mirror_.reset(member.objectives.size());
+    if (mirror_.size() <= i) mirror_.resize(i + 1);
+    mirror_.set_row(i, member.objectives, member.total_violation());
 }
 
 bool Population::inject(ConstSolutionView offspring, util::Rng& rng,
@@ -116,51 +61,18 @@ bool Population::inject(ConstSolutionView offspring, util::Rng& rng,
         return true;
     }
 
-    // One pass over the dense objective mirror: collect members the
-    // offspring dominates and check whether any member dominates the
-    // offspring. Replacement of a dominated member takes precedence over
-    // rejection (both can hold at once when the population carries
-    // mutually dominated members), keeping the rule order-independent.
+    // One kernel pass over the mirror: the members the offspring
+    // dominates (a bitmask, visited in index order) and whether any member
+    // dominates the offspring. Replacement of a dominated member takes
+    // precedence over rejection (both can hold at once when the population
+    // carries mutually dominated members), keeping the rule
+    // order-independent.
+    const bool offspring_dominated = mirror_.scan(
+        offspring.objectives, offspring.total_violation(), dominated_bits_);
     dominated_scratch_.clear();
-    bool offspring_dominated = false;
-    const double violation = offspring.total_violation();
-    const double* rows = cached_objectives_.data();
-    const double* violations = cached_violation_.data();
-    const double* off = offspring.objectives.data();
-    switch (num_objectives_) {
-    case 2:
-        scan_rows<2>(rows, violations, members_.size(), off, violation,
-                     dominated_scratch_, offspring_dominated);
-        break;
-    case 3:
-        scan_rows<3>(rows, violations, members_.size(), off, violation,
-                     dominated_scratch_, offspring_dominated);
-        break;
-    case 4:
-        scan_rows<4>(rows, violations, members_.size(), off, violation,
-                     dominated_scratch_, offspring_dominated);
-        break;
-    case 5:
-        scan_rows<5>(rows, violations, members_.size(), off, violation,
-                     dominated_scratch_, offspring_dominated);
-        break;
-    default:
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            switch (compare_constrained(offspring.objectives, violation,
-                                        cached_objectives(i),
-                                        cached_violation_[i])) {
-            case Dominance::kDominates:
-                dominated_scratch_.push_back(i);
-                break;
-            case Dominance::kDominatedBy:
-                offspring_dominated = true;
-                break;
-            default:
-                break;
-            }
-        }
-        break;
-    }
+    for_each_set_bit(dominated_bits_, [this](std::size_t i) {
+        dominated_scratch_.push_back(i);
+    });
     if (dominated_scratch_.empty() && offspring_dominated) return false;
     if (!dominated_scratch_.empty()) {
         const std::size_t victim = dominated_scratch_[static_cast<std::size_t>(
@@ -200,43 +112,20 @@ ConstSolutionView Population::random_member(util::Rng& rng) const {
         members_[static_cast<std::size_t>(rng.below(members_.size()))]);
 }
 
+std::span<const std::uint64_t> Population::draw_contestants(
+    std::size_t tournament_size, util::Rng& rng) const {
+    // Nothing else draws between a tournament's contestants, so drawing
+    // them all up front leaves the stream unchanged; it lets every
+    // cache-cold tile load start before the first comparison.
+    contestants_.resize(std::max<std::size_t>(tournament_size, 1));
+    rng.below(members_.size(), contestants_);
+    for (const std::uint64_t idx : contestants_) mirror_.prefetch(idx);
+    return contestants_;
+}
+
 std::size_t Population::tournament_pick(std::size_t tournament_size,
                                         util::Rng& rng) const {
-    if (tournament_size == 0) tournament_size = 1;
-    std::size_t best =
-        static_cast<std::size_t>(rng.below(members_.size()));
-    // Hold the incumbent's row in a small local buffer: the winner changes
-    // on only a fraction of rounds, and at restart-grown sizes re-reading
-    // cached_objectives(best) through the (cache-cold) mirror every round
-    // costs as much as the challenger read itself. Same values, same
-    // comparisons.
-    double best_row[8];
-    std::vector<double> best_row_spill;
-    std::span<const double> best_objectives;
-    double best_violation = cached_violation_[best];
-    const auto hold_best = [&](std::size_t idx) {
-        const std::span<const double> row = cached_objectives(idx);
-        if (num_objectives_ <= 8) {
-            std::copy(row.begin(), row.end(), best_row);
-            best_objectives = {best_row, num_objectives_};
-        } else {
-            best_row_spill.assign(row.begin(), row.end());
-            best_objectives = best_row_spill;
-        }
-        best_violation = cached_violation_[idx];
-    };
-    hold_best(best);
-    for (std::size_t round = 1; round < tournament_size; ++round) {
-        const std::size_t idx =
-            static_cast<std::size_t>(rng.below(members_.size()));
-        if (compare_constrained(cached_objectives(idx),
-                                cached_violation_[idx], best_objectives,
-                                best_violation) == Dominance::kDominates) {
-            best = idx;
-            hold_best(best);
-        }
-    }
-    return best;
+    return mirror_.tournament(draw_contestants(tournament_size, rng));
 }
 
 ConstSolutionView Population::tournament_select(std::size_t tournament_size,
@@ -258,19 +147,15 @@ std::size_t Population::tournament_pick_freq(
     std::span<const std::uint32_t> counts_by_row) const {
     if (members_.empty())
         throw std::logic_error("population: tournament on empty population");
-    if (tournament_size == 0) tournament_size = 1;
     const auto count_of = [&](std::size_t idx) -> std::uint32_t {
         const std::uint32_t row = members_[idx].index;
         return row < counts_by_row.size() ? counts_by_row[row] : 0u;
     };
-    std::size_t best = static_cast<std::size_t>(rng.below(members_.size()));
+    const auto contestants = draw_contestants(tournament_size, rng);
+    std::size_t best = contestants[0];
     std::uint32_t best_count = count_of(best);
-    for (std::size_t round = 1; round < tournament_size; ++round) {
-        const std::size_t idx =
-            static_cast<std::size_t>(rng.below(members_.size()));
-        const Dominance result = compare_constrained(
-            cached_objectives(idx), cached_violation_[idx],
-            cached_objectives(best), cached_violation_[best]);
+    for (const std::uint64_t idx : contestants.subspan(1)) {
+        const Dominance result = mirror_.compare_rows(idx, best);
         const bool wins =
             result == Dominance::kDominates ||
             (result == Dominance::kNondominated &&

@@ -17,9 +17,9 @@
 /// the property that makes the algorithm natural to run asynchronously.
 ///
 /// Storage: members live in a SolutionPool arena (DESIGN.md §15) — the
-/// population owns one handle per member, and the steady-state injection
-/// scan walks dense pool rows instead of pointer-chasing per-member heap
-/// vectors. A population can either share the algorithm's pool (BorgMoea
+/// population owns one handle per member — and their objectives are
+/// mirrored into a DominanceTiles, which the injection scan and the
+/// tournaments read instead of the pool. A population can either share the algorithm's pool (BorgMoea
 /// passes its own) or lazily create a private one sized from the first
 /// solution it sees (standalone construction in tests).
 
@@ -117,28 +117,29 @@ private:
     SolutionPool& pool_for(ConstSolutionView exemplar);
     std::size_t tournament_pick(std::size_t tournament_size,
                                 util::Rng& rng) const;
-    /// Refreshes the dense row mirrored from members_[i]'s payload.
+    /// Draws a tournament's member indices in one batch and prefetches
+    /// their mirror rows. Valid until the next tournament.
+    std::span<const std::uint64_t> draw_contestants(
+        std::size_t tournament_size, util::Rng& rng) const;
+    /// Refreshes the mirror row of members_[i].
     void cache_member(std::size_t i);
-    std::span<const double> cached_objectives(std::size_t i) const {
-        return {cached_objectives_.data() + i * num_objectives_,
-                num_objectives_};
-    }
 
     std::size_t target_size_;
     SolutionPool* pool_ = nullptr;          ///< shared (or = owned_pool_)
     std::unique_ptr<SolutionPool> owned_pool_;
     std::vector<SolutionHandle> members_;
-    std::vector<std::size_t> dominated_scratch_; ///< inject() reuse
 
-    // Dense mirror of each member's objectives + precomputed violation,
-    // refreshed whenever a member changes. The injection scan and
-    // tournaments read ONLY these flat arrays: at restart-grown population
-    // sizes (γ·|archive|, tens of thousands) the per-member handle checks
-    // and strided block reads of pool_->view() would otherwise dominate
-    // the master's T_A. Same values, same comparisons — runs don't change.
-    std::size_t num_objectives_ = 0;
-    std::vector<double> cached_objectives_;
-    std::vector<double> cached_violation_;
+    // Tile mirror of each member's objectives + total violation (row i is
+    // members_[i]), refreshed whenever a member changes. The injection
+    // scan and tournaments read only the mirror: at restart-grown sizes
+    // (γ·|archive|, thousands of members) pool views would dominate the
+    // master's T_A. Same values, same comparisons — runs don't change.
+    DominanceTiles mirror_;
+
+    // Reusable scratch: the steady-state paths allocate nothing.
+    std::vector<std::uint64_t> dominated_bits_;   ///< inject() kernel output
+    std::vector<std::size_t> dominated_scratch_;  ///< inject() victims
+    mutable std::vector<std::uint64_t> contestants_; ///< tournament draws
 };
 
 } // namespace borg::moea

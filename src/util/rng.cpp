@@ -39,6 +39,30 @@ std::uint64_t Rng::below(std::uint64_t n) noexcept {
     }
 }
 
+void Rng::below(std::uint64_t n, std::span<std::uint64_t> out) noexcept {
+    assert(n > 0);
+    const std::uint64_t threshold = (0 - n) % n;
+    // fastmod (Lemire, Kaser & Kurz 2019): with c = ceil(2^128 / n), the
+    // remainder r % n is the high word of (c * r mod 2^128) * n, exact for
+    // every 64-bit r and n. For n = 1, c wraps to 0 and yields 0 = r % 1.
+    using u128 = unsigned __int128;
+    const u128 c = ~u128{0} / n + 1;
+    // Draw from a local copy: \p out may alias *this as far as the
+    // compiler knows, which would keep the state in memory.
+    Rng gen = *this;
+    for (std::uint64_t& value : out) {
+        std::uint64_t r = gen();
+        while (r < threshold) r = gen();
+        const u128 low = c * r;
+        const u128 top =
+            static_cast<u128>(static_cast<std::uint64_t>(low >> 64)) * n;
+        const u128 bottom =
+            static_cast<u128>(static_cast<std::uint64_t>(low)) * n >> 64;
+        value = static_cast<std::uint64_t>((top + bottom) >> 64);
+    }
+    *this = gen;
+}
+
 std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) noexcept {
     assert(lo <= hi);
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;

@@ -11,6 +11,7 @@
 /// al. are *not* used anywhere because their output is unspecified).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace borg::util {
@@ -60,6 +61,13 @@ public:
     /// Uniform integer in [0, n). Requires n > 0. Uses rejection sampling to
     /// avoid modulo bias.
     std::uint64_t below(std::uint64_t n) noexcept;
+
+    /// Batched below(n): fills \p out with exactly the values out.size()
+    /// consecutive below(n) calls would return, consuming the same draws.
+    /// The rejection threshold is computed once and each remainder comes
+    /// from a precomputed reciprocal (Lemire's fastmod) instead of a
+    /// division.
+    void below(std::uint64_t n, std::span<std::uint64_t> out) noexcept;
 
     /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
     std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept;

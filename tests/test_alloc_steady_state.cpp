@@ -94,6 +94,13 @@ TEST(SteadyStateAllocations, ConstrainedHotLoopIsAllocationFree) {
     EXPECT_EQ(min_window_allocations(*problem, algo, 8, 500), 0u);
 }
 
+TEST(SteadyStateAllocations, ManyObjectiveHotLoopIsAllocationFree) {
+    // More than 8 objectives: tournaments and scans on the wide-row path.
+    const auto problem = problems::make_problem("dtlz2_10");
+    BorgMoea algo(*problem, BorgParams::for_problem(*problem, 0.5), 11);
+    EXPECT_EQ(min_window_allocations(*problem, algo, 8, 500), 0u);
+}
+
 /// One full TCP run against a fresh 4-worker fleet, returning how many
 /// times the *master process* allocated inside executor.run(). Worker
 /// allocations live in other processes, so the counter sees only the

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -336,19 +339,114 @@ std::vector<Solution> make_stream(std::size_t objectives, StreamKind kind,
     return stream;
 }
 
+/// Scalar model of the engine's pool-row traffic on the ownership-transfer
+/// path: the row each candidate is stored in, and the order rows go back
+/// to the pool. Rows come from SolutionPool's LIFO free list, which grows
+/// in 256-row blocks handed out in ascending order. The engine releases a
+/// rejected candidate's row, a same-box loser's row, a replaced infeasible
+/// anchor's row, and evicted members' rows largest box sum first, oldest
+/// install first among equal sums (a same-box winner keeps its
+/// predecessor's install).
+class ReferenceRows {
+public:
+    explicit ReferenceRows(std::vector<double> epsilons)
+        : epsilons_(std::move(epsilons)) {}
+
+    std::uint32_t acquire() {
+        if (free_.empty()) {
+            for (std::uint32_t i = 256; i-- > 0;) free_.push_back(next_ + i);
+            next_ += 256;
+        }
+        const std::uint32_t row = free_.back();
+        free_.pop_back();
+        return row;
+    }
+
+    /// Applies one add: \p candidate was stored in \p row; \p before and
+    /// \p after are the member ids (variables[0]) around the add.
+    void apply(const Solution& candidate, std::uint32_t row,
+               ArchiveAdd verdict, const std::vector<double>& before,
+               const std::vector<double>& after) {
+        const double id = candidate.variables[0];
+        if (verdict == ArchiveAdd::kRejected) {
+            free_.push_back(row);
+            return;
+        }
+        std::vector<double> removed;
+        for (const double member : before)
+            if (std::find(after.begin(), after.end(), member) == after.end())
+                removed.push_back(member);
+        if (verdict == ArchiveAdd::kReplacedSameBox) {
+            EXPECT_EQ(removed.size(), 1u);
+            members_[id] = {row, members_.at(removed[0]).install,
+                            members_.at(removed[0]).box_sum};
+        } else {
+            std::int64_t box_sum = 0;
+            for (const std::int64_t c :
+                 epsilon_box(candidate.objectives, epsilons_))
+                box_sum += c;
+            members_[id] = {row, next_install_++, box_sum};
+        }
+        std::sort(removed.begin(), removed.end(), [&](double a, double b) {
+            const Member& ma = members_.at(a);
+            const Member& mb = members_.at(b);
+            if (ma.box_sum != mb.box_sum) return ma.box_sum > mb.box_sum;
+            return ma.install < mb.install;
+        });
+        for (const double member : removed) {
+            free_.push_back(members_.at(member).row);
+            members_.erase(member);
+        }
+    }
+
+    std::uint32_t row_of(double id) const { return members_.at(id).row; }
+
+private:
+    struct Member {
+        std::uint32_t row;
+        std::uint64_t install;
+        std::int64_t box_sum;
+    };
+
+    std::vector<double> epsilons_;
+    std::vector<std::uint32_t> free_;
+    std::uint32_t next_ = 0;
+    std::uint64_t next_install_ = 0;
+    std::unordered_map<double, Member> members_;
+};
+
+std::vector<double> member_ids(const NaiveArchive& archive) {
+    std::vector<double> ids;
+    for (std::size_t i = 0; i < archive.size(); ++i)
+        ids.push_back(archive[i].variables[0]);
+    return ids;
+}
+
 void expect_equivalent(std::size_t objectives, double epsilon,
                        const std::vector<Solution>& stream) {
     const std::vector<double> eps(objectives, epsilon);
     ArchiveEngine engine(eps);
     NaiveArchive naive(eps);
+    // The production path: candidates stored in a shared pool and handed
+    // over with add_owned(), checked row by row against ReferenceRows.
+    SolutionPool pool(1, objectives, stream.front().constraints.size());
+    ArchiveEngine owning(pool, eps);
+    ReferenceRows rows(eps);
     for (std::size_t i = 0; i < stream.size(); ++i) {
+        const std::vector<double> before = member_ids(naive);
+        const SolutionHandle handle = pool.store(stream[i]);
+        ASSERT_EQ(handle.index, rows.acquire())
+            << "acquired row diverged at candidate " << i;
         const ArchiveAdd a = engine.add(stream[i]);
         const ArchiveAdd b = naive.add(stream[i]);
         ASSERT_EQ(a, b) << "verdict diverged at candidate " << i
                         << " (m=" << objectives << ", eps=" << epsilon
                         << ")";
+        ASSERT_EQ(owning.add_owned(handle), b) << "owned verdict at " << i;
         ASSERT_EQ(engine.size(), naive.size()) << "size diverged at " << i;
+        rows.apply(stream[i], handle.index, b, before, member_ids(naive));
     }
+    ASSERT_EQ(owning.size(), naive.size());
     for (std::size_t i = 0; i < engine.size(); ++i) {
         EXPECT_EQ(as_vec(engine[i].variables), as_vec(naive[i].variables))
             << "membership/order diverged at member " << i;
@@ -356,10 +454,18 @@ void expect_equivalent(std::size_t objectives, double epsilon,
         EXPECT_EQ(as_vec(engine[i].constraints),
                   as_vec(naive[i].constraints));
         EXPECT_EQ(engine[i].operator_index, naive[i].operator_index);
+        EXPECT_EQ(as_vec(owning[i].variables), as_vec(naive[i].variables));
+        EXPECT_EQ(owning.member_row(i), rows.row_of(naive[i].variables[0]))
+            << "pool row diverged at member " << i;
     }
     EXPECT_EQ(engine.epsilon_progress(), naive.epsilon_progress());
     EXPECT_EQ(engine.improvements(), naive.improvements());
     EXPECT_EQ(engine.operator_counts(5), naive.operator_counts(5));
+    // The next rows the pool hands out reflect every release order above.
+    for (int k = 0; k < 64; ++k) {
+        const SolutionHandle h = pool.acquire();
+        ASSERT_EQ(h.index, rows.acquire()) << "free-list order, pop " << k;
+    }
 }
 
 TEST(ArchiveEquivalence, FeasibleStreamsAcrossObjectiveCounts) {

@@ -19,14 +19,17 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "moea/borg.hpp"
+#include "moea/checkpoint.hpp"
 #include "moea/nsga2.hpp"
 #include "models/simulation_model.hpp"
 #include "obs/event_trace.hpp"
@@ -437,6 +440,68 @@ TEST(GoldenTraces, SerialVirtualBaseline) {
     check_golden("serial_virtual.result.txt", dump_result(result));
     check_golden("serial_virtual.archive.txt",
                  dump_archive(algo.archive().solutions()));
+}
+
+/// The archive10k operating point at scale: DTLZ2_5, ε = 0.06, seed 3, a
+/// 20 000-evaluation serial warm-up, then the dispatch-order window
+/// protocol (W = 512 offspring claimed up front, then result k ingested
+/// and offspring W + k claimed) for 2 000 results. This is the only
+/// fixture that reaches a restart-grown population (thousands of
+/// members) and pool-row recycling at scale, so it pins the population
+/// mirror, the archive's eviction release order and the tournament's
+/// draws where the smaller scenarios above cannot. The dump holds the
+/// archive objectives in archive order, every population member's pool
+/// row and objectives in member order, and the RNG state.
+TEST(GoldenTraces, Archive10kWindowProtocol) {
+    const auto problem = problems::make_problem("dtlz2_5");
+    moea::BorgMoea algo(*problem,
+                        moea::BorgParams::for_problem(*problem, 0.06), 3);
+    moea::run_serial(algo, *problem, 20000);
+    constexpr std::size_t kWindow = 512;
+    constexpr std::uint64_t kResults = 2000;
+    std::deque<moea::SolutionHandle> inflight;
+    for (std::size_t i = 0; i < kWindow; ++i)
+        inflight.push_back(algo.next_offspring_handle());
+    for (std::uint64_t k = 0; k < kResults; ++k) {
+        const moea::SolutionHandle handle = inflight.front();
+        inflight.pop_front();
+        moea::evaluate(*problem, algo.pool(), handle);
+        algo.receive_handle(handle);
+        if (k + kWindow < kResults)
+            inflight.push_back(algo.next_offspring_handle());
+    }
+
+    std::string out;
+    kv(out, "evaluations", algo.evaluations());
+    kv(out, "restarts", algo.restarts());
+    const auto row = [&out](const char* key, std::uint64_t tag,
+                            std::span<const double> v) {
+        out += key;
+        out += ' ';
+        out += std::to_string(tag);
+        for (const double x : v) {
+            out += ' ';
+            out += num(x);
+        }
+        out += '\n';
+    };
+    const moea::ArchiveEngine& archive = algo.archive();
+    kv(out, "archive.size", static_cast<std::uint64_t>(archive.size()));
+    for (std::size_t i = 0; i < archive.size(); ++i)
+        row("a", archive.member_row(i), archive[i].objectives);
+    const moea::Population& population = algo.population();
+    kv(out, "population.size",
+       static_cast<std::uint64_t>(population.size()));
+    kv(out, "population.target",
+       static_cast<std::uint64_t>(population.target_size()));
+    for (std::size_t i = 0; i < population.size(); ++i)
+        row("p", population.member_row(i), population[i].objectives);
+    std::ostringstream checkpoint;
+    moea::save_checkpoint(algo, checkpoint);
+    std::istringstream lines(checkpoint.str());
+    for (std::string line; std::getline(lines, line);)
+        if (line.rfind("rng ", 0) == 0) out += line + '\n';
+    check_golden("archive10k_window.txt", out);
 }
 
 } // namespace

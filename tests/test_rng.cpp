@@ -179,4 +179,32 @@ TEST(Rng, SatisfiesUniformRandomBitGenerator) {
     SUCCEED();
 }
 
+TEST(Rng, BatchedBelowMatchesScalarDrawForDraw) {
+    // Every value and every consumed draw must match below(n) called
+    // once per value: afterwards both streams are still aligned.
+    std::vector<std::uint64_t> bounds{1, 3, 5, 7, 100, 7732, 1000003};
+    for (int k = 1; k < 64; ++k) bounds.push_back(std::uint64_t{1} << k);
+    for (const std::uint64_t n :
+         {(std::uint64_t{1} << 32) - 1, (std::uint64_t{1} << 32) + 1,
+          (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0},
+          ~std::uint64_t{0} - 1, (std::uint64_t{1} << 63) - 1})
+        bounds.push_back(n);
+    Rng pick(31);
+    for (int i = 0; i < 200; ++i) {
+        bounds.push_back(pick() >> pick.below(64));
+        if (bounds.back() == 0) bounds.back() = 1;
+    }
+    for (const std::uint64_t n : bounds) {
+        for (const std::size_t count : {0u, 1u, 2u, 7u, 155u}) {
+            Rng scalar(n ^ count), batched(n ^ count);
+            std::vector<std::uint64_t> out(count);
+            batched.below(n, out);
+            for (std::size_t i = 0; i < count; ++i)
+                ASSERT_EQ(out[i], scalar.below(n))
+                    << "n=" << n << " value " << i;
+            ASSERT_EQ(batched(), scalar()) << "stream misaligned, n=" << n;
+        }
+    }
+}
+
 } // namespace
