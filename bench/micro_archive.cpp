@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick");
     if (quick) sizes = {1000};
 
-    std::cout << "epsilon-archive add: ArchiveEngine (indexed) vs "
+    std::cout << "epsilon-archive add: ArchiveEngine vs "
                  "NaiveArchive oracle, median of "
               << samples << " samples, " << prefill
               << "-candidate steady-state prefill\n";

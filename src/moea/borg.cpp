@@ -162,10 +162,6 @@ void BorgMoea::receive_handle(SolutionHandle handle) {
     maybe_restart();
 }
 
-void BorgMoea::receive_batch(std::span<const SolutionHandle> handles) {
-    for (const SolutionHandle handle : handles) receive_handle(handle);
-}
-
 void run_serial(BorgMoea& algorithm, const problems::Problem& problem,
                 std::uint64_t max_evaluations,
                 const std::function<void(std::uint64_t)>& on_evaluation) {

@@ -36,7 +36,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -102,12 +101,6 @@ public:
     /// the row on acceptance and releases it on rejection. (If the row is
     /// unevaluated this throws and the caller keeps ownership.)
     void receive_handle(SolutionHandle handle);
-
-    /// Batched ingest: receive_handle() per handle, in order. Grouping is
-    /// immaterial — restart checks fire per result either way — so
-    /// executors may batch however their timing works out without
-    /// changing the run.
-    void receive_batch(std::span<const SolutionHandle> handles);
 
     /// The arena all population/archive members and issued offspring live
     /// in. Exposed so evaluators can write objective rows in place.

@@ -33,6 +33,7 @@ v2d load2(const double* p) {
 struct Verdict {
     v2l dominates;    ///< the candidate dominates the lane's row
     v2l dominated_by; ///< the lane's row dominates the candidate
+    v2l covers;       ///< the lane's row dominates or ties the candidate
 };
 
 /// Deb's rule per lane, without branches, from the Pareto flags
@@ -41,12 +42,15 @@ struct Verdict {
 /// when either side is infeasible; the flags decide otherwise. For
 /// violations that are total_violation() sums (non-negative, or NaN)
 /// this is exactly compare_constrained, NaN and ±0.0 included: both use
-/// only the ordered comparisons <, which are false for NaN.
+/// only the ordered comparisons <, which are false for NaN. The row
+/// covers the candidate when its violation is smaller, or equal with the
+/// candidate better on no objective; a NaN violation never covers.
 inline Verdict deb_rule(v2l better, v2l worse, v2d cv, v2d rv) {
     const v2l cv_better = cv < rv;
     const v2l cv_worse = rv < cv;
     return {cv_better | (better & ~(cv_worse | worse)),
-            cv_worse | (worse & ~(cv_better | better))};
+            cv_worse | (worse & ~(cv_better | better)),
+            cv_worse | (~better & (cv == rv))};
 }
 
 } // namespace
@@ -66,18 +70,6 @@ void epsilon_box_into(std::span<const double> objectives,
     for (std::size_t i = 0; i < objectives.size(); ++i)
         out[i] = static_cast<std::int64_t>(
             std::floor(objectives[i] / epsilons[i]));
-}
-
-std::uint64_t box_key_hash(std::span<const std::int64_t> box) {
-    std::uint64_t hash = 0xcbf29ce484222325ull; // FNV offset basis
-    for (const std::int64_t coord : box) {
-        auto word = static_cast<std::uint64_t>(coord);
-        for (int byte = 0; byte < 8; ++byte) {
-            hash ^= (word >> (8 * byte)) & 0xffull;
-            hash *= 0x100000001b3ull; // FNV prime
-        }
-    }
-    return hash;
 }
 
 Dominance compare_boxes(std::span<const std::int64_t> a,
@@ -121,7 +113,8 @@ void DominanceTiles::clear_row(std::size_t i) {
     for (std::size_t j = 0; j <= m_; ++j) lane[2 * j] = kNaN;
 }
 
-bool DominanceTiles::scan(std::span<const double> candidate,
+template <bool kCover>
+auto DominanceTiles::walk(std::span<const double> candidate,
                           double candidate_violation,
                           std::vector<std::uint64_t>& dominates) const {
     assert(candidate.size() == m_);
@@ -133,13 +126,16 @@ bool DominanceTiles::scan(std::span<const double> candidate,
     dominates.resize((rows_ + 63) / 64);
     std::uint64_t* out = dominates.data();
 
-    // Two tiles (four rows) per step. Row r's "dominates" lane lands on
-    // bit r % 64 through a per-lane weight that shifts along the word.
+    // Two tiles (four rows) per step. Row r's lanes land on bit r % 64
+    // through a per-lane weight that shifts along the word. scan() only
+    // needs to know whether some row dominates the candidate; cover()
+    // needs the first covering row, so it keeps covering lanes by bit too
+    // and checks them once per 64-row word.
     const double* tile = tiles_.data();
     const v2u first_weight = {1, 2};
     v2u weight = first_weight;
     v2u bits = {0, 0};
-    v2l dominated_by = {0, 0};
+    v2u hits = {0, 0};
     for (std::size_t k = 0; k < blocks; ++k, tile += 2 * stride) {
         v2l better_a = {0, 0};
         v2l worse_a = {0, 0};
@@ -160,16 +156,38 @@ bool DominanceTiles::scan(std::span<const double> candidate,
             deb_rule(better_b, worse_b, cv, load2(tile + stride + 2 * m));
         bits |= (std::bit_cast<v2u>(va.dominates) & weight) |
                 (std::bit_cast<v2u>(vb.dominates) & (weight << 2));
-        dominated_by |= va.dominated_by | vb.dominated_by;
+        if constexpr (kCover)
+            hits |= (std::bit_cast<v2u>(va.covers) & weight) |
+                    (std::bit_cast<v2u>(vb.covers) & (weight << 2));
+        else
+            hits |= std::bit_cast<v2u>(va.dominated_by | vb.dominated_by);
         weight <<= 4;
-        if (k % 16 == 15) {
+        if (k % 16 == 15 || k + 1 == blocks) {
+            if constexpr (kCover) {
+                const std::uint64_t covering = hits[0] | hits[1];
+                if (covering != 0)
+                    return k / 16 * 64 +
+                           static_cast<std::size_t>(std::countr_zero(covering));
+            }
             out[k / 16] = bits[0] | bits[1];
             bits = v2u{0, 0};
             weight = first_weight;
         }
     }
-    if (blocks % 16 != 0) out[blocks / 16] = bits[0] | bits[1];
-    return (dominated_by[0] | dominated_by[1]) != 0;
+    if constexpr (kCover) return rows_;
+    else return (hits[0] | hits[1]) != 0;
+}
+
+bool DominanceTiles::scan(std::span<const double> candidate,
+                          double candidate_violation,
+                          std::vector<std::uint64_t>& dominates) const {
+    return walk<false>(candidate, candidate_violation, dominates);
+}
+
+std::size_t DominanceTiles::cover(std::span<const double> candidate,
+                                  double candidate_violation,
+                                  std::vector<std::uint64_t>& dominates) const {
+    return walk<true>(candidate, candidate_violation, dominates);
 }
 
 Dominance DominanceTiles::compare_rows(std::size_t a, std::size_t b) const {

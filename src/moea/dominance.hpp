@@ -76,12 +76,6 @@ void epsilon_box_into(std::span<const double> objectives,
                       std::span<const double> epsilons,
                       std::span<std::int64_t> out);
 
-/// FNV-1a over the raw bytes of a box-index vector: the exact hash key the
-/// archive engine indexes ε-boxes by. Equal boxes always hash equally;
-/// distinct boxes may collide, so lookups must confirm with a coordinate
-/// comparison.
-std::uint64_t box_key_hash(std::span<const std::int64_t> box);
-
 /// Pareto comparison of two box-index vectors.
 Dominance compare_boxes(std::span<const std::int64_t> a,
                         std::span<const std::int64_t> b);
@@ -107,6 +101,12 @@ void for_each_set_bit(std::span<const std::uint64_t> bits, F&& f) {
 /// The population mirrors member objectives and total violations here;
 /// the archive mirrors ε-box coordinates (as doubles, which compare
 /// exactly like the int64 box for every finite box) with violation 0.
+///
+/// The kernel has two forms over one loop: scan() visits every row;
+/// cover() stops at the first 64-row word that holds a row dominating or
+/// tying the candidate. The archive adds through cover(): its members are
+/// mutually box-nondominated, so such a row either shares the candidate's
+/// box or rejects it, and only a candidate that no row covers can evict.
 class DominanceTiles {
 public:
     std::size_t size() const noexcept { return rows_; }
@@ -142,6 +142,16 @@ public:
     bool scan(std::span<const double> candidate, double candidate_violation,
               std::vector<std::uint64_t>& dominates) const;
 
+    /// The kernel's cover form. Row i covers the candidate iff neither
+    /// violation is NaN and compare_constrained(row i, candidate) is
+    /// kDominates or kEqual: the row dominates or ties the candidate under
+    /// Deb's rule. An all-NaN row never covers. Returns the lowest
+    /// covering row, leaving \p dominates unspecified, or size() when no
+    /// row covers — then \p dominates holds exactly what scan() writes.
+    std::size_t cover(std::span<const double> candidate,
+                      double candidate_violation,
+                      std::vector<std::uint64_t>& dominates) const;
+
     /// The kernel's single-row form: compare_constrained(row a, row b).
     Dominance compare_rows(std::size_t a, std::size_t b) const;
 
@@ -151,6 +161,13 @@ public:
     std::size_t tournament(std::span<const std::uint64_t> contestants) const;
 
 private:
+    /// The one loop behind scan() (kCover false: returns whether some row
+    /// dominates the candidate) and cover() (kCover true: returns the
+    /// lowest covering row, or size()).
+    template <bool kCover>
+    auto walk(std::span<const double> candidate, double candidate_violation,
+              std::vector<std::uint64_t>& dominates) const;
+
     std::size_t tile_stride() const noexcept { return 2 * (m_ + 1); }
     std::size_t tile_offset(std::size_t i) const noexcept {
         return (i / 2) * tile_stride();

@@ -92,7 +92,6 @@ std::uint32_t ArchiveEngine::allocate_slot() {
     boxes_.resize(slot_handles_.size());
     slot_sum_.push_back(0);
     slot_install_.push_back(0);
-    slot_hash_.push_back(0);
     slot_evicted_.push_back(0);
     return static_cast<std::uint32_t>(slot_handles_.size() - 1);
 }
@@ -108,16 +107,6 @@ void ArchiveEngine::release_slot(std::uint32_t slot) {
     free_slots_.push_back(slot);
 }
 
-void ArchiveEngine::erase_from_map(std::uint32_t slot) {
-    auto [lo, hi] = box_map_.equal_range(slot_hash_[slot]);
-    for (auto it = lo; it != hi; ++it) {
-        if (it->second == slot) {
-            box_map_.erase(it);
-            return;
-        }
-    }
-}
-
 void ArchiveEngine::reset_structures() noexcept {
     for (const SolutionHandle h : slot_handles_)
         if (!h.is_null()) pool_->release(h);
@@ -125,11 +114,9 @@ void ArchiveEngine::reset_structures() noexcept {
     boxes_.reset(epsilons_.size());
     slot_sum_.clear();
     slot_install_.clear();
-    slot_hash_.clear();
     slot_evicted_.clear();
     free_slots_.clear();
     order_.clear();
-    box_map_.clear();
     digest_sum_ = 0;
 }
 
@@ -145,8 +132,6 @@ void ArchiveEngine::install(ConstSolutionView solution, SolutionHandle owned) {
     for (const std::int64_t c : scratch_box_) sum += c;
     slot_sum_[slot] = sum;
     slot_install_[slot] = next_install_++;
-    slot_hash_[slot] = box_key_hash(scratch_box_);
-    box_map_.emplace(slot_hash_[slot], slot);
     order_.push_back(slot);
 }
 
@@ -204,27 +189,31 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
     }
 
     compute_box(solution.objectives);
-    const std::uint64_t hash = box_key_hash(scratch_box_);
 
-    // Same-box contest in O(1) via the exact hash index. Members are
-    // mutually box-nondominated, so an occupied same box means no other
-    // member can reject or be evicted: the contest alone decides.
-    auto [lo, hi] = box_map_.equal_range(hash);
-    for (auto it = lo; it != hi; ++it) {
-        const std::uint32_t slot = it->second;
-        if (!same_box(slot))
-            continue; // different box with a colliding hash
-        const double d_new =
+    // One kernel pass over every slot's box row (free slots are NaN and
+    // take no part), stopping at the first member whose box dominates or
+    // equals the candidate's. Members are mutually box-nondominated, so a
+    // member in the candidate's box rules out any member that dominates
+    // the candidate and any it dominates: the first covering member
+    // either shares the box — the corner-distance contest alone decides —
+    // or dominates the candidate. With no covering member, the pass's
+    // bitmask is the eviction set.
+    const std::size_t cover =
+        boxes_.cover(scratch_box_values_, 0.0, scratch_bits_);
+    if (cover < boxes_.size()) {
+        const auto slot = static_cast<std::uint32_t>(cover);
+        const bool wins =
+            same_box(slot) &&
             distance_to_box_corner(solution.objectives, scratch_box_,
-                                   epsilons_);
-        const double d_old = distance_to_box_corner(
-            member_view(slot).objectives, scratch_box_, epsilons_);
-        if (!(d_new < d_old)) {
+                                   epsilons_) <
+                distance_to_box_corner(member_view(slot).objectives,
+                                       scratch_box_, epsilons_);
+        if (!wins) {
             discard(owned);
             return ArchiveAdd::kRejected;
         }
-        // The winner inherits the incumbent's slot — box row, sum, hash
-        // and install stamp stay valid — but moves to the back of the
+        // The winner inherits the incumbent's slot — box row, sum and
+        // install stamp stay valid — but moves to the back of the
         // iteration order, matching the naive drop-and-append.
         digest_sum_ -= row_hash(member_view(slot).objectives);
         if (owned.is_null()) {
@@ -240,14 +229,6 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
         return ArchiveAdd::kReplacedSameBox;
     }
 
-    // One kernel pass over every slot's box row (free slots are NaN and
-    // take no part). Members are mutually box-nondominated, so a candidate
-    // that some member dominates can dominate no member: rejection and
-    // eviction never both apply.
-    if (boxes_.scan(scratch_box_values_, 0.0, scratch_bits_)) {
-        discard(owned);
-        return ArchiveAdd::kRejected;
-    }
     scratch_evicted_.clear();
     for_each_set_bit(scratch_bits_, [this](std::size_t slot) {
         scratch_evicted_.push_back(static_cast<std::uint32_t>(slot));
@@ -269,7 +250,6 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
             return slot_evicted_[s] != 0;
         });
         for (const std::uint32_t slot : scratch_evicted_) {
-            erase_from_map(slot);
             slot_evicted_[slot] = 0;
             release_slot(slot);
         }
@@ -285,19 +265,6 @@ ArchiveBatchResult ArchiveEngine::add_all(std::span<const Solution> batch) {
     ArchiveBatchResult result;
     for (const Solution& s : batch) {
         switch (add(s)) {
-        case ArchiveAdd::kAddedNewBox: ++result.added_new_box; break;
-        case ArchiveAdd::kReplacedSameBox: ++result.replaced_same_box; break;
-        case ArchiveAdd::kRejected: ++result.rejected; break;
-        }
-    }
-    return result;
-}
-
-ArchiveBatchResult ArchiveEngine::add_all(
-    std::span<const SolutionHandle> batch) {
-    ArchiveBatchResult result;
-    for (const SolutionHandle h : batch) {
-        switch (add_owned(h)) {
         case ArchiveAdd::kAddedNewBox: ++result.added_new_box; break;
         case ArchiveAdd::kReplacedSameBox: ++result.replaced_same_box; break;
         case ArchiveAdd::kRejected: ++result.rejected; break;

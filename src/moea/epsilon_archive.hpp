@@ -24,16 +24,15 @@
 ///
 /// Two implementations share this contract (DESIGN.md §12):
 ///
-///   * ArchiveEngine — the production archive. An exact FNV-1a hash over
-///     the ε-box coordinates answers same-box contests in O(1); every
-///     other insertion is one dense pass of the dominance kernel
-///     (DominanceTiles, DESIGN.md §15) over the members' boxes, which
-///     finds a dominating member and the members to evict at once. Box
-///     computation uses reusable scratch and member payloads live as
+///   * ArchiveEngine — the production archive. Every insertion is one
+///     pass of the dominance kernel's cover form (DominanceTiles,
+///     DESIGN.md §15) over the members' boxes: it stops at the first
+///     member whose box dominates or equals the candidate's — a rejection
+///     or a same-box contest — and otherwise yields the members to evict.
+///     Box computation uses reusable scratch and member payloads live as
 ///     SolutionPool rows (DESIGN.md §15) — a slot holds a pool handle, not
 ///     a Solution — so the steady-state add path allocates nothing:
-///     accepted owned handles are adopted in place, the box multimap
-///     recycles its nodes through a freelist arena, and evicted rows
+///     accepted owned handles are adopted in place and evicted rows
 ///     return to the pool's free list.
 ///   * NaiveArchive — the original O(n·m)-scan-per-add implementation,
 ///     kept verbatim as the reference oracle. Randomized equivalence tests
@@ -48,13 +47,11 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "moea/dominance.hpp"
 #include "moea/solution.hpp"
 #include "moea/solution_pool.hpp"
-#include "util/pool_allocator.hpp"
 
 namespace borg::moea {
 
@@ -76,7 +73,7 @@ struct ArchiveBatchResult {
     }
 };
 
-/// The indexed ε-box archive. See the file comment for the index design;
+/// The production ε-box archive. See the file comment for its design;
 /// the public surface is the historical EpsilonBoxArchive API plus
 /// add_all() for generational (whole-batch) commits and add_owned() for
 /// the arena hot path, where the candidate already lives in the shared
@@ -113,9 +110,6 @@ public:
     /// entry point for generational ingests and archive merges, where the
     /// caller cares about the batch outcome, not per-candidate verdicts.
     ArchiveBatchResult add_all(std::span<const Solution> batch);
-
-    /// Batched ownership-transfer commit: add_owned() per handle, in order.
-    ArchiveBatchResult add_all(std::span<const SolutionHandle> batch);
 
     std::size_t size() const noexcept { return order_.size(); }
     bool empty() const noexcept { return order_.empty(); }
@@ -193,7 +187,6 @@ private:
     void release_slot(std::uint32_t slot);
     /// Installs an already-boxed candidate as a fresh member (no contests).
     void install(ConstSolutionView solution, SolutionHandle owned);
-    void erase_from_map(std::uint32_t slot);
     void reset_structures() noexcept;
     /// Fills scratch_box_ and scratch_box_values_ with the ε-box of
     /// \p objectives.
@@ -208,9 +201,8 @@ private:
     std::vector<double> epsilons_;
 
     // Member payloads are SolutionPool rows addressed through stable slot
-    // ids: slots never move while a member lives, so the hash index can
-    // address them by id, and the dominance scan touches only the box
-    // mirror — never the payloads.
+    // ids: slots never move while a member lives, and the dominance pass
+    // touches only the box mirror — never the payloads.
     SolutionPool* pool_ = nullptr;          ///< shared (or = owned_pool_)
     std::unique_ptr<SolutionPool> owned_pool_;
     std::vector<SolutionHandle> slot_handles_;
@@ -219,23 +211,12 @@ private:
     DominanceTiles boxes_;
     std::vector<std::int64_t> slot_sum_;     ///< Σ box coords
     std::vector<std::uint64_t> slot_install_; ///< install() stamp
-    std::vector<std::uint64_t> slot_hash_;   ///< box_key_hash of the box row
     std::vector<std::uint8_t> slot_evicted_; ///< transient compaction marks
     std::vector<std::uint32_t> free_slots_;
     std::uint64_t next_install_ = 0;
 
     /// Iteration order: order_[i] is the slot of the i-th member.
     std::vector<std::uint32_t> order_;
-    /// Exact box index: FNV key → slot. A multimap because distinct boxes
-    /// may share a hash; hits are confirmed by coordinate comparison. The
-    /// freelist allocator recycles nodes so steady-state insert/erase
-    /// churn never touches the global heap.
-    using BoxMap = std::unordered_multimap<
-        std::uint64_t, std::uint32_t, std::hash<std::uint64_t>,
-        std::equal_to<std::uint64_t>,
-        util::FreelistAllocator<
-            std::pair<const std::uint64_t, std::uint32_t>>>;
-    BoxMap box_map_;
 
     // Reusable scratch: the steady-state add path allocates nothing.
     std::vector<std::int64_t> scratch_box_;

@@ -105,13 +105,6 @@ void Population::restore(const std::vector<Solution>& members,
     }
 }
 
-ConstSolutionView Population::random_member(util::Rng& rng) const {
-    if (members_.empty())
-        throw std::logic_error("population: random_member on empty population");
-    return pool_->view(
-        members_[static_cast<std::size_t>(rng.below(members_.size()))]);
-}
-
 std::span<const std::uint64_t> Population::draw_contestants(
     std::size_t tournament_size, util::Rng& rng) const {
     // Nothing else draws between a tournament's contestants, so drawing

@@ -75,9 +75,6 @@ public:
 
     void clear() noexcept;
 
-    /// Uniform random member. Population must be non-empty.
-    ConstSolutionView random_member(util::Rng& rng) const;
-
     /// Tournament of \p tournament_size uniformly drawn members (with
     /// replacement), decided by Pareto dominance; among mutually
     /// nondominated contestants the earliest drawn wins (which, with random

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -149,6 +151,21 @@ DominanceTiles mirror_of(const Rows& rows, std::size_t m) {
     return tiles;
 }
 
+/// The cover form's reference: the lowest row that dominates or ties the
+/// candidate under Deb's rule, neither violation being NaN.
+std::size_t first_cover(const Rows& rows, std::span<const double> cand,
+                        double cv) {
+    if (std::isnan(cv)) return rows.values.size();
+    for (std::size_t i = 0; i < rows.values.size(); ++i) {
+        const Dominance d = compare_constrained(
+            rows.values[i], rows.violations[i], cand, cv);
+        if (!std::isnan(rows.violations[i]) &&
+            (d == Dominance::kDominates || d == Dominance::kEqual))
+            return i;
+    }
+    return rows.values.size();
+}
+
 TEST(DominanceTiles, ScanMatchesScalarReference) {
     borg::util::Rng rng(2024);
     for (const std::size_t m : {1u, 2u, 3u, 5u, 8u, 11u}) {
@@ -157,6 +174,7 @@ TEST(DominanceTiles, ScanMatchesScalarReference) {
             const Rows rows = random_rows(m, n, rng);
             const DominanceTiles tiles = mirror_of(rows, m);
             std::vector<std::uint64_t> bits;
+            std::vector<std::uint64_t> cover_bits;
             for (int trial = 0; trial < 40; ++trial) {
                 // Candidates: fresh rows, and copies of existing rows.
                 std::vector<double> cand(m);
@@ -181,9 +199,154 @@ TEST(DominanceTiles, ScanMatchesScalarReference) {
                 for (std::size_t i = n; i < bits.size() * 64; ++i)
                     ASSERT_EQ((bits[i / 64] >> (i % 64)) & 1u, 0u);
                 ASSERT_EQ(flag, expected_flag) << "m=" << m << " n=" << n;
+                // The cover form: the first covering row, else scan's bits.
+                const std::size_t expected_cover = first_cover(rows, cand, cv);
+                ASSERT_EQ(tiles.cover(cand, cv, cover_bits), expected_cover)
+                    << "m=" << m << " n=" << n;
+                if (expected_cover == n) {
+                    ASSERT_EQ(cover_bits, bits);
+                }
             }
         }
     }
+}
+
+/// Archive-shaped rows: mutually box-nondominated boxes (integer
+/// coordinates near the simplex Σ = 1000, as doubles, violation 0) with
+/// free rows in between. A free row first holds a box that would cover
+/// every candidate, then is cleared, as a released archive slot is.
+struct BoxRows {
+    std::vector<std::vector<std::int64_t>> boxes;
+    std::vector<bool> live;
+    DominanceTiles tiles;
+};
+
+std::vector<double> as_doubles(const std::vector<std::int64_t>& box) {
+    return {box.begin(), box.end()};
+}
+
+BoxRows box_rows(std::size_t m, std::size_t n, borg::util::Rng& rng) {
+    BoxRows rows;
+    rows.tiles.reset(m);
+    rows.tiles.resize(n);
+    const std::vector<double> covers_all(m, -1e6);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<std::int64_t> box(m);
+        bool accepted = false;
+        const bool free_row = rng.flip(0.2);
+        for (int attempt = 0; !free_row && attempt < 20; ++attempt) {
+            std::int64_t rest = 1000;
+            for (std::size_t j = 0; j + 1 < m; ++j) {
+                box[j] = static_cast<std::int64_t>(rng.below(400));
+                rest -= box[j];
+            }
+            box[m - 1] = rest + static_cast<std::int64_t>(rng.below(3));
+            accepted = true;
+            for (std::size_t k = 0; k < i && accepted; ++k)
+                accepted = !rows.live[k] ||
+                           compare_boxes(box, rows.boxes[k]) ==
+                               Dominance::kNondominated;
+            if (accepted) break;
+        }
+        rows.boxes.push_back(box);
+        rows.live.push_back(accepted);
+        if (accepted) {
+            rows.tiles.set_row(i, as_doubles(box), 0.0);
+        } else {
+            rows.tiles.set_row(i, covers_all, 0.0);
+            rows.tiles.clear_row(i);
+        }
+    }
+    return rows;
+}
+
+TEST(DominanceTiles, CoverFindsFirstCoveringBoxAmongFreeRows) {
+    borg::util::Rng rng(4242);
+    std::size_t covered = 0;
+    std::size_t uncovered = 0;
+    for (const std::size_t m : {1u, 2u, 3u, 5u, 8u}) {
+        for (const std::size_t n : {0u, 1u, 2u, 3u, 63u, 64u, 65u, 127u,
+                                    128u, 129u, 257u}) {
+            const BoxRows rows = box_rows(m, n, rng);
+            std::vector<std::size_t> live;
+            for (std::size_t i = 0; i < n; ++i)
+                if (rows.live[i]) live.push_back(i);
+            // Where the covering row sits: first, last, and each side of
+            // every 64-row word boundary (the nearest live rows).
+            std::vector<std::size_t> targets;
+            if (!live.empty()) {
+                targets = {live.front(), live.back()};
+                for (std::size_t edge = 64; edge < n; edge += 64) {
+                    const auto it =
+                        std::lower_bound(live.begin(), live.end(), edge);
+                    if (it != live.end()) targets.push_back(*it);
+                    if (it != live.begin()) targets.push_back(*(it - 1));
+                }
+            }
+            std::vector<std::vector<std::int64_t>> cands;
+            for (const std::size_t t : targets) {
+                const auto& box = rows.boxes[t];
+                cands.push_back(box); // equal to a row
+                auto worse = box;     // dominated by row t (maybe more)
+                worse[rng.below(m)] += 1 + static_cast<std::int64_t>(
+                                               rng.below(3));
+                cands.push_back(worse);
+                // Dominated by several rows, or dominating several: the
+                // coordinate-wise max / min of row t and two others.
+                auto hi = box;
+                auto lo = box;
+                for (int k = 0; k < 2; ++k) {
+                    const auto& other =
+                        rows.boxes[live[rng.below(live.size())]];
+                    for (std::size_t j = 0; j < m; ++j) {
+                        hi[j] = std::max(hi[j], other[j]);
+                        lo[j] = std::min(lo[j], other[j]);
+                    }
+                }
+                cands.push_back(hi);
+                lo[rng.below(m)] -= 1;
+                cands.push_back(lo);
+            }
+            for (int k = 0; k < 8; ++k) { // nondominated, or not
+                std::vector<std::int64_t> box(m);
+                for (auto& c : box)
+                    c = static_cast<std::int64_t>(rng.below(1000));
+                cands.push_back(box);
+            }
+            // Dominates every row.
+            cands.push_back(std::vector<std::int64_t>(m, -100000));
+
+            std::vector<std::uint64_t> bits;
+            for (const auto& cand : cands) {
+                std::size_t expected = n;
+                for (std::size_t i = 0; i < n && expected == n; ++i) {
+                    const Dominance d = compare_boxes(rows.boxes[i], cand);
+                    if (rows.live[i] && (d == Dominance::kDominates ||
+                                         d == Dominance::kEqual))
+                        expected = i;
+                }
+                const std::size_t got =
+                    rows.tiles.cover(as_doubles(cand), 0.0, bits);
+                ASSERT_EQ(got, expected) << "m=" << m << " n=" << n;
+                if (expected < n) {
+                    ++covered;
+                    continue;
+                }
+                ++uncovered;
+                ASSERT_EQ(bits.size(), (n + 63) / 64);
+                for (std::size_t i = 0; i < bits.size() * 64; ++i) {
+                    const bool evicts =
+                        i < n && rows.live[i] &&
+                        compare_boxes(cand, rows.boxes[i]) ==
+                            Dominance::kDominates;
+                    ASSERT_EQ(((bits[i / 64] >> (i % 64)) & 1u) != 0, evicts)
+                        << "m=" << m << " n=" << n << " row " << i;
+                }
+            }
+        }
+    }
+    EXPECT_GT(covered, 500u);
+    EXPECT_GT(uncovered, 200u);
 }
 
 TEST(DominanceTiles, CompareRowsAndTournamentMatchScalarReference) {

@@ -513,6 +513,43 @@ TEST(ArchiveEquivalence, EvictionHeavyShrinkingFront) {
     }
 }
 
+TEST(ArchiveEquivalence, CoarseBoxLongChurn) {
+    // Coarse boxes and a slowly improving front: multi-member evictions
+    // leave free (NaN) slots that later installs only partly refill, and
+    // same-box contests keep landing on members stored behind them — the
+    // case where the engine's one pass must step over freed slots to the
+    // member that shares the candidate's box.
+    for (std::size_t m : {2u, 3u, 5u}) {
+        borg::util::Rng rng(800 + m);
+        std::vector<Solution> stream;
+        for (std::size_t i = 0; i < 12000; ++i) {
+            // A noisy simplex front, Σ f ≈ r, receding towards the origin.
+            const double r = 2.0 - 1.5 * static_cast<double>(i) / 12000.0;
+            std::vector<double> f(m);
+            double sum = 0.0;
+            for (double& v : f) sum += v = rng.uniform(0.05, 1.0);
+            for (double& v : f) v *= r / sum * rng.uniform(1.0, 1.3);
+            Solution s;
+            s.variables = {static_cast<double>(i)};
+            s.set_objectives(f);
+            stream.push_back(std::move(s));
+        }
+        // The oracle alone: count same-box wins made while the archive
+        // is below its high-water size, i.e. while some slot is free.
+        NaiveArchive naive(std::vector<double>(m, 0.25));
+        std::size_t high_water = 0;
+        std::size_t wins_with_free_slots = 0;
+        for (const Solution& s : stream) {
+            if (naive.add(s) == ArchiveAdd::kReplacedSameBox &&
+                naive.size() < high_water)
+                ++wins_with_free_slots;
+            high_water = std::max(high_water, naive.size());
+        }
+        EXPECT_GT(wins_with_free_slots, 100u) << "m=" << m;
+        expect_equivalent(m, 0.25, stream);
+    }
+}
+
 TEST(ArchiveEquivalence, AntiDiagonalEqualSumBoxes) {
     // Anti-diagonal fronts put many mutually nondominated members at the
     // SAME box-coordinate sum — the tie case in the engine's sum-sorted

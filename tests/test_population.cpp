@@ -112,7 +112,6 @@ TEST(Population, TournamentSizeOneIsRandom) {
 TEST(Population, EmptyOperationsThrow) {
     Population pop(2);
     Rng rng(9);
-    EXPECT_THROW(pop.random_member(rng), std::logic_error);
     EXPECT_THROW(pop.tournament_select(2, rng), std::logic_error);
 }
 
