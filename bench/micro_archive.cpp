@@ -25,11 +25,20 @@
 ///    reference of the injection rule kept in this file, checking every
 ///    verdict and the final membership. Nothing is downloaded: the stream
 ///    is a pure function of the seed.
+///  * The kernel cell times DominanceTiles::scan alone, in ns per row, on
+///    a mirror of the replayed population (the snapshot with the stream
+///    injected) with the recorded stream as candidates, once per vector
+///    width this CPU runs (the dispatcher picks the widest; every width
+///    returns the same bits, checked here). The tournament cell times
+///    Population::tournament_pick_index on the same population at Borg's
+///    tournament size (τ = 2 %), in ns per contestant, hot and after a
+///    1 MB sweep.
 ///
-/// ci.sh runs `--quick` (the 1e3-size simplex cell plus both replay cells)
-/// as a smoke gate: exit is non-zero if the engine disagrees with the
-/// oracle, if injection disagrees with its reference, or if the engine is
-/// not faster on the 1e3 cell. The full grid additionally gates ≥2x on the
+/// ci.sh runs `--quick` (the 1e3-size simplex cell, both replay cells and
+/// the kernel and tournament cells) as a smoke gate: exit is non-zero if
+/// the engine disagrees with the oracle, if injection disagrees with its
+/// reference, if two kernel widths disagree, or if the engine is not
+/// faster on the 1e3 cell. The full grid additionally gates ≥2x on the
 /// 1e4 cell and produces the checked-in BENCH_archive.json (regenerate
 /// from a Release build with `micro_archive --json BENCH_archive.json`).
 ///
@@ -49,6 +58,7 @@
 #include "moea/borg.hpp"
 #include "moea/epsilon_archive.hpp"
 #include "moea/population.hpp"
+#include "moea/restart.hpp"
 #include "problems/problem.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -233,13 +243,131 @@ bool reference_inject(std::vector<Solution>& members, std::size_t target,
     return true;
 }
 
+struct KernelCell {
+    std::size_t width = 0; ///< doubles per vector
+    double ns_per_row = 0.0;
+};
+
 struct ReplayReport {
     std::size_t archive_size = 0;    ///< after the replay
     std::size_t population_size = 0; ///< after the replay
     double engine_ns = 0.0; ///< ArchiveEngine ns/add
     double naive_ns = 0.0;  ///< NaiveArchive ns/add
     double inject_ns = 0.0; ///< Population ns/inject
+    std::size_t mirror_rows = 0;     ///< kernel cell: replayed population
+    std::vector<KernelCell> kernel;  ///< one per width, narrowest first
+    std::size_t tournament_size = 0;
+    double tournament_hot_ns = 0.0;  ///< per contestant
+    double tournament_cold_ns = 0.0; ///< per contestant, after a sweep
 };
+
+constexpr std::uint64_t kInjectSeed = 0x5eed;
+
+/// The population the replay ends with: the snapshot with the whole
+/// stream injected (the state the saturation benchmark serves from).
+std::unique_ptr<Population> replayed_population(const Replay& replay) {
+    auto population = std::make_unique<Population>(replay.population_target);
+    population->restore(replay.population, replay.population_target);
+    util::Rng rng(kInjectSeed);
+    for (const Solution& offspring : replay.stream)
+        population->inject(offspring, rng);
+    return population;
+}
+
+/// The kernel cell: scan() of every recorded offspring against a mirror
+/// of the replayed population, at each width. Returns false if two widths
+/// disagree on a bit or a flag.
+bool run_kernel_cell(const Replay& replay, const Population& population,
+                     std::size_t samples, ReplayReport& report,
+                     std::uint64_t& sink) {
+    DominanceTiles mirror;
+    mirror.reset(population[0].objectives.size());
+    mirror.resize(population.size());
+    for (std::size_t i = 0; i < population.size(); ++i)
+        mirror.set_row(i, population[i].objectives,
+                       population[i].total_violation());
+    report.mirror_rows = mirror.size();
+
+    std::vector<std::uint64_t> bits;
+    std::vector<std::uint64_t> expected_bits;
+    std::vector<bool> expected_flags;
+    for (const std::size_t width : detail::kernel_widths()) {
+        detail::set_kernel_width(mirror, width);
+        for (std::size_t i = 0; i < replay.stream.size(); ++i) {
+            const Solution& c = replay.stream[i];
+            const bool flag =
+                mirror.scan(c.objectives, c.total_violation(), bits);
+            if (width == detail::kernel_widths().front()) {
+                expected_flags.push_back(flag);
+                expected_bits.insert(expected_bits.end(), bits.begin(),
+                                     bits.end());
+            } else if (flag != expected_flags[i] ||
+                       !std::equal(bits.begin(), bits.end(),
+                                   expected_bits.begin() +
+                                       static_cast<std::ptrdiff_t>(
+                                           i * bits.size()))) {
+                std::cerr << "FAIL: kernel width " << width
+                          << " disagrees with width "
+                          << detail::kernel_widths().front()
+                          << " at offspring " << i << "\n";
+                return false;
+            }
+        }
+        std::vector<double> per_row;
+        for (std::size_t s = 0; s < samples; ++s) {
+            const auto t0 = std::chrono::steady_clock::now();
+            for (const Solution& c : replay.stream)
+                sink += mirror.scan(c.objectives, c.total_violation(), bits)
+                            ? 1u
+                            : 0u;
+            const auto t1 = std::chrono::steady_clock::now();
+            per_row.push_back(elapsed_ns(t0, t1) /
+                              static_cast<double>(replay.stream.size() *
+                                                  mirror.size()));
+        }
+        std::sort(per_row.begin(), per_row.end());
+        report.kernel.push_back({width, per_row[per_row.size() / 2]});
+    }
+    return true;
+}
+
+/// The tournament cell: Borg's tournament size on the replayed
+/// population, timed back to back (hot) and one tournament at a time after
+/// a 1 MB sweep (the sweep untimed); each the median of 7 samples.
+void run_tournament_cell(const Population& population, ReplayReport& report,
+                         std::uint64_t& sink) {
+    const std::size_t size =
+        RestartController(RestartParams{}).tournament_size(population);
+    report.tournament_size = size;
+    util::Rng rng(0x70);
+    std::vector<std::uint64_t> sweep(std::size_t{1} << 17); // 1 MB
+    constexpr std::size_t kSamples = 7;
+    constexpr std::size_t kTournaments = 1000;
+    std::vector<double> hot;
+    std::vector<double> swept;
+    for (std::size_t s = 0; s < kSamples; ++s) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t k = 0; k < kTournaments; ++k)
+            sink += population.tournament_pick_index(size, rng);
+        const auto t1 = std::chrono::steady_clock::now();
+        hot.push_back(elapsed_ns(t0, t1));
+        double ns = 0.0;
+        for (std::size_t k = 0; k < kTournaments; ++k) {
+            for (std::uint64_t& word : sweep) word += k;
+            const auto c0 = std::chrono::steady_clock::now();
+            sink += population.tournament_pick_index(size, rng);
+            const auto c1 = std::chrono::steady_clock::now();
+            ns += elapsed_ns(c0, c1);
+        }
+        swept.push_back(ns);
+    }
+    sink += sweep.back();
+    std::sort(hot.begin(), hot.end());
+    std::sort(swept.begin(), swept.end());
+    const auto per_contestant = static_cast<double>(kTournaments * size);
+    report.tournament_hot_ns = hot[kSamples / 2] / per_contestant;
+    report.tournament_cold_ns = swept[kSamples / 2] / per_contestant;
+}
 
 /// Median over \p samples of one timed pass over the stream, each pass
 /// starting from a fresh restore (untimed) so every sample sees the same
@@ -288,7 +416,6 @@ bool run_replay(const Replay& replay, std::size_t samples,
         }
     }
 
-    constexpr std::uint64_t kInjectSeed = 0x5eed;
     Population population(replay.population_target);
     population.restore(replay.population, replay.population_target);
     std::vector<Solution> reference = replay.population;
@@ -416,6 +543,10 @@ int main(int argc, char** argv) {
     const Replay replay = record_replay(kReplaySeed);
     ReplayReport rep;
     if (!run_replay(replay, quick ? 1 : samples, rep, sink)) return 2;
+    const auto population = replayed_population(replay);
+    if (!run_kernel_cell(replay, *population, quick ? 1 : samples, rep, sink))
+        return 2;
+    run_tournament_cell(*population, rep, sink);
     std::cout << "\nreplay: DTLZ2_5 eps " << kReplayEpsilon << ", seed "
               << kReplaySeed << ", " << kReplayWarmup
               << " serial warm-up, " << replay.stream.size()
@@ -429,6 +560,26 @@ int main(int argc, char** argv) {
          format_ns(rep.naive_ns), format_ns(rep.inject_ns),
          format_ns((rep.engine_ns + rep.inject_ns) / 1000.0)});
     replay_table.print(std::cout);
+
+    std::cout << "\ndominance kernel: dispatched width "
+              << detail::kernel_width(DominanceTiles{})
+              << " doubles; scan of the stream against the replayed "
+              << rep.mirror_rows << "-row population mirror (agreement: "
+                 "every width gives the same bits)\n";
+    util::Table kernel_table({"width", "ns/row"});
+    for (const KernelCell& k : rep.kernel) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.2f", k.ns_per_row);
+        kernel_table.add_row({std::to_string(k.width), buf});
+    }
+    kernel_table.print(std::cout);
+    char hot_buf[32];
+    char cold_buf[32];
+    std::snprintf(hot_buf, sizeof(hot_buf), "%.1f", rep.tournament_hot_ns);
+    std::snprintf(cold_buf, sizeof(cold_buf), "%.1f", rep.tournament_cold_ns);
+    std::cout << "tournament: " << rep.tournament_size
+              << " contestants on the replayed population, ns/contestant "
+              << hot_buf << " hot, " << cold_buf << " after a 1 MB sweep\n";
     if (sink == 0) std::cerr << "no candidate was ever accepted?\n";
 
     // Smoke gates. Quick (ci.sh): the engine must beat the oracle on the
@@ -481,13 +632,30 @@ int main(int argc, char** argv) {
                       "\"epsilon\": %.2f, \"seed\": %llu, \"warmup\": %llu, "
                       "\"stream\": %zu, \"archive_size\": %zu, "
                       "\"population_size\": %zu, \"engine_ns\": %.1f, "
-                      "\"naive_ns\": %.1f, \"inject_ns\": %.1f}\n}\n",
+                      "\"naive_ns\": %.1f, \"inject_ns\": %.1f},\n",
                       kReplayEpsilon,
                       static_cast<unsigned long long>(kReplaySeed),
                       static_cast<unsigned long long>(kReplayWarmup),
                       replay.stream.size(), rep.archive_size,
                       rep.population_size, rep.engine_ns, rep.naive_ns,
                       rep.inject_ns);
+        out << buf;
+        out << "  \"kernel\": {\"mirror_rows\": " << rep.mirror_rows
+            << ", \"dispatched_width\": "
+            << detail::kernel_width(DominanceTiles{})
+            << ", \"ns_per_row\": {";
+        for (std::size_t i = 0; i < rep.kernel.size(); ++i) {
+            std::snprintf(buf, sizeof(buf), "%s\"%zu\": %.2f",
+                          i > 0 ? ", " : "", rep.kernel[i].width,
+                          rep.kernel[i].ns_per_row);
+            out << buf;
+        }
+        std::snprintf(buf, sizeof(buf),
+                      "}},\n  \"tournament\": {\"contestants\": %zu, "
+                      "\"hot_ns_per_contestant\": %.1f, "
+                      "\"swept_ns_per_contestant\": %.1f}\n}\n",
+                      rep.tournament_size, rep.tournament_hot_ns,
+                      rep.tournament_cold_ns);
         out << buf;
         std::cout << "wrote " << json_path << "\n";
     }

@@ -89,14 +89,40 @@ void for_each_set_bit(std::span<const std::uint64_t> bits, F&& f) {
             f(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
 }
 
+class DominanceTiles;
+
+namespace detail {
+
+/// One 64-byte line of a DominanceTiles tile: one value of its eight rows.
+struct alignas(64) TileLine {
+    double lane[8];
+};
+
+/// The dominance kernel at one vector width (defined in dominance.cpp).
+struct TileKernel;
+
+/// The kernel vector widths, in doubles, that this build carries and this
+/// CPU runs, narrowest first: 2 always; 4 (AVX2) and 8 (AVX-512F) on
+/// x86-64. Every width gives the same bits.
+std::span<const std::size_t> kernel_widths();
+
+/// The width \p tiles runs its kernel at.
+std::size_t kernel_width(const DominanceTiles& tiles);
+
+/// Runs \p tiles' kernel at \p width, one of kernel_widths() (throws
+/// std::invalid_argument otherwise). For tests and micro-benchmarks.
+void set_kernel_width(DominanceTiles& tiles, std::size_t width);
+
+} // namespace detail
+
 /// Objective-major mirror of a row set, laid out for the dominance kernel
-/// (DESIGN.md §15). Rows pair up into 2-row tiles; tile t holds objective
-/// j of rows 2t and 2t + 1 side by side, then the two rows' violations, so
-/// one tile is M + 1 native two-double vectors and a random row read stays
-/// inside one tile. A row that holds nothing (padding up to a whole 4-row
-/// block, a free archive slot) is all NaN: NaN compares neither better nor
-/// worse, so such a row never dominates and is never dominated.
-/// Violations are total_violation() sums: non-negative, or NaN.
+/// (DESIGN.md §15). Rows group into 8-row tiles: tile t is M + 1 64-byte
+/// lines, line j holding objective j of rows 8t … 8t + 7 and the last
+/// line their violations, so one line is one AVX-512 vector, two AVX2
+/// vectors or four SSE2 vectors. A row that holds nothing (padding up to
+/// a whole tile, a free archive slot) is all NaN: NaN compares neither
+/// better nor worse, so such a row never dominates and is never
+/// dominated. Violations are total_violation() sums: non-negative, or NaN.
 ///
 /// The population mirrors member objectives and total violations here;
 /// the archive mirrors ε-box coordinates (as doubles, which compare
@@ -107,8 +133,17 @@ void for_each_set_bit(std::span<const std::uint64_t> bits, F&& f) {
 /// tying the candidate. The archive adds through cover(): its members are
 /// mutually box-nondominated, so such a row either shares the candidate's
 /// box or rejects it, and only a candidate that no row covers can evict.
+/// The loop is one template over the vector type, compiled at the
+/// baseline width and, on x86-64, for AVX2 and AVX-512F; the widest one
+/// the CPU runs (__builtin_cpu_supports) is picked once, for every mirror.
 class DominanceTiles {
 public:
+    /// Rows per tile: one 64-byte line holds one value of each.
+    static constexpr std::size_t kTileRows = 8;
+
+    /// An empty mirror on the dispatched kernel.
+    DominanceTiles();
+
     std::size_t size() const noexcept { return rows_; }
     std::size_t num_objectives() const noexcept { return m_; }
 
@@ -124,14 +159,7 @@ public:
 
     /// Objective \p j of row \p i.
     double value(std::size_t i, std::size_t j) const {
-        return tiles_[tile_offset(i) + 2 * j + (i & 1)];
-    }
-
-    /// Starts loading row \p i's tile into cache.
-    void prefetch(std::size_t i) const {
-        const double* tile = tiles_.data() + tile_offset(i);
-        __builtin_prefetch(tile);
-        __builtin_prefetch(tile + tile_stride() - 1);
+        return tiles_[i / kTileRows * (m_ + 1) + j].lane[i % kTileRows];
     }
 
     /// The kernel: compares a candidate against every row under Deb's
@@ -161,21 +189,24 @@ public:
     std::size_t tournament(std::span<const std::uint64_t> contestants) const;
 
 private:
-    /// The one loop behind scan() (kCover false: returns whether some row
-    /// dominates the candidate) and cover() (kCover true: returns the
-    /// lowest covering row, or size()).
-    template <bool kCover>
-    auto walk(std::span<const double> candidate, double candidate_violation,
-              std::vector<std::uint64_t>& dominates) const;
+    friend std::size_t detail::kernel_width(const DominanceTiles&);
+    friend void detail::set_kernel_width(DominanceTiles&, std::size_t);
 
-    std::size_t tile_stride() const noexcept { return 2 * (m_ + 1); }
-    std::size_t tile_offset(std::size_t i) const noexcept {
-        return (i / 2) * tile_stride();
+    /// Runs the kernel's scan (kCover false) or cover (kCover true) form.
+    template <bool kCover>
+    std::size_t walk(std::span<const double> candidate,
+                     double candidate_violation,
+                     std::vector<std::uint64_t>& dominates) const;
+
+    /// First line of row \p i's tile.
+    const detail::TileLine* tile_of(std::size_t i) const noexcept {
+        return tiles_.data() + i / kTileRows * (m_ + 1);
     }
 
     std::size_t m_ = 0;
     std::size_t rows_ = 0;
-    std::vector<double> tiles_;
+    std::vector<detail::TileLine> tiles_;
+    const detail::TileKernel* kernel_;
 };
 
 /// Squared Euclidean distance from \p objectives to the lower corner of its

@@ -1,6 +1,7 @@
 #include "moea/population.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace borg::moea {
@@ -62,27 +63,31 @@ bool Population::inject(ConstSolutionView offspring, util::Rng& rng,
     }
 
     // One kernel pass over the mirror: the members the offspring
-    // dominates (a bitmask, visited in index order) and whether any member
-    // dominates the offspring. Replacement of a dominated member takes
-    // precedence over rejection (both can hold at once when the population
-    // carries mutually dominated members), keeping the rule
-    // order-independent.
+    // dominates (a bitmask) and whether any member dominates the
+    // offspring. Replacement of a dominated member takes precedence over
+    // rejection (both can hold at once when the population carries
+    // mutually dominated members), keeping the rule order-independent.
+    // The victim is a uniform draw among the dominated members, taken as
+    // that set bit in index order.
     const bool offspring_dominated = mirror_.scan(
         offspring.objectives, offspring.total_violation(), dominated_bits_);
-    dominated_scratch_.clear();
-    for_each_set_bit(dominated_bits_, [this](std::size_t i) {
-        dominated_scratch_.push_back(i);
-    });
-    if (dominated_scratch_.empty() && offspring_dominated) return false;
-    if (!dominated_scratch_.empty()) {
-        const std::size_t victim = dominated_scratch_[static_cast<std::size_t>(
-            rng.below(dominated_scratch_.size()))];
-        pool.copy_payload(members_[victim], offspring);
-        cache_member(victim);
-        if (member_row != nullptr) *member_row = members_[victim].index;
-        return true;
+    std::size_t dominated = 0;
+    for (const std::uint64_t word : dominated_bits_)
+        dominated += static_cast<std::size_t>(std::popcount(word));
+    if (dominated == 0 && offspring_dominated) return false;
+    std::size_t victim = 0;
+    if (dominated != 0) {
+        auto k = static_cast<std::size_t>(rng.below(dominated));
+        const std::uint64_t* word = dominated_bits_.data();
+        for (; k >= static_cast<std::size_t>(std::popcount(*word)); ++word)
+            k -= static_cast<std::size_t>(std::popcount(*word));
+        std::uint64_t bits = *word;
+        for (; k > 0; --k) bits &= bits - 1;
+        victim = static_cast<std::size_t>(word - dominated_bits_.data()) * 64 +
+                 static_cast<std::size_t>(std::countr_zero(bits));
+    } else {
+        victim = static_cast<std::size_t>(rng.below(members_.size()));
     }
-    const auto victim = static_cast<std::size_t>(rng.below(members_.size()));
     pool.copy_payload(members_[victim], offspring);
     cache_member(victim);
     if (member_row != nullptr) *member_row = members_[victim].index;
@@ -108,11 +113,9 @@ void Population::restore(const std::vector<Solution>& members,
 std::span<const std::uint64_t> Population::draw_contestants(
     std::size_t tournament_size, util::Rng& rng) const {
     // Nothing else draws between a tournament's contestants, so drawing
-    // them all up front leaves the stream unchanged; it lets every
-    // cache-cold tile load start before the first comparison.
+    // them all up front in one batch leaves the stream unchanged.
     contestants_.resize(std::max<std::size_t>(tournament_size, 1));
     rng.below(members_.size(), contestants_);
-    for (const std::uint64_t idx : contestants_) mirror_.prefetch(idx);
     return contestants_;
 }
 

@@ -114,8 +114,8 @@ private:
     SolutionPool& pool_for(ConstSolutionView exemplar);
     std::size_t tournament_pick(std::size_t tournament_size,
                                 util::Rng& rng) const;
-    /// Draws a tournament's member indices in one batch and prefetches
-    /// their mirror rows. Valid until the next tournament.
+    /// Draws a tournament's member indices in one batch. Valid until the
+    /// next tournament.
     std::span<const std::uint64_t> draw_contestants(
         std::size_t tournament_size, util::Rng& rng) const;
     /// Refreshes the mirror row of members_[i].
@@ -135,7 +135,6 @@ private:
 
     // Reusable scratch: the steady-state paths allocate nothing.
     std::vector<std::uint64_t> dominated_bits_;   ///< inject() kernel output
-    std::vector<std::size_t> dominated_scratch_;  ///< inject() victims
     mutable std::vector<std::uint64_t> contestants_; ///< tournament draws
 };
 

@@ -344,12 +344,18 @@ struct TcpRunManager::Impl {
             return;
         }
         // eval_seconds feeds the engine's T_F, and the payload is copied
-        // into a row of fixed width: a reply that breaks either is a
-        // protocol violation. The task is still in conn.inflight, so
-        // conn_lost reassigns it.
+        // into a row of fixed width that the ε-box cast and the dominance
+        // mirror read: a reply with a bad T_F, the wrong arity or a
+        // non-finite objective or constraint is a protocol violation. The
+        // task is still in conn.inflight, so conn_lost reassigns it.
+        const auto finite = [](const std::vector<double>& values) {
+            return std::ranges::all_of(
+                values, [](double v) { return std::isfinite(v); });
+        };
         if (!std::isfinite(result.eval_seconds) || result.eval_seconds < 0.0 ||
             result.objectives.size() != problem->num_objectives() ||
-            result.constraints.size() != problem->num_constraints()) {
+            result.constraints.size() != problem->num_constraints() ||
+            !finite(result.objectives) || !finite(result.constraints)) {
             ++stats.invalid_results;
             conn_lost(conn, /*graceful=*/false);
             return;

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -103,7 +105,17 @@ TEST(BoxCorner, CornerItselfIsZero) {
 // reference kept here. Values come from a small pool so ties, duplicate
 // rows, ±0.0, infinities and NaN all occur; violations are
 // total_violation()-style sums (0, -0.0, equal nonzero values, NaN).
+// Each check runs once on the dispatched kernel (the plain DominanceTiles
+// tests) and once per vector width the CPU runs (DominanceTilesAtWidth,
+// through detail::set_kernel_width).
 // ---------------------------------------------------------------------------
+
+/// 0 keeps the dispatched kernel; otherwise the width to force.
+using Width = std::size_t;
+
+void use_width(DominanceTiles& tiles, Width width) {
+    if (width != 0) detail::set_kernel_width(tiles, width);
+}
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -142,8 +154,9 @@ Rows random_rows(std::size_t m, std::size_t n, borg::util::Rng& rng) {
     return rows;
 }
 
-DominanceTiles mirror_of(const Rows& rows, std::size_t m) {
+DominanceTiles mirror_of(const Rows& rows, std::size_t m, Width width) {
     DominanceTiles tiles;
+    use_width(tiles, width);
     tiles.reset(m);
     tiles.resize(rows.values.size());
     for (std::size_t i = 0; i < rows.values.size(); ++i)
@@ -166,13 +179,14 @@ std::size_t first_cover(const Rows& rows, std::span<const double> cand,
     return rows.values.size();
 }
 
-TEST(DominanceTiles, ScanMatchesScalarReference) {
+void check_scan_matches_scalar_reference(Width width) {
     borg::util::Rng rng(2024);
     for (const std::size_t m : {1u, 2u, 3u, 5u, 8u, 11u}) {
-        for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 65u, 130u,
-                                    257u}) {
+        for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u,
+                                    17u, 63u, 64u, 65u, 127u, 128u, 129u,
+                                    130u, 257u}) {
             const Rows rows = random_rows(m, n, rng);
-            const DominanceTiles tiles = mirror_of(rows, m);
+            const DominanceTiles tiles = mirror_of(rows, m, width);
             std::vector<std::uint64_t> bits;
             std::vector<std::uint64_t> cover_bits;
             for (int trial = 0; trial < 40; ++trial) {
@@ -225,8 +239,10 @@ std::vector<double> as_doubles(const std::vector<std::int64_t>& box) {
     return {box.begin(), box.end()};
 }
 
-BoxRows box_rows(std::size_t m, std::size_t n, borg::util::Rng& rng) {
+BoxRows box_rows(std::size_t m, std::size_t n, borg::util::Rng& rng,
+                 Width width) {
     BoxRows rows;
+    use_width(rows.tiles, width);
     rows.tiles.reset(m);
     rows.tiles.resize(n);
     const std::vector<double> covers_all(m, -1e6);
@@ -260,14 +276,15 @@ BoxRows box_rows(std::size_t m, std::size_t n, borg::util::Rng& rng) {
     return rows;
 }
 
-TEST(DominanceTiles, CoverFindsFirstCoveringBoxAmongFreeRows) {
+void check_cover_finds_first_covering_box(Width width) {
     borg::util::Rng rng(4242);
     std::size_t covered = 0;
     std::size_t uncovered = 0;
     for (const std::size_t m : {1u, 2u, 3u, 5u, 8u}) {
-        for (const std::size_t n : {0u, 1u, 2u, 3u, 63u, 64u, 65u, 127u,
-                                    128u, 129u, 257u}) {
-            const BoxRows rows = box_rows(m, n, rng);
+        for (const std::size_t n : {0u, 1u, 2u, 3u, 8u, 9u, 15u, 16u, 17u,
+                                    63u, 64u, 65u, 127u, 128u, 129u,
+                                    257u}) {
+            const BoxRows rows = box_rows(m, n, rng, width);
             std::vector<std::size_t> live;
             for (std::size_t i = 0; i < n; ++i)
                 if (rows.live[i]) live.push_back(i);
@@ -349,12 +366,13 @@ TEST(DominanceTiles, CoverFindsFirstCoveringBoxAmongFreeRows) {
     EXPECT_GT(uncovered, 200u);
 }
 
-TEST(DominanceTiles, CompareRowsAndTournamentMatchScalarReference) {
+void check_compare_rows_and_tournament(Width width) {
     borg::util::Rng rng(77);
     for (const std::size_t m : {1u, 2u, 3u, 5u, 8u, 11u}) {
-        for (const std::size_t n : {1u, 2u, 5u, 40u}) {
+        for (const std::size_t n : {1u, 2u, 5u, 8u, 9u, 15u, 16u, 17u, 40u,
+                                    63u, 127u, 128u, 129u}) {
             const Rows rows = random_rows(m, n, rng);
-            const DominanceTiles tiles = mirror_of(rows, m);
+            const DominanceTiles tiles = mirror_of(rows, m, width);
             for (std::size_t a = 0; a < n; ++a)
                 for (std::size_t b = 0; b < n; ++b)
                     ASSERT_EQ(tiles.compare_rows(a, b),
@@ -395,8 +413,9 @@ TEST(DominanceTiles, InfeasibleCandidateFollowsDebsRule) {
     EXPECT_EQ(bits[0], 0b0110u); // rows 1 (violation) and 2 (objectives)
 }
 
-TEST(DominanceTiles, ClearedRowsNeverTakePart) {
+void check_cleared_rows_never_take_part(Width width) {
     DominanceTiles tiles;
+    use_width(tiles, width);
     tiles.reset(3);
     tiles.resize(3);
     const std::vector<double> low{0.0, 0.0, 0.0};
@@ -415,6 +434,80 @@ TEST(DominanceTiles, ClearedRowsNeverTakePart) {
     tiles.resize(5); // grown rows start cleared too
     EXPECT_FALSE(tiles.scan(best, 0.0, bits));
     EXPECT_EQ(bits[0], 0b101u);
+    tiles.resize(17); // and so do rows in new tiles
+    EXPECT_FALSE(tiles.scan(best, 0.0, bits));
+    EXPECT_EQ(bits[0], 0b101u);
 }
+
+TEST(DominanceTiles, ScanMatchesScalarReference) {
+    check_scan_matches_scalar_reference(0);
+}
+
+TEST(DominanceTiles, CoverFindsFirstCoveringBoxAmongFreeRows) {
+    check_cover_finds_first_covering_box(0);
+}
+
+TEST(DominanceTiles, CompareRowsAndTournamentMatchScalarReference) {
+    check_compare_rows_and_tournament(0);
+}
+
+TEST(DominanceTiles, ClearedRowsNeverTakePart) {
+    check_cleared_rows_never_take_part(0);
+}
+
+TEST(DominanceTiles, DispatchPicksWidestWidthTheCpuSupports) {
+    std::vector<std::size_t> expected{2};
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2")) expected.push_back(4);
+    if (__builtin_cpu_supports("avx512f")) expected.push_back(8);
+#endif
+    const auto widths = detail::kernel_widths();
+    EXPECT_EQ(std::vector<std::size_t>(widths.begin(), widths.end()),
+              expected);
+    DominanceTiles tiles;
+    EXPECT_EQ(detail::kernel_width(tiles), expected.back());
+    EXPECT_THROW(detail::set_kernel_width(tiles, 3), std::invalid_argument);
+    detail::set_kernel_width(tiles, 2);
+    EXPECT_EQ(detail::kernel_width(tiles), 2u);
+    const DominanceTiles copy = tiles; // a copy keeps the forced width
+    EXPECT_EQ(detail::kernel_width(copy), 2u);
+}
+
+/// The same checks through each kernel instantiation; a width this CPU
+/// (or a non-x86-64 build) lacks is skipped.
+class DominanceTilesAtWidth : public ::testing::TestWithParam<Width> {
+protected:
+    void SetUp() override {
+        const auto widths = detail::kernel_widths();
+        if (std::find(widths.begin(), widths.end(), GetParam()) ==
+            widths.end())
+            GTEST_SKIP() << "no " << GetParam()
+                         << "-double kernel here: the build is not x86-64 "
+                            "or the CPU lacks "
+                         << (GetParam() == 4 ? "AVX2" : "AVX-512F");
+    }
+};
+
+TEST_P(DominanceTilesAtWidth, ScanMatchesScalarReference) {
+    check_scan_matches_scalar_reference(GetParam());
+}
+
+TEST_P(DominanceTilesAtWidth, CoverFindsFirstCoveringBoxAmongFreeRows) {
+    check_cover_finds_first_covering_box(GetParam());
+}
+
+TEST_P(DominanceTilesAtWidth, CompareRowsAndTournamentMatchScalarReference) {
+    check_compare_rows_and_tournament(GetParam());
+}
+
+TEST_P(DominanceTilesAtWidth, ClearedRowsNeverTakePart) {
+    check_cleared_rows_never_take_part(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, DominanceTilesAtWidth,
+                         ::testing::Values(Width{2}, Width{4}, Width{8}),
+                         [](const ::testing::TestParamInfo<Width>& info) {
+                             return "Width" + std::to_string(info.param);
+                         });
 
 } // namespace

@@ -95,7 +95,10 @@ std::uint64_t counter_value(const obs::MetricsRegistry& metrics,
 /// workers (launched with \p worker_args) are spawned from a helper
 /// thread only once \p first has returned — so whatever the first peer
 /// provokes has happened before the run can complete, however the host
-/// schedules the processes.
+/// schedules the processes. The good workers sleep 1 ms per evaluation,
+/// so the run outlasts the last one's handshake and all four connect
+/// even on a loaded host (a worker otherwise could finish the run alone
+/// before the others start).
 struct GatedRun {
     TcpRun tcp;
     int first_result = -1; ///< what \p first returned
@@ -107,11 +110,13 @@ GatedRun run_gated(const parallel::TcpRunConfig& config, FirstPeer first,
     GatedRun out;
     std::thread starter;
     std::vector<WorkerProc> fleet;
+    std::vector<std::string> args = worker_args;
+    args.insert(args.end(), {"--eval-delay-ms", "1"});
     const auto launch = [&](std::uint16_t port) {
         starter = std::thread([&, port] {
             out.first_result = first(port);
             for (int i = 0; i < 4; ++i)
-                fleet.push_back(spawn_worker(port, kProblem, worker_args));
+                fleet.push_back(spawn_worker(port, kProblem, args));
         });
         return std::vector<WorkerProc>{};
     };
@@ -565,9 +570,11 @@ auto scripted_peer(Corrupt corrupt) {
 
 TEST(TcpExecutor, InvalidResultsAreRejectedAndReassigned) {
     // A worker-reported T_F that is NaN or negative must not reach the
-    // engine's T_F statistics, and a payload of the wrong arity must not
-    // reach a pool row: either Result is refused, its connection reaped,
-    // and the task reassigned — the archive stays the reference archive.
+    // engine's T_F statistics, and a payload of the wrong arity or with a
+    // non-finite objective must not reach a pool row: each such Result is
+    // refused, its connection reaped, and the task reassigned — the
+    // archive stays the reference archive. (zdt1 has no constraints, so
+    // there is no constraint case.)
     const auto problem = problems::make_problem(kProblem);
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
@@ -585,6 +592,18 @@ TEST(TcpExecutor, InvalidResultsAreRejectedAndReassigned) {
          [](net::Result& r) { r.eval_seconds = -1.0; }},
         {"extra objective",
          [](net::Result& r) { r.objectives.push_back(0.0); }},
+        {"NaN objective",
+         [](net::Result& r) {
+             r.objectives[0] = std::numeric_limits<double>::quiet_NaN();
+         }},
+        {"+inf objective",
+         [](net::Result& r) {
+             r.objectives.back() = std::numeric_limits<double>::infinity();
+         }},
+        {"-inf objective",
+         [](net::Result& r) {
+             r.objectives[0] = -std::numeric_limits<double>::infinity();
+         }},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
