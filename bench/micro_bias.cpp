@@ -127,12 +127,9 @@ Cell run_cell(const std::string& model_name, const std::string& policy_name,
     const std::size_t workers = procs - 1;
     const auto model = make_model(model_name, workers);
 
-    parallel::ClusterEngine::Setup setup;
-    setup.time_model = model.get();
-    setup.tc = tc.get();
-    setup.ta = ta.get();
-    setup.processors = procs;
-    setup.groups = {{workers, seed, 0}};
+    parallel::ClusterEngine::Setup setup{
+        .cluster = {procs, nullptr, tc.get(), ta.get(), seed}};
+    setup.cluster.time_model = model.get();
 
     parallel::ClusterEngine engine(std::move(setup), {});
     parallel::BiasMonitor monitor;

@@ -64,20 +64,6 @@ struct CheckContext {
     }
 };
 
-/// SimulationResult does not carry sample summaries or failure counts, so
-/// project the fields it does report; sample checks are skipped.
-obs::ReportedRun sim_reported(const models::SimulationResult& result) {
-    obs::ReportedRun reported;
-    reported.evaluations = result.evaluations;
-    reported.completed_target = true; // the sim runs its full budget
-    reported.elapsed = result.elapsed;
-    reported.master_busy_fraction = result.master_busy_fraction;
-    reported.mean_queue_wait = result.mean_queue_wait;
-    reported.contention_rate = result.contention_rate;
-    reported.check_samples = false;
-    return reported;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -180,15 +166,13 @@ int main(int argc, char** argv) {
     const auto sim_async = models::simulate_async(
         sim_cfg, {.trace = &sim_async_trace, .metrics = &metrics});
     ctx.report("sim-async aggregates",
-               obs::cross_validate(sim_async_trace,
-                                   sim_reported(sim_async)));
+               parallel::cross_validate(sim_async_trace, sim_async));
 
     obs::EventTrace sim_sync_trace;
     const auto sim_sync = models::simulate_sync(
         sim_cfg, {.trace = &sim_sync_trace, .metrics = &metrics});
     ctx.report("sim-sync aggregates",
-               obs::cross_validate(sim_sync_trace,
-                                   sim_reported(sim_sync)));
+               parallel::cross_validate(sim_sync_trace, sim_sync));
 
     // --- optional JSONL export ------------------------------------------
     if (argc > 1) {

@@ -28,24 +28,10 @@ void validate(const SimulationConfig& config) {
 }
 
 ClusterEngine::Setup engine_setup(const SimulationConfig& config) {
-    ClusterEngine::Setup setup;
-    setup.tf = config.tf;
-    setup.tc = config.tc;
-    setup.ta = config.ta;
-    setup.processors = config.processors;
-    setup.groups = {{config.processors - 1, config.seed, 0}};
-    setup.queue = config.queue;
-    return setup;
-}
-
-SimulationResult to_simulation_result(const parallel::VirtualRunResult& r) {
-    SimulationResult result;
-    result.elapsed = r.elapsed;
-    result.evaluations = r.evaluations;
-    result.master_busy_fraction = r.master_busy_fraction;
-    result.mean_queue_wait = r.mean_queue_wait;
-    result.contention_rate = r.contention_rate;
-    return result;
+    parallel::VirtualClusterConfig cluster{config.processors, config.tf,
+                                           config.tc, config.ta, config.seed};
+    cluster.queue = config.queue;
+    return {.cluster = std::move(cluster)};
 }
 
 /// The paper's SimPy fragment as a master policy: nothing real is
@@ -145,26 +131,24 @@ private:
 
 } // namespace
 
-SimulationResult simulate_async(const SimulationConfig& config,
-                                const parallel::RunContext& ctx) {
+parallel::VirtualRunResult simulate_async(const SimulationConfig& config,
+                                          const parallel::RunContext& ctx) {
     validate(config);
     ClusterEngine engine(engine_setup(config), ctx);
     SimAsyncPolicy policy;
-    return to_simulation_result(
-        engine.run_events(policy, config.evaluations));
+    return engine.run_events(policy, config.evaluations);
 }
 
-SimulationResult simulate_sync(const SimulationConfig& config,
-                               const parallel::RunContext& ctx) {
+parallel::VirtualRunResult simulate_sync(const SimulationConfig& config,
+                                         const parallel::RunContext& ctx) {
     validate(config);
     ClusterEngine engine(engine_setup(config), ctx);
     SimSyncPolicy policy(config);
-    return to_simulation_result(
-        engine.run_generational(policy, config.evaluations));
+    return engine.run_generational(policy, config.evaluations);
 }
 
 double simulated_efficiency(const SimulationConfig& config,
-                            const SimulationResult& result) {
+                            const parallel::VirtualRunResult& result) {
     const TimingCosts costs{config.tf->mean(), config.tc->mean(),
                             config.ta->mean()};
     const double ts = serial_time(config.evaluations, costs);

@@ -32,6 +32,7 @@
 #include "des/event_queue.hpp"
 #include "models/analytical.hpp"
 #include "parallel/run_context.hpp"
+#include "parallel/virtual_cluster.hpp"
 #include "stats/distribution.hpp"
 
 namespace borg::models {
@@ -51,21 +52,14 @@ struct SimulationConfig {
     des::QueuePolicy queue = des::QueuePolicy::calendar;
 };
 
-/// Outputs of one simulated run.
-struct SimulationResult {
-    double elapsed = 0.0; ///< simulated T_P: time the N-th result lands
-    std::uint64_t evaluations = 0;
-    double master_busy_fraction = 0.0; ///< hold time / elapsed
-    double mean_queue_wait = 0.0;      ///< mean wait to acquire the master
-    double contention_rate = 0.0; ///< fraction of acquisitions that queued
-};
-
-/// Simulates the asynchronous master-slave protocol. \p ctx optionally
-/// attaches the engine's event trace ("sim" events share the executor
-/// schema) and metrics under the "sim_async." prefix; ctx.recorder is
-/// ignored (there is no archive to checkpoint).
-SimulationResult simulate_async(const SimulationConfig& config,
-                                const parallel::RunContext& ctx = {});
+/// Simulates the asynchronous master-slave protocol. The result is the
+/// executors' own VirtualRunResult: elapsed is the simulated T_P (the time
+/// the N-th result lands), and the applied T_F/T_A summaries describe the
+/// draws. \p ctx optionally attaches the engine's event trace ("sim"
+/// events share the executor schema) and metrics under the "sim_async."
+/// prefix; ctx.recorder is ignored (there is no archive to checkpoint).
+parallel::VirtualRunResult simulate_async(const SimulationConfig& config,
+                                          const parallel::RunContext& ctx = {});
 
 /// Simulates the synchronous (generational) master-slave protocol of
 /// Figure 1: per generation the master sends P-1 messages serially,
@@ -74,13 +68,13 @@ SimulationResult simulate_async(const SimulationConfig& config,
 /// (sum of P sampled T_A values). Used to study how T_F variability hurts
 /// the synchronous model (Section VI-B's closing observation). \p ctx as
 /// for simulate_async, under the "sim_sync." prefix.
-SimulationResult simulate_sync(const SimulationConfig& config,
-                               const parallel::RunContext& ctx = {});
+parallel::VirtualRunResult simulate_sync(const SimulationConfig& config,
+                                         const parallel::RunContext& ctx = {});
 
 /// Efficiency implied by a simulated run: E_P = T_S / (P T_P) with
 /// T_S = N (mean T_F + mean T_A) from the configured distributions.
 double simulated_efficiency(const SimulationConfig& config,
-                            const SimulationResult& result);
+                            const parallel::VirtualRunResult& result);
 
 } // namespace borg::models
 

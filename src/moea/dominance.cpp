@@ -281,25 +281,23 @@ void set_kernel_width(DominanceTiles& tiles, std::size_t width) {
 
 } // namespace detail
 
-std::vector<std::int64_t> epsilon_box(std::span<const double> objectives,
-                                      std::span<const double> epsilons) {
-    std::vector<std::int64_t> box(objectives.size());
+std::vector<double> epsilon_box(std::span<const double> objectives,
+                                std::span<const double> epsilons) {
+    std::vector<double> box(objectives.size());
     epsilon_box_into(objectives, epsilons, box);
     return box;
 }
 
 void epsilon_box_into(std::span<const double> objectives,
                       std::span<const double> epsilons,
-                      std::span<std::int64_t> out) {
+                      std::span<double> out) {
     assert(objectives.size() == epsilons.size());
     assert(out.size() == objectives.size());
     for (std::size_t i = 0; i < objectives.size(); ++i)
-        out[i] = static_cast<std::int64_t>(
-            std::floor(objectives[i] / epsilons[i]));
+        out[i] = std::floor(objectives[i] / epsilons[i]);
 }
 
-Dominance compare_boxes(std::span<const std::int64_t> a,
-                        std::span<const std::int64_t> b) {
+Dominance compare_boxes(std::span<const double> a, std::span<const double> b) {
     assert(a.size() == b.size());
     bool a_better = false;
     bool b_better = false;
@@ -410,12 +408,12 @@ std::size_t DominanceTiles::tournament(
 }
 
 double distance_to_box_corner(std::span<const double> objectives,
-                              std::span<const std::int64_t> box,
+                              std::span<const double> box,
                               std::span<const double> epsilons) {
     assert(objectives.size() == box.size());
     double sum = 0.0;
     for (std::size_t i = 0; i < objectives.size(); ++i) {
-        const double corner = static_cast<double>(box[i]) * epsilons[i];
+        const double corner = box[i] * epsilons[i];
         const double d = objectives[i] - corner;
         sum += d * d;
     }

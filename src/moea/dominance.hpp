@@ -65,20 +65,22 @@ inline bool dominates(std::span<const double> a, std::span<const double> b) {
 
 /// The ε-box index of an objective vector: floor(f_i / ε_i) per objective
 /// (Laumanns et al. 2002). Two solutions in the same box are "ε-equal"; box
-/// indices are compared by Pareto dominance to get ε-dominance.
-std::vector<std::int64_t> epsilon_box(std::span<const double> objectives,
-                                      std::span<const double> epsilons);
+/// indices are compared by Pareto dominance to get ε-dominance. Indices
+/// stay doubles: every finite objective has a box, however large |f/ε|
+/// grows (an integer cast past 2^63 is undefined), and every index below
+/// 2^53 is exact.
+std::vector<double> epsilon_box(std::span<const double> objectives,
+                                std::span<const double> epsilons);
 
 /// Allocation-free epsilon_box: writes the box indices into \p out, which
 /// must already have objectives.size() elements. The archive engine's hot
 /// path calls this with a reusable scratch buffer.
 void epsilon_box_into(std::span<const double> objectives,
                       std::span<const double> epsilons,
-                      std::span<std::int64_t> out);
+                      std::span<double> out);
 
 /// Pareto comparison of two box-index vectors.
-Dominance compare_boxes(std::span<const std::int64_t> a,
-                        std::span<const std::int64_t> b);
+Dominance compare_boxes(std::span<const double> a, std::span<const double> b);
 
 /// Calls \p f(i) for every set bit i of a DominanceTiles::scan bitmask,
 /// in ascending order.
@@ -125,8 +127,8 @@ void set_kernel_width(DominanceTiles& tiles, std::size_t width);
 /// dominated. Violations are total_violation() sums: non-negative, or NaN.
 ///
 /// The population mirrors member objectives and total violations here;
-/// the archive mirrors ε-box coordinates (as doubles, which compare
-/// exactly like the int64 box for every finite box) with violation 0.
+/// the archive mirrors its members' ε-box indices (doubles, as
+/// epsilon_box computes them) with violation 0.
 ///
 /// The kernel has two forms over one loop: scan() visits every row;
 /// cover() stops at the first 64-row word that holds a row dominating or
@@ -212,7 +214,7 @@ private:
 /// Squared Euclidean distance from \p objectives to the lower corner of its
 /// ε-box; the within-box tiebreaker (the solution nearer the corner wins).
 double distance_to_box_corner(std::span<const double> objectives,
-                              std::span<const std::int64_t> box,
+                              std::span<const double> box,
                               std::span<const double> epsilons);
 
 } // namespace borg::moea

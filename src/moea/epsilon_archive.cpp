@@ -32,8 +32,7 @@ void validate_candidate(ConstSolutionView solution,
 ArchiveEngine::ArchiveEngine(std::vector<double> epsilons)
     : epsilons_(std::move(epsilons)) {
     validate_epsilons(epsilons_);
-    scratch_box_.assign(epsilons_.size(), 0);
-    scratch_box_values_.assign(epsilons_.size(), 0.0);
+    scratch_box_.assign(epsilons_.size(), 0.0);
     boxes_.reset(epsilons_.size());
 }
 
@@ -90,7 +89,7 @@ std::uint32_t ArchiveEngine::allocate_slot() {
     }
     slot_handles_.emplace_back();
     boxes_.resize(slot_handles_.size());
-    slot_sum_.push_back(0);
+    slot_sum_.push_back(0.0);
     slot_install_.push_back(0);
     slot_evicted_.push_back(0);
     return static_cast<std::uint32_t>(slot_handles_.size() - 1);
@@ -121,24 +120,17 @@ void ArchiveEngine::reset_structures() noexcept {
 }
 
 void ArchiveEngine::install(ConstSolutionView solution, SolutionHandle owned) {
-    // Precondition: scratch_box_/scratch_box_values_ hold the candidate's
-    // ε-box.
+    // Precondition: scratch_box_ holds the candidate's ε-box.
     const std::uint32_t slot = allocate_slot();
     slot_handles_[slot] =
         owned.is_null() ? pool_for(solution).store(solution) : owned;
     digest_sum_ += row_hash(pool_->objectives(slot_handles_[slot]));
-    boxes_.set_row(slot, scratch_box_values_, 0.0);
-    std::int64_t sum = 0;
-    for (const std::int64_t c : scratch_box_) sum += c;
+    boxes_.set_row(slot, scratch_box_, 0.0);
+    double sum = 0.0;
+    for (const double c : scratch_box_) sum += c;
     slot_sum_[slot] = sum;
     slot_install_[slot] = next_install_++;
     order_.push_back(slot);
-}
-
-void ArchiveEngine::compute_box(std::span<const double> objectives) {
-    epsilon_box_into(objectives, epsilons_, scratch_box_);
-    for (std::size_t i = 0; i < scratch_box_.size(); ++i)
-        scratch_box_values_[i] = static_cast<double>(scratch_box_[i]);
 }
 
 void ArchiveEngine::discard(SolutionHandle owned) {
@@ -177,7 +169,7 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
             return ArchiveAdd::kRejected;
         }
         reset_structures(); // releases members only, never the candidate row
-        compute_box(solution.objectives);
+        epsilon_box_into(solution.objectives, epsilons_, scratch_box_);
         install(solution, owned);
         ++improvements_;
         ++progress_; // violation improved: counts as search progress
@@ -188,7 +180,7 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
         reset_structures();
     }
 
-    compute_box(solution.objectives);
+    epsilon_box_into(solution.objectives, epsilons_, scratch_box_);
 
     // One kernel pass over every slot's box row (free slots are NaN and
     // take no part), stopping at the first member whose box dominates or
@@ -199,7 +191,7 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
     // or dominates the candidate. With no covering member, the pass's
     // bitmask is the eviction set.
     const std::size_t cover =
-        boxes_.cover(scratch_box_values_, 0.0, scratch_bits_);
+        boxes_.cover(scratch_box_, 0.0, scratch_bits_);
     if (cover < boxes_.size()) {
         const auto slot = static_cast<std::uint32_t>(cover);
         const bool wins =
@@ -316,7 +308,7 @@ void ArchiveEngine::restore(const std::vector<Solution>& solutions,
     reset_structures();
     for (const Solution& s : solutions) {
         validate_candidate(s, epsilons_);
-        compute_box(s.objectives);
+        epsilon_box_into(s.objectives, epsilons_, scratch_box_);
         install(s, SolutionHandle{});
     }
     progress_ = progress;

@@ -188,13 +188,10 @@ private:
     /// Installs an already-boxed candidate as a fresh member (no contests).
     void install(ConstSolutionView solution, SolutionHandle owned);
     void reset_structures() noexcept;
-    /// Fills scratch_box_ and scratch_box_values_ with the ε-box of
-    /// \p objectives.
-    void compute_box(std::span<const double> objectives);
     /// True iff \p slot's box equals scratch_box_.
     bool same_box(std::uint32_t slot) const {
-        for (std::size_t j = 0; j < scratch_box_values_.size(); ++j)
-            if (boxes_.value(slot, j) != scratch_box_values_[j]) return false;
+        for (std::size_t j = 0; j < scratch_box_.size(); ++j)
+            if (boxes_.value(slot, j) != scratch_box_[j]) return false;
         return true;
     }
 
@@ -206,10 +203,10 @@ private:
     SolutionPool* pool_ = nullptr;          ///< shared (or = owned_pool_)
     std::unique_ptr<SolutionPool> owned_pool_;
     std::vector<SolutionHandle> slot_handles_;
-    /// Row = slot: ε-box coordinates as doubles, violation 0; free slots
-    /// are NaN, so they never dominate and are never evicted.
+    /// Row = slot: ε-box coordinates, violation 0; free slots are NaN, so
+    /// they never dominate and are never evicted.
     DominanceTiles boxes_;
-    std::vector<std::int64_t> slot_sum_;     ///< Σ box coords
+    std::vector<double> slot_sum_;           ///< Σ box coords
     std::vector<std::uint64_t> slot_install_; ///< install() stamp
     std::vector<std::uint8_t> slot_evicted_; ///< transient compaction marks
     std::vector<std::uint32_t> free_slots_;
@@ -219,8 +216,7 @@ private:
     std::vector<std::uint32_t> order_;
 
     // Reusable scratch: the steady-state add path allocates nothing.
-    std::vector<std::int64_t> scratch_box_;
-    std::vector<double> scratch_box_values_;     ///< scratch_box_ as doubles
+    std::vector<double> scratch_box_;            ///< the candidate's ε-box
     std::vector<std::uint64_t> scratch_bits_;    ///< kernel output per slot
     std::vector<std::uint32_t> scratch_evicted_; ///< slots evicted this add
 
@@ -270,7 +266,7 @@ public:
 private:
     struct Entry {
         Solution solution;
-        std::vector<std::int64_t> box;
+        std::vector<double> box;
     };
 
     std::vector<double> epsilons_;

@@ -124,13 +124,6 @@ std::size_t Population::tournament_pick(std::size_t tournament_size,
     return mirror_.tournament(draw_contestants(tournament_size, rng));
 }
 
-ConstSolutionView Population::tournament_select(std::size_t tournament_size,
-                                                util::Rng& rng) const {
-    if (members_.empty())
-        throw std::logic_error("population: tournament on empty population");
-    return pool_->view(members_[tournament_pick(tournament_size, rng)]);
-}
-
 std::size_t Population::tournament_pick_index(std::size_t tournament_size,
                                               util::Rng& rng) const {
     if (members_.empty())

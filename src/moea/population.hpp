@@ -78,13 +78,9 @@ public:
     /// Tournament of \p tournament_size uniformly drawn members (with
     /// replacement), decided by Pareto dominance; among mutually
     /// nondominated contestants the earliest drawn wins (which, with random
-    /// draws, is an unbiased choice). Population must be non-empty.
-    ConstSolutionView tournament_select(std::size_t tournament_size,
-                                        util::Rng& rng) const;
-
-    /// Like tournament_select but returns the member index instead of a
-    /// view (same RNG draws, same winner). Lets callers recover the pool
-    /// row of the chosen parent via member_row().
+    /// draws, is an unbiased choice). Returns the winner's member index, so
+    /// callers can read it (operator[]) or recover its pool row
+    /// (member_row()). Population must be non-empty.
     std::size_t tournament_pick_index(std::size_t tournament_size,
                                       util::Rng& rng) const;
 

@@ -96,13 +96,4 @@ void select_parents_freq_into(ParentView& parents, std::size_t arity,
     while (parents.size() < arity) take_population();
 }
 
-ParentView select_parents(std::size_t arity, const EpsilonBoxArchive& archive,
-                          const Population& population,
-                          std::size_t tournament_size, util::Rng& rng) {
-    ParentView parents;
-    select_parents_into(parents, arity, archive, population, tournament_size,
-                        rng);
-    return parents;
-}
-
 } // namespace borg::moea

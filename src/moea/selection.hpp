@@ -17,22 +17,15 @@
 
 namespace borg::moea {
 
-/// Selects parents for an operator of the given arity. The archive parent
-/// is placed first (parents[0]) so parent-centric operators center on it;
-/// when the archive is empty all parents come from the population.
-/// Returns views into the archive/population — do not mutate either while
-/// the views are live.
-ParentView select_parents(std::size_t arity,
-                          const EpsilonBoxArchive& archive,
-                          const Population& population,
-                          std::size_t tournament_size, util::Rng& rng);
-
-/// Allocation-free variant: fills \p parents (a reusable scratch whose
-/// capacity persists across calls) instead of returning a fresh vector.
-/// Identical RNG draw order to select_parents(). When \p rows is non-null
-/// it is filled with the pool row of each selected parent (same order as
-/// \p parents); recovering the rows adds no RNG draws, so passing it
-/// leaves runs byte-identical.
+/// Selects parents for an operator of the given arity into \p parents (a
+/// reusable scratch whose capacity persists across calls). The archive
+/// parent is placed first (parents[0]) so parent-centric operators center
+/// on it; when the archive is empty all parents come from the population.
+/// The views point into the archive/population — do not mutate either
+/// while they are live. When \p rows is non-null it is filled with the
+/// pool row of each selected parent (same order as \p parents);
+/// recovering the rows adds no RNG draws, so passing it leaves runs
+/// byte-identical.
 void select_parents_into(ParentView& parents, std::size_t arity,
                          const EpsilonBoxArchive& archive,
                          const Population& population,

@@ -31,18 +31,7 @@ VirtualRunResult AsyncMasterSlaveExecutor::run(std::uint64_t evaluations,
     if (algorithm_.evaluations() != 0)
         throw std::logic_error("async executor: algorithm already used");
 
-    ClusterEngine::Setup setup;
-    setup.tf = config_.tf;
-    setup.time_model = config_.time_model;
-    setup.tc = config_.tc;
-    setup.ta = config_.ta;
-    setup.processors = config_.processors;
-    setup.worker_speed = config_.worker_speed;
-    setup.worker_failure_at = config_.worker_failure_at;
-    setup.queue = config_.queue;
-    setup.groups = {{config_.processors - 1, config_.seed, 0}};
-
-    ClusterEngine engine(std::move(setup), ctx);
+    ClusterEngine engine({.cluster = config_}, ctx);
     AsyncBorgPolicy policy(algorithm_, problem_);
     return engine.run_events(policy, evaluations);
 }
@@ -93,16 +82,8 @@ VirtualRunResult run_serial_virtual(moea::BorgMoea& algorithm,
     result.completed_target = true;
     result.elapsed = now;
     result.master_busy_fraction = 1.0;
-    result.ta_applied.count = ta_acc.count();
-    result.ta_applied.mean = ta_acc.mean();
-    result.ta_applied.stddev = ta_acc.stddev();
-    result.ta_applied.min = ta_acc.min();
-    result.ta_applied.max = ta_acc.max();
-    result.tf_applied.count = tf_acc.count();
-    result.tf_applied.mean = tf_acc.mean();
-    result.tf_applied.stddev = tf_acc.stddev();
-    result.tf_applied.min = tf_acc.min();
-    result.tf_applied.max = tf_acc.max();
+    result.ta_applied = stats::to_summary(ta_acc);
+    result.tf_applied = stats::to_summary(tf_acc);
     if (recorder)
         recorder->finalize(now, evaluations, [&] {
             return algorithm.archive().objective_vectors();

@@ -29,15 +29,17 @@ void EventMasterPolicy::record_spawn(ClusterEngine& engine,
 
 ClusterEngine::ClusterEngine(Setup setup, const RunContext& ctx)
     : setup_(std::move(setup)), ctx_(ctx),
-      env_(std::make_unique<des::Environment>(setup_.queue)) {
-    // In real-time mode every cost is measured, not sampled, so the
-    // distributions are optional; a TimeModel replaces the flat tf stream.
-    if (!setup_.tf && !setup_.time_model && !setup_.real_time)
-        throw std::invalid_argument("cluster engine: missing T_F distribution");
-    if (!setup_.tc && !setup_.real_time)
-        throw std::invalid_argument("cluster engine: missing T_C distribution");
+      env_(std::make_unique<des::Environment>(setup_.cluster.queue)) {
     if (setup_.groups.empty())
-        throw std::invalid_argument("cluster engine: no master groups");
+        setup_.groups = {
+            {setup_.cluster.processors - 1, setup_.cluster.seed, 0}};
+    // Real-time runs measure every cost, so there are no distributions to
+    // check (and the per-worker arrays are never read).
+    if (!setup_.real_time) {
+        std::uint64_t workers = 0;
+        for (const GroupSpec& spec : setup_.groups) workers += spec.workers;
+        validate(setup_.cluster, workers);
+    }
     env_->set_trace(ctx_.trace);
     env_->set_metrics(ctx_.metrics);
     for (const GroupSpec& spec : setup_.groups) {
@@ -53,7 +55,7 @@ ClusterEngine::~ClusterEngine() = default;
 
 double ClusterEngine::now() const noexcept {
     if (setup_.real_time) {
-        if (external_policy_ == nullptr) return 0.0; // before external_begin
+        if (policy_ == nullptr) return 0.0; // before external_begin
         return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              real_start_)
             .count();
@@ -79,15 +81,15 @@ double ClusterEngine::group_hold(std::size_t group) const noexcept {
 }
 
 double ClusterEngine::speed_of(std::size_t global_worker) const noexcept {
-    return setup_.worker_speed.empty() ? 1.0
-                                       : setup_.worker_speed[global_worker];
+    const std::vector<double>& speed = setup_.cluster.worker_speed;
+    return speed.empty() ? 1.0 : speed[global_worker];
 }
 
 double
 ClusterEngine::failure_time_of(std::size_t global_worker) const noexcept {
-    return setup_.worker_failure_at.empty()
-               ? std::numeric_limits<double>::infinity()
-               : setup_.worker_failure_at[global_worker];
+    const std::vector<double>& failure_at = setup_.cluster.worker_failure_at;
+    return failure_at.empty() ? std::numeric_limits<double>::infinity()
+                              : failure_at[global_worker];
 }
 
 double ClusterEngine::clamp_negative(double v) {
@@ -107,24 +109,36 @@ double ClusterEngine::clamp_negative(double v) {
 double ClusterEngine::sample_tf(const WorkerRef& worker,
                                 const WorkItem* work) {
     double v;
-    if (setup_.time_model) {
+    if (setup_.cluster.time_model) {
         TimeSampleContext tctx;
         tctx.worker = worker.global;
         tctx.now = now();
         if (work != nullptr && work->pool != nullptr)
             tctx.variables = work->pool->variables(work->handle);
-        v = setup_.time_model->sample(groups_[worker.group]->rng, tctx);
+        v = setup_.cluster.time_model->sample(groups_[worker.group]->rng,
+                                              tctx);
     } else {
-        v = setup_.tf->sample(groups_[worker.group]->rng) *
+        v = setup_.cluster.tf->sample(groups_[worker.group]->rng) *
             speed_of(worker.global);
     }
     v = clamp_negative(v);
+    note_tf(now(), static_cast<std::int64_t>(worker.global), v);
+    return v;
+}
+
+void ClusterEngine::note_tf(double at, std::int64_t actor, double v) {
     tf_applied_.add(v);
     if (h_tf_) h_tf_->observe(v);
     if (ctx_.trace && policy_->trace_samples())
-        ctx_.trace->record({obs::EventKind::tf_sample, now(),
-                            static_cast<std::int64_t>(worker.global), v, 0});
-    return v;
+        ctx_.trace->record({obs::EventKind::tf_sample, at, actor, v, 0});
+}
+
+void ClusterEngine::note_failure(double at, std::size_t global,
+                                 std::uint64_t count) {
+    ++failed_workers_;
+    if (ctx_.trace)
+        ctx_.trace->record({obs::EventKind::worker_failure, at,
+                            static_cast<std::int64_t>(global), 0.0, count});
 }
 
 double ClusterEngine::sample_tc(std::size_t group, std::int64_t actor) {
@@ -132,8 +146,8 @@ double ClusterEngine::sample_tc(std::size_t group, std::int64_t actor) {
     // measured transport latency fed by the external driver (one value per
     // service; subsequent draws in the same service see 0).
     double v;
-    if (setup_.tc) {
-        v = clamp_negative(setup_.tc->sample(groups_[group]->rng));
+    if (setup_.cluster.tc) {
+        v = clamp_negative(setup_.cluster.tc->sample(groups_[group]->rng));
     } else {
         v = pending_tc_;
         pending_tc_ = 0.0;
@@ -145,9 +159,9 @@ double ClusterEngine::sample_tc(std::size_t group, std::int64_t actor) {
 
 double ClusterEngine::sample_ta(std::size_t group, std::int64_t actor,
                                 double measured_seconds) {
-    const double v =
-        setup_.ta ? clamp_negative(setup_.ta->sample(groups_[group]->rng))
-                  : measured_seconds;
+    const stats::Distribution* ta = setup_.cluster.ta;
+    const double v = ta ? clamp_negative(ta->sample(groups_[group]->rng))
+                        : measured_seconds;
     last_ta_ = v;
     ta_applied_.add(v);
     if (h_ta_) h_ta_->observe(v);
@@ -171,42 +185,79 @@ void ClusterEngine::add_hold(std::size_t group, double hold) {
 double ClusterEngine::gen_sample_tf(std::size_t group, double at,
                                     std::int64_t actor, double speed) {
     const double v =
-        clamp_negative(setup_.tf->sample(groups_[group]->rng) * speed);
-    tf_applied_.add(v);
-    if (h_tf_) h_tf_->observe(v);
-    if (ctx_.trace && policy_->trace_samples())
-        ctx_.trace->record({obs::EventKind::tf_sample, at, actor, v, 0});
+        clamp_negative(setup_.cluster.tf->sample(groups_[group]->rng) * speed);
+    note_tf(at, actor, v);
     return v;
 }
 
 double ClusterEngine::gen_sample_tc(std::size_t group, double at,
                                     std::int64_t actor) {
-    const double v = clamp_negative(setup_.tc->sample(groups_[group]->rng));
+    const double v =
+        clamp_negative(setup_.cluster.tc->sample(groups_[group]->rng));
     if (ctx_.trace && policy_->trace_samples())
         ctx_.trace->record({obs::EventKind::tc_sample, at, actor, v, 0});
     return v;
 }
 
-namespace {
+// ------------------------------------------------------------ run skeleton
 
-void init_check(std::uint64_t evaluations) {
+void ClusterEngine::begin_run(MasterPolicy& policy, std::uint64_t evaluations,
+                              bool generational) {
     if (evaluations == 0)
         throw std::invalid_argument("cluster engine: evaluations == 0");
+    policy_ = &policy;
+    target_ = evaluations;
+    generational_ = generational;
+    if (ctx_.metrics) {
+        const std::string prefix = policy.prefix();
+        h_tf_ = &ctx_.metrics->histogram(prefix + ".tf_seconds");
+        h_ta_ = &ctx_.metrics->histogram(prefix + ".ta_seconds");
+        h_wait_ = &ctx_.metrics->histogram(prefix + ".queue_wait_seconds");
+    }
+    if (ctx_.trace)
+        ctx_.trace->record(
+            {obs::EventKind::run_start, now(), -1,
+             static_cast<double>(setup_.cluster.processors), target_});
 }
 
-} // namespace
+std::optional<WorkItem>
+ClusterEngine::dispatch_initial(EventMasterPolicy& policy,
+                                const WorkerRef& worker) {
+    std::optional<WorkItem> work = policy.dispatch_initial(*this, worker);
+    if (work) work->dispatched_at_completed = completed_;
+    return work;
+}
 
-void ClusterEngine::emit_run_start() {
+void ClusterEngine::complete_service(EventMasterPolicy& policy,
+                                     const WorkerRef& worker,
+                                     std::optional<WorkItem>& next) {
+    ++groups_[worker.group]->evaluations;
+    ++completed_;
+    if (next) next->dispatched_at_completed = completed_;
+    policy.record_result(*this, worker);
+    if (completed_ == target_) {
+        finished_ = true;
+        finish_time_ = now();
+        env_->stop(); // a no-op for real-time runs: nothing runs the DES
+    }
+    policy.after_result(*this, worker);
+}
+
+VirtualRunResult ClusterEngine::end_run(double elapsed_fallback) {
+    VirtualRunResult result = collect(elapsed_fallback);
     if (ctx_.trace)
-        ctx_.trace->record({obs::EventKind::run_start, now(), -1,
-                            static_cast<double>(setup_.processors), target_});
+        ctx_.trace->record({obs::EventKind::run_end, result.elapsed, -1,
+                            result.elapsed, completed_});
+    publish_metrics(result);
+    if (ctx_.metrics) policy_->publish_extra_metrics(*this, *ctx_.metrics);
+    policy_->finalize(*this, result);
+    return result;
 }
 
 des::Process ClusterEngine::worker_loop(EventMasterPolicy& policy,
                                         WorkerRef worker) {
     des::Environment& env = *env_;
-    Group& group = *groups_[worker.group];
-    des::Resource& master = *group.master;
+    des::Resource& master = *groups_[worker.group]->master;
     const double fail_at = failure_time_of(worker.global);
     std::optional<WorkItem> work;
 
@@ -217,8 +268,7 @@ des::Process ClusterEngine::worker_loop(EventMasterPolicy& policy,
         const double wait_start = env.now();
         co_await master.acquire();
         add_wait(env.now() - wait_start);
-        work = policy.dispatch_initial(*this, worker);
-        if (work) work->dispatched_at_completed = completed_;
+        work = dispatch_initial(policy, worker);
         const double hold =
             sample_tc(worker.group, static_cast<std::int64_t>(worker.global));
         add_hold(worker.group, hold);
@@ -234,11 +284,7 @@ des::Process ClusterEngine::worker_loop(EventMasterPolicy& policy,
         if (env.now() >= fail_at) {
             if (work->pool != nullptr) work->pool->release(work->handle);
             policy.on_worker_failure(*this, worker);
-            ++failed_workers_;
-            if (ctx_.trace)
-                ctx_.trace->record({obs::EventKind::worker_failure, env.now(),
-                                    static_cast<std::int64_t>(worker.global),
-                                    0.0, 1});
+            note_failure(env.now(), worker.global, 1);
             co_return;
         }
 
@@ -259,17 +305,7 @@ des::Process ClusterEngine::worker_loop(EventMasterPolicy& policy,
         add_hold(worker.group, service.hold);
         co_await env.delay(service.hold);
         master.release();
-
-        ++group.evaluations;
-        ++completed_;
-        if (work) work->dispatched_at_completed = completed_;
-        policy.record_result(*this, worker);
-        if (completed_ == target_) {
-            finished_ = true;
-            finish_time_ = env.now();
-            env.stop();
-        }
-        policy.after_result(*this, worker);
+        complete_service(policy, worker, work);
     }
 }
 
@@ -282,20 +318,12 @@ void ClusterEngine::external_begin(EventMasterPolicy& policy,
             "cluster engine: external drive requires Setup.real_time");
     if (external_policy_ != nullptr)
         throw std::logic_error("cluster engine: external run already begun");
-    init_check(evaluations);
-    policy_ = &policy;
-    external_policy_ = &policy;
-    target_ = evaluations;
-    generational_ = false;
-    if (ctx_.metrics) {
-        const std::string prefix = policy.prefix();
-        h_tf_ = &ctx_.metrics->histogram(prefix + ".tf_seconds");
-        h_ta_ = &ctx_.metrics->histogram(prefix + ".ta_seconds");
-        h_wait_ = &ctx_.metrics->histogram(prefix + ".queue_wait_seconds");
-        h_tc_ = &ctx_.metrics->histogram(prefix + ".tc_seconds");
-    }
     real_start_ = std::chrono::steady_clock::now();
-    emit_run_start();
+    begin_run(policy, evaluations, false);
+    external_policy_ = &policy;
+    if (ctx_.metrics)
+        h_tc_ = &ctx_.metrics->histogram(std::string(policy.prefix()) +
+                                         ".tc_seconds");
 }
 
 void ClusterEngine::external_spawn(const WorkerRef& worker) {
@@ -304,21 +332,13 @@ void ClusterEngine::external_spawn(const WorkerRef& worker) {
 
 std::optional<WorkItem>
 ClusterEngine::external_dispatch_initial(const WorkerRef& worker) {
-    std::optional<WorkItem> work =
-        external_policy_->dispatch_initial(*this, worker);
-    if (work) work->dispatched_at_completed = completed_;
-    return work;
+    return dispatch_initial(*external_policy_, worker);
 }
 
 ClusterEngine::ExternalServe
 ClusterEngine::external_result(const WorkerRef& worker, WorkItem work,
                                double measured_tf, double measured_tc) {
-    tf_applied_.add(measured_tf);
-    if (h_tf_) h_tf_->observe(measured_tf);
-    if (ctx_.trace && external_policy_->trace_samples())
-        ctx_.trace->record({obs::EventKind::tf_sample, now(),
-                            static_cast<std::int64_t>(worker.global),
-                            measured_tf, 0});
+    note_tf(now(), static_cast<std::int64_t>(worker.global), measured_tf);
     pending_tc_ = measured_tc;
     last_ta_ = 0.0;
     if (h_tc_) h_tc_->observe(measured_tc);
@@ -326,38 +346,18 @@ ClusterEngine::external_result(const WorkerRef& worker, WorkItem work,
         external_policy_->serve(*this, worker, std::move(work));
     pending_tc_ = 0.0;
     add_hold(worker.group, service.hold);
-    ++groups_[worker.group]->evaluations;
-    ++completed_;
-    if (service.next) service.next->dispatched_at_completed = completed_;
-    external_policy_->record_result(*this, worker);
-    if (completed_ == target_) {
-        finished_ = true;
-        finish_time_ = now();
-    }
-    external_policy_->after_result(*this, worker);
+    complete_service(*external_policy_, worker, service.next);
     return {std::move(service.next), finished_, last_ta_};
 }
 
 void ClusterEngine::external_worker_failure(const WorkerRef& worker) {
-    ++failed_workers_;
-    if (ctx_.trace)
-        ctx_.trace->record({obs::EventKind::worker_failure, now(),
-                            static_cast<std::int64_t>(worker.global), 0.0,
-                            0});
+    note_failure(now(), worker.global, 0);
 }
 
 VirtualRunResult ClusterEngine::external_finish() {
     if (external_policy_ == nullptr)
         throw std::logic_error("cluster engine: no external run to finish");
-    VirtualRunResult result = collect(now());
-    if (ctx_.trace)
-        ctx_.trace->record({obs::EventKind::run_end, result.elapsed, -1,
-                            result.elapsed, completed_});
-    publish_metrics(external_policy_->prefix(), result);
-    if (ctx_.metrics)
-        external_policy_->publish_extra_metrics(*this, *ctx_.metrics);
-    external_policy_->finalize(*this, result);
-    return result;
+    return end_run(now());
 }
 
 VirtualRunResult ClusterEngine::run_events(EventMasterPolicy& policy,
@@ -365,17 +365,7 @@ VirtualRunResult ClusterEngine::run_events(EventMasterPolicy& policy,
     if (setup_.real_time)
         throw std::logic_error(
             "cluster engine: real_time setups are externally driven");
-    init_check(evaluations);
-    policy_ = &policy;
-    target_ = evaluations;
-    generational_ = false;
-    if (ctx_.metrics) {
-        const std::string prefix = policy.prefix();
-        h_tf_ = &ctx_.metrics->histogram(prefix + ".tf_seconds");
-        h_ta_ = &ctx_.metrics->histogram(prefix + ".ta_seconds");
-        h_wait_ = &ctx_.metrics->histogram(prefix + ".queue_wait_seconds");
-    }
-    emit_run_start();
+    begin_run(policy, evaluations, false);
 
     std::size_t global = 0;
     for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
@@ -386,15 +376,7 @@ VirtualRunResult ClusterEngine::run_events(EventMasterPolicy& policy,
         }
     }
     env_->run();
-
-    VirtualRunResult result = collect(env_->now());
-    if (ctx_.trace)
-        ctx_.trace->record({obs::EventKind::run_end, result.elapsed, -1,
-                            result.elapsed, completed_});
-    publish_metrics(policy.prefix(), result);
-    if (ctx_.metrics) policy.publish_extra_metrics(*this, *ctx_.metrics);
-    policy.finalize(*this, result);
-    return result;
+    return end_run(env_->now());
 }
 
 bool ClusterEngine::reap_dead_workers(double now,
@@ -405,10 +387,7 @@ bool ClusterEngine::reap_dead_workers(double now,
         const double fail_at = failure_time_of(w);
         if (now >= fail_at && !dead[w]) {
             dead[w] = 1;
-            ++failed_workers_;
-            if (ctx_.trace)
-                ctx_.trace->record({obs::EventKind::worker_failure, fail_at,
-                                    static_cast<std::int64_t>(w), 0.0, 1});
+            note_failure(fail_at, w, 1);
             any = true;
         }
     }
@@ -425,24 +404,14 @@ ClusterEngine::run_generational(GenerationalMasterPolicy& policy,
     if (setup_.real_time)
         throw std::logic_error(
             "cluster engine: real_time setups are externally driven");
-    init_check(evaluations);
     if (groups_.size() != 1)
         throw std::logic_error(
             "cluster engine: generational runs use one master group");
-    if (setup_.time_model != nullptr)
+    if (setup_.cluster.time_model != nullptr)
         throw std::logic_error(
             "cluster engine: TimeModel is event-path only (generational "
             "drivers price batches through the flat tf stream)");
-    policy_ = &policy;
-    target_ = evaluations;
-    generational_ = true;
-    if (ctx_.metrics) {
-        const std::string prefix = policy.prefix();
-        h_tf_ = &ctx_.metrics->histogram(prefix + ".tf_seconds");
-        h_ta_ = &ctx_.metrics->histogram(prefix + ".ta_seconds");
-        h_wait_ = &ctx_.metrics->histogram(prefix + ".queue_wait_seconds");
-    }
-    emit_run_start();
+    begin_run(policy, evaluations, true);
 
     obs::TraceSink* trace = ctx_.trace;
     Group& master = *groups_[0];
@@ -508,12 +477,7 @@ ClusterEngine::run_generational(GenerationalMasterPolicy& policy,
         for (const Done& d : done) {
             if (d.at >= failure_time_of(d.worker)) {
                 dead[d.worker] = 1;
-                ++failed_workers_;
-                if (trace)
-                    trace->record({obs::EventKind::worker_failure,
-                                   failure_time_of(d.worker),
-                                   static_cast<std::int64_t>(d.worker), 0.0,
-                                   1});
+                note_failure(failure_time_of(d.worker), d.worker, 1);
                 lost = true;
             }
         }
@@ -570,13 +534,7 @@ ClusterEngine::run_generational(GenerationalMasterPolicy& policy,
         finished_ = true;
         finish_time_ = gen_now_;
     }
-    VirtualRunResult result = collect(gen_now_);
-    if (trace)
-        trace->record({obs::EventKind::run_end, result.elapsed, -1,
-                       result.elapsed, completed_});
-    publish_metrics(policy.prefix(), result);
-    policy.finalize(*this, result);
-    return result;
+    return end_run(gen_now_);
 }
 
 VirtualRunResult ClusterEngine::collect(double elapsed_fallback) {
@@ -607,23 +565,14 @@ VirtualRunResult ClusterEngine::collect(double elapsed_fallback) {
             ? static_cast<double>(contended) / static_cast<double>(acquires)
             : 0.0;
 
-    result.ta_applied.count = ta_applied_.count();
-    result.ta_applied.mean = ta_applied_.mean();
-    result.ta_applied.stddev = ta_applied_.stddev();
-    result.ta_applied.min = ta_applied_.min();
-    result.ta_applied.max = ta_applied_.max();
-    result.tf_applied.count = tf_applied_.count();
-    result.tf_applied.mean = tf_applied_.mean();
-    result.tf_applied.stddev = tf_applied_.stddev();
-    result.tf_applied.min = tf_applied_.min();
-    result.tf_applied.max = tf_applied_.max();
+    result.ta_applied = stats::to_summary(ta_applied_);
+    result.tf_applied = stats::to_summary(tf_applied_);
     return result;
 }
 
-void ClusterEngine::publish_metrics(const char* prefix,
-                                    const VirtualRunResult& result) {
+void ClusterEngine::publish_metrics(const VirtualRunResult& result) {
     if (!ctx_.metrics) return;
-    const std::string p = prefix;
+    const std::string p = policy_->prefix();
     ctx_.metrics->counter(p + ".results").inc(result.evaluations);
     ctx_.metrics->counter(p + ".failed_workers")
         .inc(static_cast<std::uint64_t>(result.failed_workers));

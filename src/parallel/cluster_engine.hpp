@@ -65,7 +65,6 @@ class Rng;
 namespace borg::parallel {
 
 class ClusterEngine;
-class TimeModel;
 
 /// Identity of one virtual worker. `global` indexes the engine-wide
 /// worker_speed / worker_failure_at arrays (workers are numbered in spawn
@@ -125,6 +124,22 @@ public:
     /// turns this off (its traces identify work through per-island
     /// result/hold events instead, as they always have).
     virtual bool trace_samples() const noexcept { return true; }
+
+    /// Policy-specific instruments beyond the engine's uniform set
+    /// (e.g. mm.migrations).
+    virtual void publish_extra_metrics(ClusterEngine& engine,
+                                       obs::MetricsRegistry& metrics) {
+        (void)engine;
+        (void)metrics;
+    }
+
+    /// Runs last (after run_end and metrics publication) with the final
+    /// result — the recorder-finalize hook.
+    virtual void finalize(ClusterEngine& engine,
+                          const VirtualRunResult& result) {
+        (void)engine;
+        (void)result;
+    }
 };
 
 /// Policy for event-driven (asynchronous) protocols: each worker loops
@@ -178,22 +193,6 @@ public:
     /// the single-master shape {actor = global index}; the multi-master
     /// policy stamps {actor = island, count = local} instead.
     virtual void record_spawn(ClusterEngine& engine, const WorkerRef& worker);
-
-    /// Policy-specific instruments beyond the engine's uniform set
-    /// (e.g. mm.migrations).
-    virtual void publish_extra_metrics(ClusterEngine& engine,
-                                       obs::MetricsRegistry& metrics) {
-        (void)engine;
-        (void)metrics;
-    }
-
-    /// Runs last (after run_end and metrics publication) with the final
-    /// result — the recorder-finalize hook.
-    virtual void finalize(ClusterEngine& engine,
-                          const VirtualRunResult& result) {
-        (void)engine;
-        (void)result;
-    }
 };
 
 /// Policy for barrier (generational) protocols: the run is a sequence of
@@ -239,13 +238,6 @@ public:
         (void)now;
         (void)completed;
     }
-
-    /// See EventMasterPolicy::finalize.
-    virtual void finalize(ClusterEngine& engine,
-                          const VirtualRunResult& result) {
-        (void)engine;
-        (void)result;
-    }
 };
 
 /// One run of the engine. Construct, call exactly one of run_events /
@@ -254,31 +246,22 @@ public:
 class ClusterEngine {
 public:
     struct Setup {
-        /// Required sampling streams; ta == nullptr means "measure the
-        /// real master step" (policies pass the measured seconds into
-        /// sample_ta).
-        const stats::Distribution* tf = nullptr;
-        const stats::Distribution* tc = nullptr;
-        const stats::Distribution* ta = nullptr;
-        /// Heterogeneous T_F model (DESIGN.md §17). When set, event-path
-        /// T_F draws go through the model (which owns the whole per-worker
-        /// story — Setup.worker_speed is NOT applied on top) instead of
-        /// `tf`; `tf` may then be null. Event-path only: run_generational
-        /// rejects a Setup carrying a model. Non-owning; must outlive the
-        /// engine. The model's mutable state ties it to one run — reset()
-        /// it before reuse.
-        TimeModel* time_model = nullptr;
-        /// Total processors (masters + workers) — run_start payload only.
-        std::uint64_t processors = 0;
-        /// Per-worker multipliers/failure times indexed by global worker
-        /// index; empty means homogeneous / failure-free.
-        std::vector<double> worker_speed;
-        std::vector<double> worker_failure_at;
-        std::vector<GroupSpec> groups;
-        /// Pending-event store for the DES (event-driven runs only). Both
-        /// stores produce byte-identical schedules; `heap` is the
-        /// pre-rebuild oracle kept for equivalence gates (DESIGN.md §13).
-        des::QueuePolicy queue = des::QueuePolicy::calendar;
+        /// The cluster every run uses: the T_F/T_C/T_A streams
+        /// (ta == nullptr means "measure the real master step": policies
+        /// pass the measured seconds into sample_ta), the optional
+        /// TimeModel (event path only — run_generational rejects it; its
+        /// mutable state ties it to one run), processors (the run_start
+        /// payload), the per-worker speed/failure arrays indexed by global
+        /// worker, and the DES pending-event store. Pointers are
+        /// non-owning and must outlive the engine. A virtual setup must
+        /// pass validate(cluster, Σ group workers).
+        VirtualClusterConfig cluster;
+        /// Master groups. Empty means one group of cluster.processors - 1
+        /// workers on cluster.seed with trace id 0 — every single-master
+        /// protocol; the island policy lists one group per island. (The
+        /// `= {}` keeps GCC's -Wmissing-field-initializers quiet on
+        /// designated initializers that leave it out.)
+        std::vector<GroupSpec> groups = {};
         /// Real-time (external-drive) mode: a physical transport owns the
         /// event loop and feeds the engine through the external_* hooks
         /// (via WindowProtocol, window_protocol.hpp); now() is wall-clock seconds since
@@ -350,7 +333,9 @@ public:
 
     std::uint64_t target() const noexcept { return target_; }
     std::uint64_t completed() const noexcept { return completed_; }
-    bool measured_ta() const noexcept { return setup_.ta == nullptr; }
+    bool measured_ta() const noexcept {
+        return setup_.cluster.ta == nullptr;
+    }
 
     obs::TraceSink* trace() noexcept { return ctx_.trace; }
     TrajectoryRecorder* recorder() noexcept { return ctx_.recorder; }
@@ -366,11 +351,11 @@ public:
     double failure_time_of(std::size_t global_worker) const noexcept;
 
     /// Draws a speed-scaled T_F for \p worker from its group stream —
-    /// through Setup.time_model when one is set (conditioning on worker,
-    /// time, and \p work's decision variables), the flat tf distribution ×
-    /// worker_speed otherwise — feeding the tf accumulator/histogram and
-    /// (if trace_samples) a tf_sample event at the current time with
-    /// actor = global index. Negative draws (a high-cv NormalDistribution
+    /// through the cluster's time_model when one is set (conditioning on
+    /// worker, time, and \p work's decision variables), the flat tf
+    /// distribution × worker_speed otherwise — feeding the tf
+    /// accumulator/histogram and (if trace_samples) a tf_sample event at
+    /// the current time with actor = global index. Negative draws (a high-cv NormalDistribution
     /// T_F) are truncated to zero *here*, counted in clamped_samples(),
     /// so the applied, traced, and accumulated values agree — they used
     /// to disagree, with des::Environment::delay clamping silently after
@@ -415,14 +400,35 @@ public:
 private:
     struct Group;
 
+    // The run skeleton that run_events, run_generational and the
+    // external_* calls share: begin_run is the prologue (policy, target,
+    // histograms, run_start), dispatch_initial and complete_service the
+    // two halves of a worker's master interaction that do not depend on
+    // who owns the clock, end_run the epilogue (collect, run_end,
+    // metrics, finalize).
+    void begin_run(MasterPolicy& policy, std::uint64_t evaluations,
+                   bool generational);
+    std::optional<WorkItem> dispatch_initial(EventMasterPolicy& policy,
+                                             const WorkerRef& worker);
+    /// Counts the result just served (its hold already charged), stamps
+    /// \p next's dispatch, records the result, checks the target, and
+    /// runs after_result.
+    void complete_service(EventMasterPolicy& policy, const WorkerRef& worker,
+                          std::optional<WorkItem>& next);
+    VirtualRunResult end_run(double elapsed_fallback);
+
     des::Process worker_loop(EventMasterPolicy& policy, WorkerRef worker);
     /// Truncates a negative timing draw to zero, counting it (the clamp
     /// lives at the sampling boundary so traces/accumulators/applied
     /// delays agree — see sample_tf).
     double clamp_negative(double v);
-    void emit_run_start();
+    /// Feeds an applied T_F into the accumulator, the histogram and (if
+    /// the policy traces samples) a tf_sample event at \p at.
+    void note_tf(double at, std::int64_t actor, double v);
+    /// Counts a dead worker and emits its worker_failure event.
+    void note_failure(double at, std::size_t global, std::uint64_t count);
     VirtualRunResult collect(double elapsed_fallback);
-    void publish_metrics(const char* prefix, const VirtualRunResult& result);
+    void publish_metrics(const VirtualRunResult& result);
     /// Marks workers whose failure time has passed as dead (emitting
     /// worker_failure); returns true if any worker died now.
     bool reap_dead_workers(double now, std::vector<std::size_t>& alive,

@@ -202,15 +202,7 @@ MultiMasterResult MultiMasterExecutor::run(std::uint64_t evaluations,
     const std::uint64_t islands = config_.islands;
     const std::uint64_t total_workers = config_.cluster.processors - islands;
 
-    ClusterEngine::Setup setup;
-    setup.tf = config_.cluster.tf;
-    setup.time_model = config_.cluster.time_model;
-    setup.tc = config_.cluster.tc;
-    setup.ta = config_.cluster.ta;
-    setup.processors = config_.cluster.processors;
-    setup.worker_speed = config_.cluster.worker_speed;
-    setup.worker_failure_at = config_.cluster.worker_failure_at;
-    setup.queue = config_.cluster.queue;
+    ClusterEngine::Setup setup{.cluster = config_.cluster};
     for (std::size_t i = 0; i < islands; ++i) {
         const std::uint64_t workers =
             total_workers / islands + (i < total_workers % islands ? 1 : 0);

@@ -118,17 +118,7 @@ VirtualRunResult SyncMasterSlaveExecutor::run(std::uint64_t evaluations,
             "sync executor: TimeModel is event-path only (the barrier "
             "driver prices batches through the flat tf stream)");
 
-    ClusterEngine::Setup setup;
-    setup.tf = config_.tf;
-    setup.tc = config_.tc;
-    setup.ta = config_.ta;
-    setup.processors = config_.processors;
-    setup.worker_speed = config_.worker_speed;
-    setup.worker_failure_at = config_.worker_failure_at;
-    setup.queue = config_.queue;
-    setup.groups = {{config_.processors - 1, config_.seed, 0}};
-
-    ClusterEngine engine(std::move(setup), ctx);
+    ClusterEngine engine({.cluster = config_}, ctx);
     SyncBorgPolicy policy(algorithm_, problem_, config_);
     return engine.run_generational(policy, evaluations);
 }

@@ -2,7 +2,10 @@
 #define BORG_PARALLEL_VIRTUAL_CLUSTER_HPP
 
 /// \file virtual_cluster.hpp
-/// Shared configuration and results for the virtual-time cluster executors.
+/// The cluster description and run result of every virtual-time run: the
+/// executors hand their VirtualClusterConfig to the ClusterEngine
+/// unchanged, and the engine, the executors and the simulation model all
+/// report a VirtualRunResult.
 ///
 /// SUBSTITUTION (DESIGN.md §2): the paper ran on TACC Ranger over MPI. We
 /// replace the physical cluster with executors that run the *real*

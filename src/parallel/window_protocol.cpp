@@ -8,14 +8,6 @@ namespace borg::parallel {
 
 namespace {
 
-ClusterEngine::Setup real_time_setup(std::size_t window) {
-    ClusterEngine::Setup setup;
-    setup.real_time = true;
-    setup.processors = window + 1;
-    setup.groups = {{window, 1, 0}};
-    return setup;
-}
-
 std::uint64_t steady_ns() {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -28,7 +20,10 @@ std::uint64_t steady_ns() {
 WindowProtocol::WindowProtocol(std::size_t window, IngestOrder ingest,
                                const RunContext& ctx,
                                std::vector<double>* ta_samples)
-    : engine_(real_time_setup(window), ctx), ingest_(ingest),
+    : engine_({.cluster = {window + 1, nullptr, nullptr, nullptr, 1},
+               .real_time = true},
+              ctx),
+      ingest_(ingest),
       ta_samples_(ta_samples), tasks_(window) {
     if (window == 0)
         throw std::invalid_argument("window protocol: window == 0");

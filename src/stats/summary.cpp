@@ -42,16 +42,21 @@ double Accumulator::variance() const noexcept {
 double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
 Summary summarize(std::span<const double> xs) {
-    Summary s;
-    if (xs.empty()) return s;
+    if (xs.empty()) return {};
     Accumulator acc;
     for (const double x : xs) acc.add(x);
+    Summary s = to_summary(acc);
+    s.median = quantile(std::vector<double>(xs.begin(), xs.end()), 0.5);
+    return s;
+}
+
+Summary to_summary(const Accumulator& acc) noexcept {
+    Summary s;
     s.count = acc.count();
     s.mean = acc.mean();
     s.stddev = acc.stddev();
     s.min = acc.min();
     s.max = acc.max();
-    s.median = quantile(std::vector<double>(xs.begin(), xs.end()), 0.5);
     return s;
 }
 

@@ -61,6 +61,10 @@ struct Summary {
 /// Pooled summary of two disjoint samples; see Summary::merge.
 Summary merge(Summary a, const Summary& b) noexcept;
 
+/// The accumulator's count/mean/stddev/min/max as a Summary. A streaming
+/// accumulator keeps no samples, so the median stays 0.
+Summary to_summary(const Accumulator& acc) noexcept;
+
 /// Computes a full summary (copies and partially sorts for the median).
 Summary summarize(std::span<const double> xs);
 

@@ -123,12 +123,9 @@ struct BiasRun {
         const auto tc = make_delay(0.000006, 0.0);
         const auto ta = make_delay(0.000060, 0.0);
 
-        ClusterEngine::Setup setup;
-        setup.time_model = model.get();
-        setup.tc = tc.get();
-        setup.ta = ta.get();
-        setup.processors = procs;
-        setup.groups = {{procs - 1, seed, 0}};
+        ClusterEngine::Setup setup{
+            .cluster = {procs, nullptr, tc.get(), ta.get(), seed}};
+        setup.cluster.time_model = model.get();
 
         obs::EventTrace trace;
         const RunContext ctx{.trace = &trace};

@@ -180,11 +180,9 @@ TEST(EngineEdge, GenSampleDrawsFromTheNamedGroupStream) {
     // sequences come out identical.
     const auto tf = make_delay(0.01, 0.1);
     const auto tc = make_delay(0.000006, 0.1);
-    ClusterEngine::Setup setup;
-    setup.tf = tf.get();
-    setup.tc = tc.get();
-    setup.processors = 3;
-    setup.groups = {{1, 42, 0}, {1, 42, 1}};
+    const ClusterEngine::Setup setup{
+        .cluster = {4, tf.get(), tc.get(), nullptr, 1},
+        .groups = {{1, 42, 0}, {1, 42, 1}}};
     const RunContext ctx;
     ClusterEngine engine(setup, ctx);
 
@@ -200,6 +198,30 @@ TEST(EngineEdge, GenSampleDrawsFromTheNamedGroupStream) {
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_DOUBLE_EQ(first[i], second[i]) << "draw " << i;
+}
+
+// ------------------------------------------ setups built without executor
+
+TEST(EngineEdge, DirectSetupRejectsPerWorkerArraysOfTheWrongSize) {
+    // micro_bias and the bias-policy tests build the engine directly, so
+    // the engine itself must size-check the per-worker arrays it indexes
+    // by global worker: two groups of two workers need exactly 4 entries.
+    Fixture f;
+    ClusterEngine::Setup speed{.cluster = f.cluster(6),
+                               .groups = {{2, 1, 0}, {2, 2, 1}}};
+    speed.cluster.worker_speed = {1.0, 1.0, 1.0};
+    EXPECT_THROW(ClusterEngine(speed, RunContext{}), std::invalid_argument);
+
+    ClusterEngine::Setup failure{.cluster = f.cluster(6),
+                                 .groups = {{2, 1, 0}, {2, 2, 1}}};
+    failure.cluster.worker_failure_at = {kInf, kInf, kInf, kInf, kInf};
+    EXPECT_THROW(ClusterEngine(failure, RunContext{}), std::invalid_argument);
+
+    ClusterEngine::Setup sized{.cluster = f.cluster(6),
+                               .groups = {{2, 1, 0}, {2, 2, 1}}};
+    sized.cluster.worker_speed = {1.0, 2.0, 1.0, 2.0};
+    sized.cluster.worker_failure_at = {kInf, kInf, kInf, kInf};
+    EXPECT_NO_THROW(ClusterEngine(sized, RunContext{}));
 }
 
 // ------------------------------------------- degenerate island topology

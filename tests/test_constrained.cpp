@@ -94,7 +94,8 @@ TEST(ConstrainedPopulation, TournamentPrefersFeasible) {
         pop.inject(with_violation({1.0, 1.0}, 0.2 + 0.01 * i), rng);
     int feasible_wins = 0;
     for (int trial = 0; trial < 100; ++trial)
-        if (pop.tournament_select(10, rng).feasible()) ++feasible_wins;
+        if (pop[pop.tournament_pick_index(10, rng)].feasible())
+            ++feasible_wins;
     EXPECT_GT(feasible_wins, 60);
 }
 

@@ -76,9 +76,9 @@ TEST(EpsilonBox, NearbyPointsShareBox) {
 }
 
 TEST(BoxComparison, MirrorsPareto) {
-    const std::vector<std::int64_t> a{1, 2};
-    const std::vector<std::int64_t> b{2, 3};
-    const std::vector<std::int64_t> c{0, 5};
+    const std::vector<double> a{1, 2};
+    const std::vector<double> b{2, 3};
+    const std::vector<double> c{0, 5};
     EXPECT_EQ(compare_boxes(a, b), Dominance::kDominates);
     EXPECT_EQ(compare_boxes(b, a), Dominance::kDominatedBy);
     EXPECT_EQ(compare_boxes(a, c), Dominance::kNondominated);
@@ -230,14 +230,10 @@ void check_scan_matches_scalar_reference(Width width) {
 /// free rows in between. A free row first holds a box that would cover
 /// every candidate, then is cleared, as a released archive slot is.
 struct BoxRows {
-    std::vector<std::vector<std::int64_t>> boxes;
+    std::vector<std::vector<double>> boxes;
     std::vector<bool> live;
     DominanceTiles tiles;
 };
-
-std::vector<double> as_doubles(const std::vector<std::int64_t>& box) {
-    return {box.begin(), box.end()};
-}
 
 BoxRows box_rows(std::size_t m, std::size_t n, borg::util::Rng& rng,
                  Width width) {
@@ -247,16 +243,16 @@ BoxRows box_rows(std::size_t m, std::size_t n, borg::util::Rng& rng,
     rows.tiles.resize(n);
     const std::vector<double> covers_all(m, -1e6);
     for (std::size_t i = 0; i < n; ++i) {
-        std::vector<std::int64_t> box(m);
+        std::vector<double> box(m);
         bool accepted = false;
         const bool free_row = rng.flip(0.2);
         for (int attempt = 0; !free_row && attempt < 20; ++attempt) {
-            std::int64_t rest = 1000;
+            double rest = 1000;
             for (std::size_t j = 0; j + 1 < m; ++j) {
-                box[j] = static_cast<std::int64_t>(rng.below(400));
+                box[j] = static_cast<double>(rng.below(400));
                 rest -= box[j];
             }
-            box[m - 1] = rest + static_cast<std::int64_t>(rng.below(3));
+            box[m - 1] = rest + static_cast<double>(rng.below(3));
             accepted = true;
             for (std::size_t k = 0; k < i && accepted; ++k)
                 accepted = !rows.live[k] ||
@@ -267,7 +263,7 @@ BoxRows box_rows(std::size_t m, std::size_t n, borg::util::Rng& rng,
         rows.boxes.push_back(box);
         rows.live.push_back(accepted);
         if (accepted) {
-            rows.tiles.set_row(i, as_doubles(box), 0.0);
+            rows.tiles.set_row(i, box, 0.0);
         } else {
             rows.tiles.set_row(i, covers_all, 0.0);
             rows.tiles.clear_row(i);
@@ -300,13 +296,12 @@ void check_cover_finds_first_covering_box(Width width) {
                     if (it != live.begin()) targets.push_back(*(it - 1));
                 }
             }
-            std::vector<std::vector<std::int64_t>> cands;
+            std::vector<std::vector<double>> cands;
             for (const std::size_t t : targets) {
                 const auto& box = rows.boxes[t];
                 cands.push_back(box); // equal to a row
                 auto worse = box;     // dominated by row t (maybe more)
-                worse[rng.below(m)] += 1 + static_cast<std::int64_t>(
-                                               rng.below(3));
+                worse[rng.below(m)] += 1 + static_cast<double>(rng.below(3));
                 cands.push_back(worse);
                 // Dominated by several rows, or dominating several: the
                 // coordinate-wise max / min of row t and two others.
@@ -325,13 +320,12 @@ void check_cover_finds_first_covering_box(Width width) {
                 cands.push_back(lo);
             }
             for (int k = 0; k < 8; ++k) { // nondominated, or not
-                std::vector<std::int64_t> box(m);
-                for (auto& c : box)
-                    c = static_cast<std::int64_t>(rng.below(1000));
+                std::vector<double> box(m);
+                for (auto& c : box) c = static_cast<double>(rng.below(1000));
                 cands.push_back(box);
             }
             // Dominates every row.
-            cands.push_back(std::vector<std::int64_t>(m, -100000));
+            cands.push_back(std::vector<double>(m, -100000));
 
             std::vector<std::uint64_t> bits;
             for (const auto& cand : cands) {
@@ -343,7 +337,7 @@ void check_cover_finds_first_covering_box(Width width) {
                         expected = i;
                 }
                 const std::size_t got =
-                    rows.tiles.cover(as_doubles(cand), 0.0, bits);
+                    rows.tiles.cover(cand, 0.0, bits);
                 ASSERT_EQ(got, expected) << "m=" << m << " n=" << n;
                 if (expected < n) {
                     ++covered;

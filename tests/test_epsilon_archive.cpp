@@ -117,6 +117,21 @@ TYPED_TEST(ArchiveBehavior, RejectionLeavesArchiveUntouched) {
     EXPECT_EQ(archive.size(), size_before);
 }
 
+TYPED_TEST(ArchiveBehavior, HugeFiniteObjectivesAreDominatedLikeAnyOther) {
+    // |f/ε| far past 2^63: the box must still sit behind the front, not
+    // wrap to the best box there is.
+    TypeParam archive({0.06, 0.06});
+    for (int i = 0; i <= 10; ++i)
+        archive.add(evaluated({0.1 * i, 1.0 - 0.1 * i}));
+    const auto size_before = archive.size();
+    ASSERT_GT(size_before, 1u);
+    EXPECT_EQ(archive.add(evaluated({1e300, 1e300})), ArchiveAdd::kRejected);
+    EXPECT_EQ(archive.add(evaluated({1e300, 0.5})), ArchiveAdd::kRejected);
+    EXPECT_EQ(archive.size(), size_before);
+    for (std::size_t i = 0; i < archive.size(); ++i)
+        EXPECT_LT(archive[i].objectives[0], 1.5);
+}
+
 TYPED_TEST(ArchiveBehavior, MultiEviction) {
     TypeParam archive({0.1, 0.1});
     archive.add(evaluated({0.55, 0.75}));
@@ -381,9 +396,8 @@ public:
             members_[id] = {row, members_.at(removed[0]).install,
                             members_.at(removed[0]).box_sum};
         } else {
-            std::int64_t box_sum = 0;
-            for (const std::int64_t c :
-                 epsilon_box(candidate.objectives, epsilons_))
+            double box_sum = 0.0;
+            for (const double c : epsilon_box(candidate.objectives, epsilons_))
                 box_sum += c;
             members_[id] = {row, next_install_++, box_sum};
         }
@@ -405,7 +419,7 @@ private:
     struct Member {
         std::uint32_t row;
         std::uint64_t install;
-        std::int64_t box_sum;
+        double box_sum;
     };
 
     std::vector<double> epsilons_;

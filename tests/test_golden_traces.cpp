@@ -286,7 +286,7 @@ TEST(GoldenTraces, SimulationModelCells) {
     Streams s;
     std::string out;
     const auto dump_sim = [&out](const char* name,
-                                 const models::SimulationResult& r) {
+                                 const parallel::VirtualRunResult& r) {
         std::string prefix = name;
         kv(out, (prefix + ".elapsed").c_str(), r.elapsed);
         kv(out, (prefix + ".evaluations").c_str(), r.evaluations);

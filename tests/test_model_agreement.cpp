@@ -40,7 +40,7 @@ constexpr double kTc = 6e-6;
 constexpr double kTa = 60e-6;
 constexpr std::uint64_t kEvals = 20000;
 
-models::SimulationResult simulate(std::uint64_t processors) {
+parallel::VirtualRunResult simulate(std::uint64_t processors) {
     const stats::ConstantDistribution tf(kTf);
     const stats::ConstantDistribution tc(kTc);
     const stats::ConstantDistribution ta(kTa);

@@ -89,7 +89,7 @@ TEST(Population, TournamentPrefersDominant) {
         pop.inject(evaluated({1.0 + i, 1.0 + i}), rng);
     int winner_best = 0;
     for (int trial = 0; trial < 200; ++trial) {
-        const ConstSolutionView w = pop.tournament_select(10, rng);
+        const ConstSolutionView w = pop[pop.tournament_pick_index(10, rng)];
         if (w.objectives[0] == 0.0) ++winner_best;
     }
     // With tournament size 10 over a population of 10 (with replacement),
@@ -105,14 +105,14 @@ TEST(Population, TournamentSizeOneIsRandom) {
     // All members nondominated: selection must span several members.
     std::set<double> seen;
     for (int trial = 0; trial < 100; ++trial)
-        seen.insert(pop.tournament_select(1, rng).objectives[0]);
+        seen.insert(pop[pop.tournament_pick_index(1, rng)].objectives[0]);
     EXPECT_GE(seen.size(), 3u);
 }
 
 TEST(Population, EmptyOperationsThrow) {
     Population pop(2);
     Rng rng(9);
-    EXPECT_THROW(pop.tournament_select(2, rng), std::logic_error);
+    EXPECT_THROW(pop.tournament_pick_index(2, rng), std::logic_error);
 }
 
 TEST(Population, ZeroTargetRejected) {

@@ -30,8 +30,9 @@ struct SelectionFixture : ::testing::Test {
 };
 
 TEST_F(SelectionFixture, FirstParentComesFromArchive) {
+    ParentView parents;
     for (int trial = 0; trial < 50; ++trial) {
-        const auto parents = select_parents(3, archive, population, 2, rng);
+        select_parents_into(parents, 3, archive, population, 2, rng);
         ASSERT_EQ(parents.size(), 3u);
         const double v = parents[0][0];
         EXPECT_TRUE(v == 100.0 || v == 200.0);
@@ -39,8 +40,9 @@ TEST_F(SelectionFixture, FirstParentComesFromArchive) {
 }
 
 TEST_F(SelectionFixture, RemainingParentsFromPopulation) {
+    ParentView parents;
     for (int trial = 0; trial < 50; ++trial) {
-        const auto parents = select_parents(4, archive, population, 2, rng);
+        select_parents_into(parents, 4, archive, population, 2, rng);
         for (std::size_t i = 1; i < parents.size(); ++i)
             EXPECT_LT(parents[i][0], 4.0);
     }
@@ -48,20 +50,22 @@ TEST_F(SelectionFixture, RemainingParentsFromPopulation) {
 
 TEST_F(SelectionFixture, EmptyArchiveFallsBackToPopulation) {
     EpsilonBoxArchive empty({0.1, 0.1});
-    const auto parents = select_parents(2, empty, population, 2, rng);
+    ParentView parents;
+    select_parents_into(parents, 2, empty, population, 2, rng);
     for (const auto& p : parents) EXPECT_LT(p[0], 4.0);
 }
 
 TEST_F(SelectionFixture, ArityRespected) {
+    ParentView parents;
     for (std::size_t arity : {1u, 2u, 4u, 10u}) {
-        const auto parents =
-            select_parents(arity, archive, population, 2, rng);
+        select_parents_into(parents, arity, archive, population, 2, rng);
         EXPECT_EQ(parents.size(), arity);
     }
 }
 
 TEST_F(SelectionFixture, ZeroArityThrows) {
-    EXPECT_THROW(select_parents(0, archive, population, 2, rng),
+    ParentView parents;
+    EXPECT_THROW(select_parents_into(parents, 0, archive, population, 2, rng),
                  std::invalid_argument);
 }
 
@@ -69,7 +73,8 @@ TEST(Selection, EmptyPopulationThrows) {
     EpsilonBoxArchive archive({0.1});
     Population population(2);
     Rng rng(1);
-    EXPECT_THROW(select_parents(2, archive, population, 2, rng),
+    ParentView parents;
+    EXPECT_THROW(select_parents_into(parents, 2, archive, population, 2, rng),
                  std::logic_error);
 }
 
