@@ -30,15 +30,19 @@
 ///    injected) with the recorded stream as candidates, once per vector
 ///    width this CPU runs (the dispatcher picks the widest; every width
 ///    returns the same bits, checked here). The tournament cell times
-///    Population::tournament_pick_index on the same population at Borg's
-///    tournament size (τ = 2 %), in ns per contestant, hot and after a
-///    1 MB sweep.
+///    Population's tournament — the batched contestant draw and
+///    DominanceRows::tournament — on a row mirror of the same population
+///    at Borg's tournament size (τ = 2 %), in ns per contestant, hot and
+///    after a 1 MB sweep, once per vector width. Every width, and
+///    Population::tournament_pick_index itself, must pick the winners a
+///    scalar compare_constrained loop picks from the same draws.
 ///
 /// ci.sh runs `--quick` (the 1e3-size simplex cell, both replay cells and
 /// the kernel and tournament cells) as a smoke gate: exit is non-zero if
 /// the engine disagrees with the oracle, if injection disagrees with its
-/// reference, if two kernel widths disagree, or if the engine is not
-/// faster on the 1e3 cell. The full grid additionally gates ≥2x on the
+/// reference, if two kernel widths disagree, if a tournament picks
+/// another winner than its reference, or if the engine is not faster on
+/// the 1e3 cell. The full grid additionally gates ≥2x on the
 /// 1e4 cell and produces the checked-in BENCH_archive.json (regenerate
 /// from a Release build with `micro_archive --json BENCH_archive.json`).
 ///
@@ -52,6 +56,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -248,6 +253,12 @@ struct KernelCell {
     double ns_per_row = 0.0;
 };
 
+struct TournamentCell {
+    std::size_t width = 0;   ///< doubles per vector
+    double hot_ns = 0.0;     ///< per contestant
+    double swept_ns = 0.0;   ///< per contestant, after a 1 MB sweep
+};
+
 struct ReplayReport {
     std::size_t archive_size = 0;    ///< after the replay
     std::size_t population_size = 0; ///< after the replay
@@ -257,8 +268,7 @@ struct ReplayReport {
     std::size_t mirror_rows = 0;     ///< kernel cell: replayed population
     std::vector<KernelCell> kernel;  ///< one per width, narrowest first
     std::size_t tournament_size = 0;
-    double tournament_hot_ns = 0.0;  ///< per contestant
-    double tournament_cold_ns = 0.0; ///< per contestant, after a sweep
+    std::vector<TournamentCell> tournament; ///< one per width
 };
 
 constexpr std::uint64_t kInjectSeed = 0x5eed;
@@ -331,42 +341,101 @@ bool run_kernel_cell(const Replay& replay, const Population& population,
     return true;
 }
 
-/// The tournament cell: Borg's tournament size on the replayed
-/// population, timed back to back (hot) and one tournament at a time after
-/// a 1 MB sweep (the sweep untimed); each the median of 7 samples.
-void run_tournament_cell(const Population& population, ReplayReport& report,
+/// The tournament reference: one challenger at a time against the
+/// incumbent, through compare_constrained on the members themselves.
+std::size_t reference_tournament(const Population& population,
+                                 std::span<const std::uint64_t> contestants) {
+    std::size_t best = contestants[0];
+    for (const std::uint64_t c : contestants.subspan(1))
+        if (compare_constrained(population[c].objectives,
+                                population[c].total_violation(),
+                                population[best].objectives,
+                                population[best].total_violation()) ==
+            Dominance::kDominates)
+            best = c;
+    return best;
+}
+
+/// The tournament cell: Borg's tournament size on a row mirror of the
+/// replayed population, drawn and decided as Population does it, at each
+/// width; timed back to back (hot) and one tournament at a time after a
+/// 1 MB sweep (the sweep untimed), each the median of 7 samples. Returns
+/// false if a width, or Population::tournament_pick_index, picks another
+/// winner than the reference from the same draws.
+bool run_tournament_cell(const Population& population, ReplayReport& report,
                          std::uint64_t& sink) {
     const std::size_t size =
         RestartController(RestartParams{}).tournament_size(population);
     report.tournament_size = size;
+    const std::size_t n = population.size();
+    DominanceRows rows;
+    rows.reset(population[0].objectives.size());
+    rows.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        rows.set_row(i, population[i].objectives,
+                     population[i].total_violation());
+    std::vector<std::uint64_t> contestants(size);
+
+    constexpr std::size_t kChecked = 2000;
+    util::Rng draws(0x7a);
+    util::Rng population_draws(0x7a);
+    for (std::size_t k = 0; k < kChecked; ++k) {
+        draws.below(n, contestants);
+        const std::size_t expected =
+            reference_tournament(population, contestants);
+        if (population.tournament_pick_index(size, population_draws) !=
+            expected) {
+            std::cerr << "FAIL: Population::tournament_pick_index disagrees "
+                         "with the reference at tournament "
+                      << k << "\n";
+            return false;
+        }
+        for (const std::size_t width : detail::kernel_widths()) {
+            detail::set_kernel_width(rows, width);
+            if (rows.tournament(contestants) != expected) {
+                std::cerr << "FAIL: tournament at width " << width
+                          << " disagrees with the reference at tournament "
+                          << k << "\n";
+                return false;
+            }
+        }
+    }
+
     util::Rng rng(0x70);
+    const auto pick = [&] {
+        rng.below(n, contestants);
+        return rows.tournament(contestants);
+    };
     std::vector<std::uint64_t> sweep(std::size_t{1} << 17); // 1 MB
     constexpr std::size_t kSamples = 7;
     constexpr std::size_t kTournaments = 1000;
-    std::vector<double> hot;
-    std::vector<double> swept;
-    for (std::size_t s = 0; s < kSamples; ++s) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t k = 0; k < kTournaments; ++k)
-            sink += population.tournament_pick_index(size, rng);
-        const auto t1 = std::chrono::steady_clock::now();
-        hot.push_back(elapsed_ns(t0, t1));
-        double ns = 0.0;
-        for (std::size_t k = 0; k < kTournaments; ++k) {
-            for (std::uint64_t& word : sweep) word += k;
-            const auto c0 = std::chrono::steady_clock::now();
-            sink += population.tournament_pick_index(size, rng);
-            const auto c1 = std::chrono::steady_clock::now();
-            ns += elapsed_ns(c0, c1);
+    const auto per_contestant = static_cast<double>(kTournaments * size);
+    for (const std::size_t width : detail::kernel_widths()) {
+        detail::set_kernel_width(rows, width);
+        std::vector<double> hot;
+        std::vector<double> swept;
+        for (std::size_t s = 0; s < kSamples; ++s) {
+            const auto t0 = std::chrono::steady_clock::now();
+            for (std::size_t k = 0; k < kTournaments; ++k) sink += pick();
+            const auto t1 = std::chrono::steady_clock::now();
+            hot.push_back(elapsed_ns(t0, t1));
+            double ns = 0.0;
+            for (std::size_t k = 0; k < kTournaments; ++k) {
+                for (std::uint64_t& word : sweep) word += k;
+                const auto c0 = std::chrono::steady_clock::now();
+                sink += pick();
+                const auto c1 = std::chrono::steady_clock::now();
+                ns += elapsed_ns(c0, c1);
+            }
+            swept.push_back(ns);
         }
-        swept.push_back(ns);
+        std::sort(hot.begin(), hot.end());
+        std::sort(swept.begin(), swept.end());
+        report.tournament.push_back({width, hot[kSamples / 2] / per_contestant,
+                                     swept[kSamples / 2] / per_contestant});
     }
     sink += sweep.back();
-    std::sort(hot.begin(), hot.end());
-    std::sort(swept.begin(), swept.end());
-    const auto per_contestant = static_cast<double>(kTournaments * size);
-    report.tournament_hot_ns = hot[kSamples / 2] / per_contestant;
-    report.tournament_cold_ns = swept[kSamples / 2] / per_contestant;
+    return true;
 }
 
 /// Median over \p samples of one timed pass over the stream, each pass
@@ -546,7 +615,7 @@ int main(int argc, char** argv) {
     const auto population = replayed_population(replay);
     if (!run_kernel_cell(replay, *population, quick ? 1 : samples, rep, sink))
         return 2;
-    run_tournament_cell(*population, rep, sink);
+    if (!run_tournament_cell(*population, rep, sink)) return 2;
     std::cout << "\nreplay: DTLZ2_5 eps " << kReplayEpsilon << ", seed "
               << kReplaySeed << ", " << kReplayWarmup
               << " serial warm-up, " << replay.stream.size()
@@ -573,13 +642,21 @@ int main(int argc, char** argv) {
         kernel_table.add_row({std::to_string(k.width), buf});
     }
     kernel_table.print(std::cout);
-    char hot_buf[32];
-    char cold_buf[32];
-    std::snprintf(hot_buf, sizeof(hot_buf), "%.1f", rep.tournament_hot_ns);
-    std::snprintf(cold_buf, sizeof(cold_buf), "%.1f", rep.tournament_cold_ns);
-    std::cout << "tournament: " << rep.tournament_size
-              << " contestants on the replayed population, ns/contestant "
-              << hot_buf << " hot, " << cold_buf << " after a 1 MB sweep\n";
+    std::cout << "\ntournament: " << rep.tournament_size
+              << " contestants on a row mirror of the replayed population, "
+                 "draws included (agreement: every width and the "
+                 "population pick the reference's winners)\n";
+    util::Table tournament_table(
+        {"width", "ns/contestant hot", "after a 1 MB sweep"});
+    for (const TournamentCell& t : rep.tournament) {
+        char hot_buf[32];
+        char swept_buf[32];
+        std::snprintf(hot_buf, sizeof(hot_buf), "%.1f", t.hot_ns);
+        std::snprintf(swept_buf, sizeof(swept_buf), "%.1f", t.swept_ns);
+        tournament_table.add_row(
+            {std::to_string(t.width), hot_buf, swept_buf});
+    }
+    tournament_table.print(std::cout);
     if (sink == 0) std::cerr << "no candidate was ever accepted?\n";
 
     // Smoke gates. Quick (ci.sh): the engine must beat the oracle on the
@@ -650,13 +727,22 @@ int main(int argc, char** argv) {
                           rep.kernel[i].ns_per_row);
             out << buf;
         }
-        std::snprintf(buf, sizeof(buf),
-                      "}},\n  \"tournament\": {\"contestants\": %zu, "
-                      "\"hot_ns_per_contestant\": %.1f, "
-                      "\"swept_ns_per_contestant\": %.1f}\n}\n",
-                      rep.tournament_size, rep.tournament_hot_ns,
-                      rep.tournament_cold_ns);
-        out << buf;
+        out << "}},\n  \"tournament\": {\"contestants\": "
+            << rep.tournament_size << ", \"dispatched_width\": "
+            << detail::kernel_width(DominanceRows{});
+        const auto per_width = [&](const char* key, auto field) {
+            out << ", \"" << key << "\": {";
+            for (std::size_t i = 0; i < rep.tournament.size(); ++i) {
+                std::snprintf(buf, sizeof(buf), "%s\"%zu\": %.1f",
+                              i > 0 ? ", " : "", rep.tournament[i].width,
+                              rep.tournament[i].*field);
+                out << buf;
+            }
+            out << "}";
+        };
+        per_width("hot_ns_per_contestant", &TournamentCell::hot_ns);
+        per_width("swept_ns_per_contestant", &TournamentCell::swept_ns);
+        out << "}\n}\n";
         std::cout << "wrote " << json_path << "\n";
     }
     return rc;

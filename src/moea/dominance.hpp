@@ -92,6 +92,7 @@ void for_each_set_bit(std::span<const std::uint64_t> bits, F&& f) {
 }
 
 class DominanceTiles;
+class DominanceRows;
 
 namespace detail {
 
@@ -108,12 +109,15 @@ struct TileKernel;
 /// x86-64. Every width gives the same bits.
 std::span<const std::size_t> kernel_widths();
 
-/// The width \p tiles runs its kernel at.
+/// The width \p tiles (or \p rows) runs its kernel at.
 std::size_t kernel_width(const DominanceTiles& tiles);
+std::size_t kernel_width(const DominanceRows& rows);
 
-/// Runs \p tiles' kernel at \p width, one of kernel_widths() (throws
-/// std::invalid_argument otherwise). For tests and micro-benchmarks.
+/// Runs \p tiles' (or \p rows') kernel at \p width, one of
+/// kernel_widths() (throws std::invalid_argument otherwise). For tests and
+/// micro-benchmarks.
 void set_kernel_width(DominanceTiles& tiles, std::size_t width);
+void set_kernel_width(DominanceRows& rows, std::size_t width);
 
 } // namespace detail
 
@@ -135,6 +139,8 @@ void set_kernel_width(DominanceTiles& tiles, std::size_t width);
 /// tying the candidate. The archive adds through cover(): its members are
 /// mutually box-nondominated, so such a row either shares the candidate's
 /// box or rejects it, and only a candidate that no row covers can evict.
+/// Random single rows (the tournaments) are read from a DominanceRows
+/// instead, where a row is contiguous.
 /// The loop is one template over the vector type, compiled at the
 /// baseline width and, on x86-64, for AVX2 and AVX-512F; the widest one
 /// the CPU runs (__builtin_cpu_supports) is picked once, for every mirror.
@@ -182,14 +188,6 @@ public:
                       double candidate_violation,
                       std::vector<std::uint64_t>& dominates) const;
 
-    /// The kernel's single-row form: compare_constrained(row a, row b).
-    Dominance compare_rows(std::size_t a, std::size_t b) const;
-
-    /// Dominance tournament over rows: the first contestant is the
-    /// incumbent, and each later one replaces it iff it dominates it
-    /// (compare_rows == kDominates). Requires a non-empty span.
-    std::size_t tournament(std::span<const std::uint64_t> contestants) const;
-
 private:
     friend std::size_t detail::kernel_width(const DominanceTiles&);
     friend void detail::set_kernel_width(DominanceTiles&, std::size_t);
@@ -200,14 +198,62 @@ private:
                      double candidate_violation,
                      std::vector<std::uint64_t>& dominates) const;
 
-    /// First line of row \p i's tile.
-    const detail::TileLine* tile_of(std::size_t i) const noexcept {
-        return tiles_.data() + i / kTileRows * (m_ + 1);
-    }
-
     std::size_t m_ = 0;
     std::size_t rows_ = 0;
     std::vector<detail::TileLine> tiles_;
+    const detail::TileKernel* kernel_;
+};
+
+/// Row-major mirror of a row set, laid out for random single-row reads
+/// (DESIGN.md §15): row i's M values and its violation are the M + 1
+/// contiguous doubles at i·(M + 1), and the buffer ends with kPad NaN
+/// doubles, so an 8-double load at any row start stays in bounds. A row
+/// that holds nothing is all NaN, as in DominanceTiles. The population
+/// keeps one next to its tiles for the tournaments.
+///
+/// The kernel compares a challenger row with an incumbent row as
+/// ⌈(M + 1)/W⌉ unaligned W-double loads, two ordered compares per load
+/// and Deb's rule on the lane bits (lanes past the violation masked
+/// off): the same rule as the tile kernel, at the same dispatched width.
+class DominanceRows {
+public:
+    /// NaN doubles after the last row: the widest load less one.
+    static constexpr std::size_t kPad = 7;
+
+    /// An empty mirror on the dispatched kernel.
+    DominanceRows();
+
+    std::size_t size() const noexcept { return rows_; }
+    std::size_t num_objectives() const noexcept { return m_; }
+
+    /// Drops every row and sets the objective count. Keeps capacity.
+    void reset(std::size_t num_objectives);
+    /// Grows to \p rows (>= size()); the new rows are all NaN.
+    void resize(std::size_t rows);
+    /// Overwrites row \p i (values.size() must equal num_objectives()).
+    void set_row(std::size_t i, std::span<const double> values,
+                 double violation);
+
+    /// Row \p i: its M values, then its violation.
+    std::span<const double> row(std::size_t i) const {
+        return {values_.data() + i * (m_ + 1), m_ + 1};
+    }
+
+    /// compare_constrained(row a, row b).
+    Dominance compare_rows(std::size_t a, std::size_t b) const;
+
+    /// Dominance tournament over rows: the first contestant is the
+    /// incumbent, and each later one replaces it iff it dominates it
+    /// (compare_rows == kDominates). Requires a non-empty span.
+    std::size_t tournament(std::span<const std::uint64_t> contestants) const;
+
+private:
+    friend std::size_t detail::kernel_width(const DominanceRows&);
+    friend void detail::set_kernel_width(DominanceRows&, std::size_t);
+
+    std::size_t m_ = 0;
+    std::size_t rows_ = 0;
+    std::vector<double> values_; ///< rows_·(m_ + 1) values, then kPad NaN
     const detail::TileKernel* kernel_;
 };
 

@@ -40,13 +40,22 @@ void Population::clear() noexcept {
         for (const SolutionHandle h : members_) pool_->release(h);
     members_.clear();
     mirror_.reset(mirror_.num_objectives());
+    rows_.reset(rows_.num_objectives());
 }
 
 void Population::cache_member(std::size_t i) {
     const ConstSolutionView member = pool_->view(members_[i]);
-    if (mirror_.size() == 0) mirror_.reset(member.objectives.size());
-    if (mirror_.size() <= i) mirror_.resize(i + 1);
-    mirror_.set_row(i, member.objectives, member.total_violation());
+    const double violation = member.total_violation();
+    if (mirror_.size() == 0) {
+        mirror_.reset(member.objectives.size());
+        rows_.reset(member.objectives.size());
+    }
+    if (mirror_.size() <= i) {
+        mirror_.resize(i + 1);
+        rows_.resize(i + 1);
+    }
+    mirror_.set_row(i, member.objectives, violation);
+    rows_.set_row(i, member.objectives, violation);
 }
 
 bool Population::inject(ConstSolutionView offspring, util::Rng& rng,
@@ -121,7 +130,7 @@ std::span<const std::uint64_t> Population::draw_contestants(
 
 std::size_t Population::tournament_pick(std::size_t tournament_size,
                                         util::Rng& rng) const {
-    return mirror_.tournament(draw_contestants(tournament_size, rng));
+    return rows_.tournament(draw_contestants(tournament_size, rng));
 }
 
 std::size_t Population::tournament_pick_index(std::size_t tournament_size,
@@ -144,7 +153,7 @@ std::size_t Population::tournament_pick_freq(
     std::size_t best = contestants[0];
     std::uint32_t best_count = count_of(best);
     for (const std::uint64_t idx : contestants.subspan(1)) {
-        const Dominance result = mirror_.compare_rows(idx, best);
+        const Dominance result = rows_.compare_rows(idx, best);
         const bool wins =
             result == Dominance::kDominates ||
             (result == Dominance::kNondominated &&

@@ -18,10 +18,11 @@
 ///
 /// Storage: members live in a SolutionPool arena (DESIGN.md §15) — the
 /// population owns one handle per member — and their objectives are
-/// mirrored into a DominanceTiles, which the injection scan and the
-/// tournaments read instead of the pool. A population can either share the algorithm's pool (BorgMoea
-/// passes its own) or lazily create a private one sized from the first
-/// solution it sees (standalone construction in tests).
+/// mirrored twice: into a DominanceTiles, which the injection scan reads,
+/// and into a DominanceRows, which the tournaments read. A population can
+/// either share the algorithm's pool (BorgMoea passes its own) or lazily
+/// create a private one sized from the first solution it sees (standalone
+/// construction in tests).
 
 #include <cstddef>
 #include <memory>
@@ -114,7 +115,7 @@ private:
     /// next tournament.
     std::span<const std::uint64_t> draw_contestants(
         std::size_t tournament_size, util::Rng& rng) const;
-    /// Refreshes the mirror row of members_[i].
+    /// Refreshes both mirrors' row of members_[i].
     void cache_member(std::size_t i);
 
     std::size_t target_size_;
@@ -122,12 +123,14 @@ private:
     std::unique_ptr<SolutionPool> owned_pool_;
     std::vector<SolutionHandle> members_;
 
-    // Tile mirror of each member's objectives + total violation (row i is
+    // Mirrors of each member's objectives + total violation (row i is
     // members_[i]), refreshed whenever a member changes. The injection
-    // scan and tournaments read only the mirror: at restart-grown sizes
-    // (γ·|archive|, thousands of members) pool views would dominate the
-    // master's T_A. Same values, same comparisons — runs don't change.
+    // scan reads the tiles, the tournaments read the rows, and neither
+    // reads the pool: at restart-grown sizes (γ·|archive|, thousands of
+    // members) pool views would dominate the master's T_A. Same values,
+    // same comparisons — runs don't change.
     DominanceTiles mirror_;
+    DominanceRows rows_;
 
     // Reusable scratch: the steady-state paths allocate nothing.
     std::vector<std::uint64_t> dominated_bits_;   ///< inject() kernel output

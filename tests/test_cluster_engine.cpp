@@ -152,8 +152,9 @@ TEST(EngineEdge, NegativeTimingDrawsClampAtSampleBoundaryAndCount) {
     EXPECT_GE(metrics.histogram("async.tf_seconds").min(), 0.0);
     // ...and so does every tf_sample trace event.
     for (const auto& event : trace.events()) {
-        if (event.kind == obs::EventKind::tf_sample)
+        if (event.kind == obs::EventKind::tf_sample) {
             ASSERT_GE(event.value, 0.0);
+        }
     }
     for (const auto& issue : cross_validate(trace, result))
         ADD_FAILURE() << issue;

@@ -22,9 +22,10 @@ void check_moments(const Distribution& d, std::uint64_t seed,
     const double tol_mean =
         5.0 * d.stddev() / std::sqrt(static_cast<double>(n)) + 1e-12;
     EXPECT_NEAR(acc.mean(), d.mean(), tol_mean) << d.describe();
-    if (d.variance() > 0.0)
+    if (d.variance() > 0.0) {
         EXPECT_NEAR(acc.variance(), d.variance(), 0.05 * d.variance())
             << d.describe();
+    }
 }
 
 TEST(Constant, SamplesExactValue) {

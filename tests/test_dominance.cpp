@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -101,8 +102,9 @@ TEST(BoxCorner, CornerItselfIsZero) {
 }
 
 // ---------------------------------------------------------------------------
-// DominanceTiles: the tile kernel against a scalar compare_constrained
-// reference kept here. Values come from a small pool so ties, duplicate
+// The dominance kernel — DominanceTiles' scan and cover, DominanceRows'
+// compare_rows and tournament — against scalar compare_constrained
+// references kept here. Values come from a small pool so ties, duplicate
 // rows, ±0.0, infinities and NaN all occur; violations are
 // total_violation()-style sums (0, -0.0, equal nonzero values, NaN).
 // Each check runs once on the dispatched kernel (the plain DominanceTiles
@@ -113,8 +115,9 @@ TEST(BoxCorner, CornerItselfIsZero) {
 /// 0 keeps the dispatched kernel; otherwise the width to force.
 using Width = std::size_t;
 
-void use_width(DominanceTiles& tiles, Width width) {
-    if (width != 0) detail::set_kernel_width(tiles, width);
+template <class Mirror>
+void use_width(Mirror& mirror, Width width) {
+    if (width != 0) detail::set_kernel_width(mirror, width);
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -154,14 +157,15 @@ Rows random_rows(std::size_t m, std::size_t n, borg::util::Rng& rng) {
     return rows;
 }
 
-DominanceTiles mirror_of(const Rows& rows, std::size_t m, Width width) {
-    DominanceTiles tiles;
-    use_width(tiles, width);
-    tiles.reset(m);
-    tiles.resize(rows.values.size());
+template <class Mirror = DominanceTiles>
+Mirror mirror_of(const Rows& rows, std::size_t m, Width width) {
+    Mirror mirror;
+    use_width(mirror, width);
+    mirror.reset(m);
+    mirror.resize(rows.values.size());
     for (std::size_t i = 0; i < rows.values.size(); ++i)
-        tiles.set_row(i, rows.values[i], rows.violations[i]);
-    return tiles;
+        mirror.set_row(i, rows.values[i], rows.violations[i]);
+    return mirror;
 }
 
 /// The cover form's reference: the lowest row that dominates or ties the
@@ -360,16 +364,19 @@ void check_cover_finds_first_covering_box(Width width) {
     EXPECT_GT(uncovered, 200u);
 }
 
+/// DominanceRows: M + 1 = 5 ends in a masked tail at every width, M + 1
+/// = 8 is exactly one 8-double load, and M = 8 and 11 span several loads
+/// at every width.
 void check_compare_rows_and_tournament(Width width) {
     borg::util::Rng rng(77);
-    for (const std::size_t m : {1u, 2u, 3u, 5u, 8u, 11u}) {
+    for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 11u}) {
         for (const std::size_t n : {1u, 2u, 5u, 8u, 9u, 15u, 16u, 17u, 40u,
                                     63u, 127u, 128u, 129u}) {
             const Rows rows = random_rows(m, n, rng);
-            const DominanceTiles tiles = mirror_of(rows, m, width);
+            const auto mirror = mirror_of<DominanceRows>(rows, m, width);
             for (std::size_t a = 0; a < n; ++a)
                 for (std::size_t b = 0; b < n; ++b)
-                    ASSERT_EQ(tiles.compare_rows(a, b),
+                    ASSERT_EQ(mirror.compare_rows(a, b),
                               compare_constrained(
                                   rows.values[a], rows.violations[a],
                                   rows.values[b], rows.violations[b]))
@@ -385,7 +392,7 @@ void check_compare_rows_and_tournament(Width width) {
                             rows.values[best], rows.violations[best]) ==
                         Dominance::kDominates)
                         best = contestants[k];
-                ASSERT_EQ(tiles.tournament(contestants), best)
+                ASSERT_EQ(mirror.tournament(contestants), best)
                     << "m=" << m << " n=" << n << " size=" << size;
             }
         }
@@ -433,6 +440,66 @@ void check_cleared_rows_never_take_part(Width width) {
     EXPECT_EQ(bits[0], 0b101u);
 }
 
+/// Rows written before and after a resize keep their values, grown rows
+/// are all NaN (they never dominate and are never dominated), and the
+/// buffer holds kPad NaN doubles past the last row, so the widest load of
+/// the last row stays in bounds (the ASan tier checks the reads).
+void check_rows_survive_growth(Width width) {
+    borg::util::Rng rng(5150);
+    for (const std::size_t m : {1u, 4u, 5u, 7u, 11u}) {
+        const Rows rows = random_rows(m, 40, rng);
+        DominanceRows mirror;
+        use_width(mirror, width);
+        mirror.reset(m);
+        std::size_t written = 0;
+        for (const std::size_t size : {1u, 2u, 3u, 9u, 17u, 40u}) {
+            mirror.resize(size);
+            ASSERT_EQ(mirror.size(), size);
+            for (std::size_t i = written; i < size; ++i) {
+                for (const double x : mirror.row(i)) ASSERT_TRUE(std::isnan(x));
+                // NaN compares neither better nor worse.
+                ASSERT_EQ(mirror.compare_rows(i, 0), Dominance::kEqual);
+                const std::uint64_t pair[] = {0, i};
+                ASSERT_EQ(mirror.tournament(pair), 0u);
+                const std::uint64_t reversed[] = {i, 0};
+                ASSERT_EQ(mirror.tournament(reversed), i);
+            }
+            for (std::size_t i = written; i < size; ++i)
+                mirror.set_row(i, rows.values[i], rows.violations[i]);
+            written = size;
+            for (std::size_t i = 0; i < size; ++i) {
+                const auto row = mirror.row(i);
+                ASSERT_EQ(row.size(), m + 1);
+                for (std::size_t j = 0; j < m; ++j)
+                    ASSERT_EQ(std::memcmp(&row[j], &rows.values[i][j],
+                                          sizeof(double)),
+                              0)
+                        << "m=" << m << " row " << i;
+                ASSERT_EQ(std::memcmp(&row[m], &rows.violations[i],
+                                      sizeof(double)),
+                          0);
+            }
+            // The pad: kPad NaN doubles right after the last row.
+            const double* pad = mirror.row(size - 1).data() + m + 1;
+            for (std::size_t k = 0; k < DominanceRows::kPad; ++k)
+                ASSERT_TRUE(std::isnan(pad[k])) << "m=" << m << " pad " << k;
+            // The last row against every other, both ways round.
+            for (std::size_t i = 0; i < size; ++i) {
+                ASSERT_EQ(mirror.compare_rows(size - 1, i),
+                          compare_constrained(rows.values[size - 1],
+                                              rows.violations[size - 1],
+                                              rows.values[i],
+                                              rows.violations[i]));
+                ASSERT_EQ(mirror.compare_rows(i, size - 1),
+                          compare_constrained(rows.values[i],
+                                              rows.violations[i],
+                                              rows.values[size - 1],
+                                              rows.violations[size - 1]));
+            }
+        }
+    }
+}
+
 TEST(DominanceTiles, ScanMatchesScalarReference) {
     check_scan_matches_scalar_reference(0);
 }
@@ -447,6 +514,10 @@ TEST(DominanceTiles, CompareRowsAndTournamentMatchScalarReference) {
 
 TEST(DominanceTiles, ClearedRowsNeverTakePart) {
     check_cleared_rows_never_take_part(0);
+}
+
+TEST(DominanceRows, RowsSurviveGrowthAndTheLastLoadIsPadded) {
+    check_rows_survive_growth(0);
 }
 
 TEST(DominanceTiles, DispatchPicksWidestWidthTheCpuSupports) {
@@ -465,6 +536,12 @@ TEST(DominanceTiles, DispatchPicksWidestWidthTheCpuSupports) {
     EXPECT_EQ(detail::kernel_width(tiles), 2u);
     const DominanceTiles copy = tiles; // a copy keeps the forced width
     EXPECT_EQ(detail::kernel_width(copy), 2u);
+    DominanceRows rows; // the row mirror shares the dispatch
+    EXPECT_EQ(detail::kernel_width(rows), expected.back());
+    EXPECT_THROW(detail::set_kernel_width(rows, 3), std::invalid_argument);
+    detail::set_kernel_width(rows, 2);
+    const DominanceRows rows_copy = rows;
+    EXPECT_EQ(detail::kernel_width(rows_copy), 2u);
 }
 
 /// The same checks through each kernel instantiation; a width this CPU
@@ -496,6 +573,10 @@ TEST_P(DominanceTilesAtWidth, CompareRowsAndTournamentMatchScalarReference) {
 
 TEST_P(DominanceTilesAtWidth, ClearedRowsNeverTakePart) {
     check_cleared_rows_never_take_part(GetParam());
+}
+
+TEST_P(DominanceTilesAtWidth, RowsSurviveGrowthAndTheLastLoadIsPadded) {
+    check_rows_survive_growth(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, DominanceTilesAtWidth,

@@ -118,7 +118,9 @@ TEST(UfSuite, OffFrontPointsArePenalized) {
         double front_f2 = 2.0;
         for (const auto& r : refset)
             if (std::abs(r[0] - f[0]) < 0.01) front_f2 = r[1];
-        if (front_f2 < 2.0) EXPECT_GT(f[1], front_f2 + 0.01) << name;
+        if (front_f2 < 2.0) {
+            EXPECT_GT(f[1], front_f2 + 0.01) << name;
+        }
         EXPECT_TRUE(std::isfinite(f[0]) && std::isfinite(f[1])) << name;
     }
 }
