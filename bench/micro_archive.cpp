@@ -23,13 +23,18 @@
 ///    snapshot (agreement checked as above); the inject cell replays it
 ///    into a Population restored from the snapshot and into a scalar
 ///    reference of the injection rule kept in this file, checking every
-///    verdict and the final membership. Nothing is downloaded: the stream
-///    is a pure function of the seed.
+///    verdict and the final membership, and reports the tiles the scans
+///    visited per inject. A second inject cell does the same on a
+///    100-member population (ε = 0.25, 500 serial evaluations), below
+///    Population::kSpatialTiles. Nothing is downloaded: the stream is a
+///    pure function of the seed.
 ///  * The kernel cell times DominanceTiles::scan alone, in ns per row, on
 ///    a mirror of the replayed population (the snapshot with the stream
 ///    injected) with the recorded stream as candidates, once per vector
 ///    width this CPU runs (the dispatcher picks the widest; every width
-///    returns the same bits, checked here). The tournament cell times
+///    returns the same bits, checked here). It also checks the reach and
+///    masked forms at every width on boxes over those rows. The
+///    tournament cell times
 ///    Population's tournament — the batched contestant draw and
 ///    DominanceRows::tournament — on a row mirror of the same population
 ///    at Borg's tournament size (τ = 2 %), in ns per contestant, hot and
@@ -37,10 +42,11 @@
 ///    Population::tournament_pick_index itself, must pick the winners a
 ///    scalar compare_constrained loop picks from the same draws.
 ///
-/// ci.sh runs `--quick` (the 1e3-size simplex cell, both replay cells and
+/// ci.sh runs `--quick` (the 1e3-size simplex cell, the replay cells and
 /// the kernel and tournament cells) as a smoke gate: exit is non-zero if
 /// the engine disagrees with the oracle, if injection disagrees with its
-/// reference, if two kernel widths disagree, if a tournament picks
+/// reference, if two kernel widths disagree (reach forms included), if a
+/// masked scan over the reached tiles misses a row, if a tournament picks
 /// another winner than its reference, or if the engine is not faster on
 /// the 1e3 cell. The full grid additionally gates ≥2x on the
 /// 1e4 cell and produces the checked-in BENCH_archive.json (regenerate
@@ -200,13 +206,18 @@ constexpr std::uint64_t kReplayWarmup = 20000;
 constexpr std::size_t kReplayStream = 20000;
 constexpr double kReplayEpsilon = 0.06;
 constexpr std::uint64_t kReplaySeed = 3;
+/// The small-population replay: the pop100 operating point (ε = 0.25)
+/// after the 100-member initial population has filled, before a restart
+/// grows it.
+constexpr std::uint64_t kSmallWarmup = 500;
+constexpr double kSmallEpsilon = 0.25;
 
-Replay record_replay(std::uint64_t seed) {
+Replay record_replay(std::uint64_t seed, double epsilon,
+                     std::uint64_t warmup) {
     const auto problem = problems::make_problem("dtlz2_5");
-    BorgMoea algorithm(*problem,
-                       BorgParams::for_problem(*problem, kReplayEpsilon),
+    BorgMoea algorithm(*problem, BorgParams::for_problem(*problem, epsilon),
                        seed);
-    run_serial(algorithm, *problem, kReplayWarmup);
+    run_serial(algorithm, *problem, warmup);
     Replay replay;
     replay.epsilons = algorithm.params().epsilons;
     replay.archive = algorithm.archive().solutions();
@@ -259,12 +270,20 @@ struct TournamentCell {
     double swept_ns = 0.0;   ///< per contestant, after a 1 MB sweep
 };
 
+/// Population::inject on one replay, checked against reference_inject.
+struct InjectCell {
+    std::size_t population_size = 0; ///< after the replay
+    double inject_ns = 0.0;          ///< per inject
+    double tiles_per_inject = 0.0;   ///< tiles the scan visited
+    std::size_t mirror_tiles = 0;    ///< tiles a full scan visits
+};
+
 struct ReplayReport {
     std::size_t archive_size = 0;    ///< after the replay
-    std::size_t population_size = 0; ///< after the replay
     double engine_ns = 0.0; ///< ArchiveEngine ns/add
     double naive_ns = 0.0;  ///< NaiveArchive ns/add
-    double inject_ns = 0.0; ///< Population ns/inject
+    InjectCell inject;      ///< the archive10k replay
+    InjectCell small;       ///< the population-100 replay
     std::size_t mirror_rows = 0;     ///< kernel cell: replayed population
     std::vector<KernelCell> kernel;  ///< one per width, narrowest first
     std::size_t tournament_size = 0;
@@ -284,9 +303,90 @@ std::unique_ptr<Population> replayed_population(const Replay& replay) {
     return population;
 }
 
+/// The reach form's agreement check: the replayed population's rows,
+/// ordered by their first objective and boxed 8 to a tile (corners as the
+/// population builds them), against every recorded offspring. At every
+/// width the upper and lower reach must give the first width's bits, and
+/// the masked scan over the upper (lower) reach must find every row the
+/// full scan finds dominated (the dominating-row flag). Returns false on
+/// a disagreement.
+bool check_reach_forms(const Replay& replay, const Population& population) {
+    using Corner = DominanceTiles::Corner;
+    const std::size_t n = population.size();
+    const std::size_t m = population[0].objectives.size();
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return population[a].objectives[0] < population[b].objectives[0];
+    });
+    DominanceTiles tiles;
+    DominanceTiles upper;
+    DominanceTiles lower;
+    tiles.reset(m);
+    tiles.resize(n);
+    upper.reset(m);
+    upper.resize(tiles.tiles());
+    lower.reset(m);
+    lower.resize(tiles.tiles());
+    for (std::size_t t = 0; t < tiles.tiles(); ++t) {
+        std::vector<double> hi(m + 1, -HUGE_VAL);
+        std::vector<double> lo(m + 1, HUGE_VAL);
+        for (std::size_t r = 8 * t; r < std::min(n, 8 * t + 8); ++r) {
+            const ConstSolutionView s = population[order[r]];
+            tiles.set_row(r, s.objectives, s.total_violation());
+            for (std::size_t j = 0; j <= m; ++j) { // NaN as +-inf
+                const double x = j < m ? s.objectives[j] : s.total_violation();
+                hi[j] = std::max(hi[j], std::isnan(x) ? HUGE_VAL : x);
+                lo[j] = std::min(lo[j], std::isnan(x) ? -HUGE_VAL : x);
+            }
+        }
+        upper.set_row(t, std::span(hi).first(m), hi[m]);
+        lower.set_row(t, std::span(lo).first(m), lo[m]);
+    }
+    std::vector<std::uint64_t> bits;
+    std::vector<std::uint64_t> masked;
+    std::vector<std::uint64_t> up;
+    std::vector<std::uint64_t> down;
+    std::vector<std::uint64_t> expected;
+    const auto widths = detail::kernel_widths();
+    for (std::size_t i = 0; i < replay.stream.size(); ++i) {
+        const Solution& c = replay.stream[i];
+        const double cv = c.total_violation();
+        for (const std::size_t width : widths) {
+            for (DominanceTiles* mirror : {&tiles, &upper, &lower})
+                detail::set_kernel_width(*mirror, width);
+            upper.reach(Corner::kUpper, c.objectives, cv, up);
+            lower.reach(Corner::kLower, c.objectives, cv, down);
+            if (width == widths.front()) {
+                expected = up;
+                expected.insert(expected.end(), down.begin(), down.end());
+            } else if (!std::equal(up.begin(), up.end(), expected.begin()) ||
+                       !std::equal(down.begin(), down.end(),
+                                   expected.begin() +
+                                       static_cast<std::ptrdiff_t>(up.size()))) {
+                std::cerr << "FAIL: reach at width " << width
+                          << " disagrees with width " << widths.front()
+                          << " at offspring " << i << "\n";
+                return false;
+            }
+            const bool dominated = tiles.scan(c.objectives, cv, bits);
+            const bool masked_dominated =
+                tiles.scan_tiles(down, c.objectives, cv, masked);
+            tiles.scan_tiles(up, c.objectives, cv, masked);
+            if (masked != bits || masked_dominated != dominated) {
+                std::cerr << "FAIL: the masked scan over the reached tiles "
+                             "misses a row at width "
+                          << width << ", offspring " << i << "\n";
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
 /// The kernel cell: scan() of every recorded offspring against a mirror
 /// of the replayed population, at each width. Returns false if two widths
-/// disagree on a bit or a flag.
+/// disagree on a bit or a flag, or if check_reach_forms fails.
 bool run_kernel_cell(const Replay& replay, const Population& population,
                      std::size_t samples, ReplayReport& report,
                      std::uint64_t& sink) {
@@ -297,6 +397,7 @@ bool run_kernel_cell(const Replay& replay, const Population& population,
         mirror.set_row(i, population[i].objectives,
                        population[i].total_violation());
     report.mirror_rows = mirror.size();
+    if (!check_reach_forms(replay, population)) return false;
 
     std::vector<std::uint64_t> bits;
     std::vector<std::uint64_t> expected_bits;
@@ -485,34 +586,6 @@ bool run_replay(const Replay& replay, std::size_t samples,
         }
     }
 
-    Population population(replay.population_target);
-    population.restore(replay.population, replay.population_target);
-    std::vector<Solution> reference = replay.population;
-    util::Rng rng(kInjectSeed);
-    util::Rng reference_rng(kInjectSeed);
-    for (std::size_t i = 0; i < replay.stream.size(); ++i) {
-        if (population.inject(replay.stream[i], rng) !=
-            reference_inject(reference, replay.population_target,
-                             replay.stream[i], reference_rng)) {
-            std::cerr << "FAIL: inject verdict disagreement at offspring "
-                      << i << "\n";
-            return false;
-        }
-    }
-    report.population_size = population.size();
-    if (population.size() != reference.size()) {
-        std::cerr << "FAIL: inject population size disagreement\n";
-        return false;
-    }
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        if (!std::ranges::equal(population[i].objectives,
-                                reference[i].objectives)) {
-            std::cerr << "FAIL: inject membership disagreement at member "
-                      << i << "\n";
-            return false;
-        }
-    }
-
     const auto restored = [&](auto archive) {
         archive->restore(replay.archive, 0, 0);
         return archive;
@@ -532,8 +605,51 @@ bool run_replay(const Replay& replay, std::size_t samples,
             return restored(std::make_unique<NaiveArchive>(replay.epsilons));
         },
         add);
+    return true;
+}
+
+/// The inject cell: Population::inject on the recorded stream, from the
+/// snapshot, against reference_inject (every verdict and the final
+/// membership; false on a divergence), then timed, with the tiles the
+/// scans visited per inject.
+bool run_inject_cell(const Replay& replay, std::size_t samples,
+                     InjectCell& cell, std::uint64_t& sink) {
+    Population population(replay.population_target);
+    population.restore(replay.population, replay.population_target);
+    std::vector<Solution> reference = replay.population;
+    util::Rng rng(kInjectSeed);
+    util::Rng reference_rng(kInjectSeed);
+    for (std::size_t i = 0; i < replay.stream.size(); ++i) {
+        if (population.inject(replay.stream[i], rng) !=
+            reference_inject(reference, replay.population_target,
+                             replay.stream[i], reference_rng)) {
+            std::cerr << "FAIL: inject verdict disagreement at offspring "
+                      << i << "\n";
+            return false;
+        }
+    }
+    cell.population_size = population.size();
+    if (population.size() != reference.size()) {
+        std::cerr << "FAIL: inject population size disagreement\n";
+        return false;
+    }
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        if (!std::ranges::equal(population[i].objectives,
+                                reference[i].objectives)) {
+            std::cerr << "FAIL: inject membership disagreement at member "
+                      << i << "\n";
+            return false;
+        }
+    }
+    cell.tiles_per_inject =
+        static_cast<double>(population.scanned_tiles()) /
+        static_cast<double>(replay.stream.size());
+    cell.mirror_tiles =
+        (population.size() + DominanceTiles::kTileRows - 1) /
+        DominanceTiles::kTileRows;
+
     util::Rng timing_rng(kInjectSeed);
-    report.inject_ns = median_ns_per_replay(
+    cell.inject_ns = median_ns_per_replay(
         samples, replay,
         [&] {
             auto p = std::make_unique<Population>(replay.population_target);
@@ -609,9 +725,14 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
 
-    const Replay replay = record_replay(kReplaySeed);
+    const Replay replay =
+        record_replay(kReplaySeed, kReplayEpsilon, kReplayWarmup);
+    const Replay small = record_replay(kReplaySeed, kSmallEpsilon, kSmallWarmup);
     ReplayReport rep;
     if (!run_replay(replay, quick ? 1 : samples, rep, sink)) return 2;
+    if (!run_inject_cell(replay, quick ? 1 : samples, rep.inject, sink) ||
+        !run_inject_cell(small, quick ? 1 : samples, rep.small, sink))
+        return 2;
     const auto population = replayed_population(replay);
     if (!run_kernel_cell(replay, *population, quick ? 1 : samples, rep, sink))
         return 2;
@@ -625,10 +746,32 @@ int main(int argc, char** argv) {
                               "naive ns/add", "inject ns", "ingest us"});
     replay_table.add_row(
         {std::to_string(rep.archive_size),
-         std::to_string(rep.population_size), format_ns(rep.engine_ns),
-         format_ns(rep.naive_ns), format_ns(rep.inject_ns),
-         format_ns((rep.engine_ns + rep.inject_ns) / 1000.0)});
+         std::to_string(rep.inject.population_size),
+         format_ns(rep.engine_ns), format_ns(rep.naive_ns),
+         format_ns(rep.inject.inject_ns),
+         format_ns((rep.engine_ns + rep.inject.inject_ns) / 1000.0)});
     replay_table.print(std::cout);
+    std::cout << "\ninject: Population::inject on each replay's stream "
+                 "(agreement: inject = reference); the scan visits every "
+                 "tile below "
+              << Population::kSpatialTiles
+              << " tiles, and only the tiles its boxes reach above\n";
+    util::Table inject_table({"replay", "population n", "inject ns",
+                              "tiles/inject", "full-scan tiles"});
+    const auto inject_row = [&](const char* name, const InjectCell& c) {
+        char tiles_buf[32];
+        std::snprintf(tiles_buf, sizeof(tiles_buf), "%.1f",
+                      c.tiles_per_inject);
+        inject_table.add_row({name, std::to_string(c.population_size),
+                              format_ns(c.inject_ns), tiles_buf,
+                              std::to_string(c.mirror_tiles)});
+    };
+    char small_name[64];
+    std::snprintf(small_name, sizeof(small_name), "eps %.2f, %llu warm-up",
+                  kSmallEpsilon, static_cast<unsigned long long>(kSmallWarmup));
+    inject_row("archive10k", rep.inject);
+    inject_row(small_name, rep.small);
+    inject_table.print(std::cout);
 
     std::cout << "\ndominance kernel: dispatched width "
               << detail::kernel_width(DominanceTiles{})
@@ -709,13 +852,28 @@ int main(int argc, char** argv) {
                       "\"epsilon\": %.2f, \"seed\": %llu, \"warmup\": %llu, "
                       "\"stream\": %zu, \"archive_size\": %zu, "
                       "\"population_size\": %zu, \"engine_ns\": %.1f, "
-                      "\"naive_ns\": %.1f, \"inject_ns\": %.1f},\n",
+                      "\"naive_ns\": %.1f, \"inject_ns\": %.1f, "
+                      "\"tiles_per_inject\": %.1f, \"mirror_tiles\": %zu},\n",
                       kReplayEpsilon,
                       static_cast<unsigned long long>(kReplaySeed),
                       static_cast<unsigned long long>(kReplayWarmup),
                       replay.stream.size(), rep.archive_size,
-                      rep.population_size, rep.engine_ns, rep.naive_ns,
-                      rep.inject_ns);
+                      rep.inject.population_size, rep.engine_ns,
+                      rep.naive_ns, rep.inject.inject_ns,
+                      rep.inject.tiles_per_inject, rep.inject.mirror_tiles);
+        out << buf;
+        std::snprintf(buf, sizeof(buf),
+                      "  \"small_replay\": {\"problem\": \"dtlz2_5\", "
+                      "\"epsilon\": %.2f, \"seed\": %llu, \"warmup\": %llu, "
+                      "\"stream\": %zu, \"population_size\": %zu, "
+                      "\"inject_ns\": %.1f, \"tiles_per_inject\": %.1f, "
+                      "\"mirror_tiles\": %zu},\n",
+                      kSmallEpsilon,
+                      static_cast<unsigned long long>(kReplaySeed),
+                      static_cast<unsigned long long>(kSmallWarmup),
+                      small.stream.size(), rep.small.population_size,
+                      rep.small.inject_ns, rep.small.tiles_per_inject,
+                      rep.small.mirror_tiles);
         out << buf;
         out << "  \"kernel\": {\"mirror_rows\": " << rep.mirror_rows
             << ", \"dispatched_width\": "

@@ -68,8 +68,10 @@ echo "=== archive engine gate (agreement + speedup smoke) ==="
 # Fails if ArchiveEngine diverges from the NaiveArchive oracle on any
 # verdict, member, or counter over the 20k-candidate prefill stream or
 # the recorded archive10k replay stream, if Population::inject diverges
-# from its scalar reference on that replay stream, or if the engine is
-# not faster on the 1e3-member steady-state cell.
+# from its scalar reference on that replay stream or on the 100-member
+# one, if two dominance-kernel widths disagree (the reach forms
+# included), or if the engine is not faster on the 1e3-member
+# steady-state cell.
 ./build/bench/micro_archive --quick --json build/BENCH_archive.json
 
 echo "=== DES engine gate (agreement + speedup smoke) ==="
@@ -116,7 +118,9 @@ echo "=== Sanitizer build (address,undefined) + fast/threads/net tiers ==="
 # never run here. borg_slow_tests stays in the list although -LE slow
 # skips its tests: an unbuilt test binary registers a label-less
 # <name>_NOT_BUILT placeholder test, which -LE slow would select and fail.
-cmake -B build-san -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+# Like tier 1, the build prints no warning, and -DBORG_WERROR=ON keeps it
+# so.
+cmake -B build-san -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBORG_WERROR=ON \
   -DBORG_SANITIZE=address,undefined,float-cast-overflow >/dev/null
 cmake --build build-san -j "$jobs" --target borg_tests borg_alloc_tests \
   borg_thread_tests borg_net_tests borg_net_soak_tests borg_slow_tests \

@@ -111,61 +111,127 @@ template <class V, class L>
             cv_worse | (~better & (cv == rv))};
 }
 
+} // namespace
+
+namespace detail {
+
+enum class WalkForm : std::uint8_t {
+    kScan,       ///< DominanceTiles::scan, scan_tiles
+    kCover,      ///< DominanceTiles::cover
+    kReachUpper, ///< DominanceTiles::reach, reach_tiles: Corner::kUpper
+    kReachLower, ///< DominanceTiles::reach, reach_tiles: Corner::kLower
+};
+
+} // namespace detail
+
+namespace {
+
+using Form = detail::WalkForm;
+
 struct WalkArgs {
     const detail::TileLine* tiles;
     std::size_t m;
     std::size_t rows;
     const double* candidate;
     double violation;
-    std::uint64_t* dominates;
+    std::uint64_t* dominates; ///< one bit per row (reach: per box)
+    const std::uint64_t* mask; ///< masked: the tiles to visit, else null
 };
+
+constexpr std::size_t kForms = 4;
+
+/// The loop body: one tile's eight rows against the candidate, as lane
+/// bits at \p weight. \p bits gains the rows the candidate dominates (the
+/// reach forms: the boxes reached); \p hits the rows that dominate it
+/// (kCover: that dominate or tie it, at \p weight). The reach forms need
+/// only one Pareto flag each.
+template <class V, Form kForm, class U>
+[[gnu::always_inline]] inline void visit(const WalkArgs& a,
+                                         const detail::TileLine* tile, V cv,
+                                         U weight, U& bits, U& hits) {
+    using L = decltype(V{} < V{});
+    constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+    constexpr std::size_t kParts = kTileRows / kWidth;
+    constexpr bool kBetter = kForm != Form::kReachUpper;
+    constexpr bool kWorse = kForm != Form::kReachLower;
+    L better[kParts] = {};
+    L worse[kParts] = {};
+    for (std::size_t j = 0; j < a.m; ++j) {
+        const V cj = splat<V>(a.candidate[j]);
+        for (std::size_t p = 0; p < kParts; ++p) {
+            const V x = load<V>(tile[j].lane + p * kWidth);
+            if constexpr (kBetter) better[p] |= cj < x;
+            if constexpr (kWorse) worse[p] |= x < cj;
+        }
+    }
+    for (std::size_t p = 0; p < kParts; ++p) {
+        const V v = load<V>(tile[a.m].lane + p * kWidth);
+        const U lane_bits = weight << (p * kWidth);
+        if constexpr (kForm == Form::kReachUpper) {
+            const L reached = ((cv < v) | ~((v < cv) | worse[p])) & (v == v);
+            bits |= std::bit_cast<U>(reached) & lane_bits;
+        } else if constexpr (kForm == Form::kReachLower) {
+            const L reached = ((v < cv) | ~((cv < v) | better[p])) & (v == v);
+            bits |= std::bit_cast<U>(reached) & lane_bits;
+        } else {
+            const auto verdict = deb_rule(better[p], worse[p], cv, v);
+            bits |= std::bit_cast<U>(verdict.dominates) & lane_bits;
+            if constexpr (kForm == Form::kCover)
+                hits |= std::bit_cast<U>(verdict.covers) & lane_bits;
+            else
+                hits |= std::bit_cast<U>(verdict.dominated_by);
+        }
+    }
+}
 
 /// The kernel's one loop, over vectors V of 2, 4 or 8 doubles: one tile
 /// (eight rows) per step, a line being 8 / width vectors. Row r's lane
 /// lands on bit r % 64 through a per-lane weight that shifts along the
-/// word. The scan form (kCover false) only needs to know whether some row
-/// dominates the candidate and returns 1 if so, else 0; the cover form
-/// (kCover true) needs the first covering row, so it keeps covering lanes
-/// by bit too, checks them once per 64-row word and returns the lowest
-/// covering row, or the row count.
-template <class V, bool kCover>
+/// word. The scan form only needs to know whether some row dominates the
+/// candidate and returns 1 if so, else 0; the cover form needs the first
+/// covering row, so it keeps covering lanes by bit too, checks them once
+/// per 64-row word and returns the lowest covering row, or the row count.
+/// Masked (kMasked), the loop steps through the set bits of a tile mask
+/// instead of every tile and writes each tile's eight bits as it goes,
+/// into words the caller zeroed.
+template <class V, Form kForm, bool kMasked>
 [[gnu::always_inline]] inline std::size_t walk(const WalkArgs& a) {
-    using L = decltype(V{} < V{});
     using U = typename UnsignedLanes<V>::type;
     constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
-    constexpr std::size_t kParts = kTileRows / kWidth;
-    const std::size_t m = a.m;
+    const std::size_t stride = a.m + 1;
     const std::size_t tiles = (a.rows + kTileRows - 1) / kTileRows;
     const V cv = splat<V>(a.violation);
     U first_weight{};
     for (std::size_t k = 0; k < kWidth; ++k) first_weight[k] = 1u << k;
-    U weight = first_weight;
     U bits{};
     U hits{};
-    const detail::TileLine* tile = a.tiles;
-    for (std::size_t t = 0; t < tiles; ++t, tile += m + 1) {
-        L better[kParts] = {};
-        L worse[kParts] = {};
-        for (std::size_t j = 0; j < m; ++j) {
-            const V cj = splat<V>(a.candidate[j]);
-            for (std::size_t p = 0; p < kParts; ++p) {
-                const V x = load<V>(tile[j].lane + p * kWidth);
-                better[p] |= cj < x;
-                worse[p] |= x < cj;
+    if constexpr (kMasked) {
+        static_assert(kForm != Form::kCover);
+        for (std::size_t w = 0; w < (tiles + 63) / 64; ++w) {
+            // Bits past the last tile are ignored.
+            const std::size_t past = std::min<std::size_t>(tiles - w * 64, 64);
+            const std::uint64_t valid =
+                past == 64 ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << past) - 1;
+            for (std::uint64_t word = a.mask[w] & valid; word != 0;
+                 word &= word - 1) {
+                const std::size_t t =
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+                bits = U{};
+                visit<V, kForm>(a, a.tiles + t * stride, cv, first_weight,
+                                bits, hits);
+                a.dominates[t / kTilesPerWord] |=
+                    or_lanes(bits) << (t % kTilesPerWord * kTileRows);
             }
         }
-        for (std::size_t p = 0; p < kParts; ++p) {
-            const auto v = deb_rule(better[p], worse[p], cv,
-                                    load<V>(tile[m].lane + p * kWidth));
-            const U lane_bits = weight << (p * kWidth);
-            bits |= std::bit_cast<U>(v.dominates) & lane_bits;
-            if constexpr (kCover)
-                hits |= std::bit_cast<U>(v.covers) & lane_bits;
-            else
-                hits |= std::bit_cast<U>(v.dominated_by);
-        }
+        return or_lanes(hits) != 0;
+    }
+    U weight = first_weight;
+    const detail::TileLine* tile = a.tiles;
+    for (std::size_t t = 0; t < tiles; ++t, tile += stride) {
+        visit<V, kForm>(a, tile, cv, weight, bits, hits);
         if (t % kTilesPerWord == kTilesPerWord - 1 || t + 1 == tiles) {
-            if constexpr (kCover) {
+            if constexpr (kForm == Form::kCover) {
                 const std::uint64_t covering = or_lanes(hits);
                 if (covering != 0)
                     return t / kTilesPerWord * 64 +
@@ -178,23 +244,23 @@ template <class V, bool kCover>
             weight <<= kTileRows;
         }
     }
-    if constexpr (kCover) return a.rows;
+    if constexpr (kForm == Form::kCover) return a.rows;
     else return or_lanes(hits) != 0;
 }
 
 // The thin per-width wrappers: each compiles walk() for its target.
-template <bool kCover>
+template <Form kForm, bool kMasked>
 std::size_t walk_sse2(const WalkArgs& a) {
-    return walk<v2d, kCover>(a);
+    return walk<v2d, kForm, kMasked>(a);
 }
 #if defined(__x86_64__)
-template <bool kCover>
+template <Form kForm, bool kMasked>
 [[gnu::target("avx2")]] std::size_t walk_avx2(const WalkArgs& a) {
-    return walk<v4d, kCover>(a);
+    return walk<v4d, kForm, kMasked>(a);
 }
-template <bool kCover>
+template <Form kForm, bool kMasked>
 [[gnu::target("avx512f")]] std::size_t walk_avx512(const WalkArgs& a) {
-    return walk<v8d, kCover>(a);
+    return walk<v8d, kForm, kMasked>(a);
 }
 #endif
 
@@ -360,8 +426,9 @@ namespace detail {
 
 struct TileKernel {
     std::size_t width; ///< doubles per vector
-    std::size_t (*scan)(const WalkArgs&);
-    std::size_t (*cover)(const WalkArgs&);
+    /// walks[form][masked]: the loop in each form, over every tile or
+    /// over the tiles of a mask (cover has no masked form).
+    std::size_t (*walks[kForms][2])(const WalkArgs&);
     Dominance (*compare_rows)(const RowArgs&);
     std::size_t (*tournament)(const RowArgs&);
 };
@@ -369,12 +436,33 @@ struct TileKernel {
 namespace {
 
 constexpr TileKernel kKernels[] = {
-    {2, walk_sse2<false>, walk_sse2<true>, row_compare_sse2,
+    {2,
+     {{walk_sse2<Form::kScan, false>, walk_sse2<Form::kScan, true>},
+      {walk_sse2<Form::kCover, false>, nullptr},
+      {walk_sse2<Form::kReachUpper, false>,
+       walk_sse2<Form::kReachUpper, true>},
+      {walk_sse2<Form::kReachLower, false>,
+       walk_sse2<Form::kReachLower, true>}},
+     row_compare_sse2,
      row_tournament_sse2},
 #if defined(__x86_64__)
-    {4, walk_avx2<false>, walk_avx2<true>, row_compare_avx2,
+    {4,
+     {{walk_avx2<Form::kScan, false>, walk_avx2<Form::kScan, true>},
+      {walk_avx2<Form::kCover, false>, nullptr},
+      {walk_avx2<Form::kReachUpper, false>,
+       walk_avx2<Form::kReachUpper, true>},
+      {walk_avx2<Form::kReachLower, false>,
+       walk_avx2<Form::kReachLower, true>}},
+     row_compare_avx2,
      row_tournament_avx2},
-    {8, walk_avx512<false>, walk_avx512<true>, row_compare_avx512,
+    {8,
+     {{walk_avx512<Form::kScan, false>, walk_avx512<Form::kScan, true>},
+      {walk_avx512<Form::kCover, false>, nullptr},
+      {walk_avx512<Form::kReachUpper, false>,
+       walk_avx512<Form::kReachUpper, true>},
+      {walk_avx512<Form::kReachLower, false>,
+       walk_avx512<Form::kReachLower, true>}},
+     row_compare_avx512,
      row_tournament_avx512},
 #endif
 };
@@ -489,6 +577,13 @@ void DominanceTiles::resize(std::size_t rows) {
     rows_ = rows;
 }
 
+void DominanceTiles::reserve(std::size_t rows) {
+    const std::size_t lines = (rows + kTileRows - 1) / kTileRows * (m_ + 1);
+    if (lines <= tiles_.capacity()) return;
+    if (tiles_.empty()) tiles_ = {};
+    tiles_.reserve(lines);
+}
+
 void DominanceTiles::set_row(std::size_t i, std::span<const double> values,
                              double violation) {
     assert(i < rows_ && values.size() == m_);
@@ -503,28 +598,61 @@ void DominanceTiles::clear_row(std::size_t i) {
     for (std::size_t j = 0; j <= m_; ++j) lines[j].lane[i % kTileRows] = kNaN;
 }
 
-template <bool kCover>
+template <detail::WalkForm kForm>
 std::size_t DominanceTiles::walk(std::span<const double> candidate,
                                  double candidate_violation,
-                                 std::vector<std::uint64_t>& dominates) const {
+                                 std::vector<std::uint64_t>& out,
+                                 std::span<const std::uint64_t> tiles) const {
     assert(candidate.size() == m_);
-    dominates.resize((rows_ + 63) / 64);
-    const WalkArgs args{tiles_.data(),     m_,
-                        rows_,             candidate.data(),
-                        candidate_violation, dominates.data()};
-    return kCover ? kernel_->cover(args) : kernel_->scan(args);
+    const bool masked = tiles.data() != nullptr;
+    out.resize((rows_ + 63) / 64);
+    if (masked) std::fill(out.begin(), out.end(), std::uint64_t{0});
+    const WalkArgs args{tiles_.data(),       m_,         rows_,
+                        candidate.data(),    candidate_violation,
+                        out.data(),          tiles.data()};
+    return kernel_->walks[static_cast<std::size_t>(kForm)][masked](args);
 }
 
 bool DominanceTiles::scan(std::span<const double> candidate,
                           double candidate_violation,
                           std::vector<std::uint64_t>& dominates) const {
-    return walk<false>(candidate, candidate_violation, dominates) != 0;
+    return walk<Form::kScan>(candidate, candidate_violation, dominates) != 0;
 }
 
 std::size_t DominanceTiles::cover(std::span<const double> candidate,
                                   double candidate_violation,
                                   std::vector<std::uint64_t>& dominates) const {
-    return walk<true>(candidate, candidate_violation, dominates);
+    return walk<Form::kCover>(candidate, candidate_violation, dominates);
+}
+
+bool DominanceTiles::scan_tiles(std::span<const std::uint64_t> tiles,
+                                std::span<const double> candidate,
+                                double candidate_violation,
+                                std::vector<std::uint64_t>& dominates) const {
+    assert(tiles.size() * 64 >= this->tiles());
+    return walk<Form::kScan>(candidate, candidate_violation, dominates,
+                             tiles) != 0;
+}
+
+void DominanceTiles::reach(Corner corner, std::span<const double> candidate,
+                           double candidate_violation,
+                           std::vector<std::uint64_t>& boxes) const {
+    if (corner == Corner::kUpper)
+        walk<Form::kReachUpper>(candidate, candidate_violation, boxes);
+    else
+        walk<Form::kReachLower>(candidate, candidate_violation, boxes);
+}
+
+void DominanceTiles::reach_tiles(Corner corner,
+                                 std::span<const std::uint64_t> tiles,
+                                 std::span<const double> candidate,
+                                 double candidate_violation,
+                                 std::vector<std::uint64_t>& boxes) const {
+    assert(tiles.size() * 64 >= this->tiles());
+    if (corner == Corner::kUpper)
+        walk<Form::kReachUpper>(candidate, candidate_violation, boxes, tiles);
+    else
+        walk<Form::kReachLower>(candidate, candidate_violation, boxes, tiles);
 }
 
 DominanceRows::DominanceRows() : kernel_(detail::widest_kernel()) {}

@@ -104,6 +104,9 @@ struct alignas(64) TileLine {
 /// The dominance kernel at one vector width (defined in dominance.cpp).
 struct TileKernel;
 
+/// One form of the kernel's loop (defined in dominance.cpp).
+enum class WalkForm : std::uint8_t;
+
 /// The kernel vector widths, in doubles, that this build carries and this
 /// CPU runs, narrowest first: 2 always; 4 (AVX2) and 8 (AVX-512F) on
 /// x86-64. Every width gives the same bits.
@@ -134,13 +137,16 @@ void set_kernel_width(DominanceRows& rows, std::size_t width);
 /// the archive mirrors its members' ε-box indices (doubles, as
 /// epsilon_box computes them) with violation 0.
 ///
-/// The kernel has two forms over one loop: scan() visits every row;
+/// The kernel has four forms over one loop: scan() visits every row;
 /// cover() stops at the first 64-row word that holds a row dominating or
-/// tying the candidate. The archive adds through cover(): its members are
-/// mutually box-nondominated, so such a row either shares the candidate's
-/// box or rejects it, and only a candidate that no row covers can evict.
-/// Random single rows (the tournaments) are read from a DominanceRows
-/// instead, where a row is contiguous.
+/// tying the candidate; scan_tiles() visits only the tiles of a tile
+/// bitmask; reach() reads rows as the corners of boxes. The archive adds
+/// through cover(): its members are mutually box-nondominated, so such a
+/// row either shares the candidate's box or rejects it, and only a
+/// candidate that no row covers can evict. The population keeps its
+/// tiles in a spatial order with one box per tile, and scans only the
+/// tiles that reach() returns. Random single rows (the tournaments) are
+/// read from a DominanceRows instead, where a row is contiguous.
 /// The loop is one template over the vector type, compiled at the
 /// baseline width and, on x86-64, for AVX2 and AVX-512F; the widest one
 /// the CPU runs (__builtin_cpu_supports) is picked once, for every mirror.
@@ -149,23 +155,37 @@ public:
     /// Rows per tile: one 64-byte line holds one value of each.
     static constexpr std::size_t kTileRows = 8;
 
+    /// Which corner of a box reach() reads a row as.
+    enum class Corner : std::uint8_t {
+        kUpper, ///< per-value maxima: may the box hold a row it dominates?
+        kLower, ///< per-value minima: may it hold a row dominating it?
+    };
+
     /// An empty mirror on the dispatched kernel.
     DominanceTiles();
 
     std::size_t size() const noexcept { return rows_; }
     std::size_t num_objectives() const noexcept { return m_; }
+    /// Tiles spanned by size() rows.
+    std::size_t tiles() const noexcept {
+        return (rows_ + kTileRows - 1) / kTileRows;
+    }
 
     /// Drops every row and sets the objective count. Keeps capacity.
     void reset(std::size_t num_objectives);
     /// Grows to \p rows (>= size()); the new rows are all NaN.
     void resize(std::size_t rows);
+    /// Room for \p rows rows, so that resize() up to them moves nothing.
+    /// An empty mirror frees a buffer too small before it allocates the
+    /// new one, so the two are never held at once.
+    void reserve(std::size_t rows);
     /// Overwrites row \p i (values.size() must equal num_objectives()).
     void set_row(std::size_t i, std::span<const double> values,
                  double violation);
     /// Makes row \p i all NaN.
     void clear_row(std::size_t i);
 
-    /// Objective \p j of row \p i.
+    /// Objective \p j of row \p i; j = num_objectives() is its violation.
     double value(std::size_t i, std::size_t j) const {
         return tiles_[i / kTileRows * (m_ + 1) + j].lane[i % kTileRows];
     }
@@ -188,15 +208,51 @@ public:
                       double candidate_violation,
                       std::vector<std::uint64_t>& dominates) const;
 
+    /// The kernel's masked form: scan() over only the tiles set in
+    /// \p tiles (bit t stands for rows 8t … 8t + 7; at least tiles()
+    /// bits, those past it ignored). \p dominates gets scan()'s bits on
+    /// those tiles and 0 elsewhere; the result is true iff a row of those
+    /// tiles dominates the candidate.
+    bool scan_tiles(std::span<const std::uint64_t> tiles,
+                    std::span<const double> candidate,
+                    double candidate_violation,
+                    std::vector<std::uint64_t>& dominates) const;
+
+    /// The kernel's reach form, over rows that are the corners of boxes
+    /// (one box per row, its values and violation bounding those of the
+    /// rows inside it). Bit i of \p boxes (resized to one bit per row) is
+    /// set iff row i's violation is not NaN (a NaN violation marks an
+    /// empty box) and, with v_i its violation and cv the candidate's:
+    ///  * kUpper: cv < v_i, or neither v_i < cv nor row i smaller than
+    ///    the candidate on some objective;
+    ///  * kLower: v_i < cv, or neither cv < v_i nor the candidate smaller
+    ///    than row i on some objective.
+    /// Under Deb's rule (scan()'s verdict) this is a superset: if row i
+    /// is a box's upper corner (per-value maxima, a NaN value counting as
+    /// +inf) and the candidate dominates a row in the box, bit i is set
+    /// for kUpper; if it is the lower corner (minima, NaN as -inf) and a
+    /// row in the box dominates the candidate, bit i is set for kLower.
+    void reach(Corner corner, std::span<const double> candidate,
+               double candidate_violation,
+               std::vector<std::uint64_t>& boxes) const;
+    /// reach() over only the tiles set in \p tiles, as scan_tiles() is
+    /// scan() over them: \p boxes is 0 outside those tiles.
+    void reach_tiles(Corner corner, std::span<const std::uint64_t> tiles,
+                     std::span<const double> candidate,
+                     double candidate_violation,
+                     std::vector<std::uint64_t>& boxes) const;
+
 private:
     friend std::size_t detail::kernel_width(const DominanceTiles&);
     friend void detail::set_kernel_width(DominanceTiles&, std::size_t);
 
-    /// Runs the kernel's scan (kCover false) or cover (kCover true) form.
-    template <bool kCover>
+    /// Runs one form of the kernel, over the tiles set in \p tiles if it
+    /// is given, else over every tile.
+    template <detail::WalkForm kForm>
     std::size_t walk(std::span<const double> candidate,
                      double candidate_violation,
-                     std::vector<std::uint64_t>& dominates) const;
+                     std::vector<std::uint64_t>& out,
+                     std::span<const std::uint64_t> tiles = {}) const;
 
     std::size_t m_ = 0;
     std::size_t rows_ = 0;

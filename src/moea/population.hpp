@@ -18,11 +18,15 @@
 ///
 /// Storage: members live in a SolutionPool arena (DESIGN.md §15) — the
 /// population owns one handle per member — and their objectives are
-/// mirrored twice: into a DominanceTiles, which the injection scan reads,
-/// and into a DominanceRows, which the tournaments read. A population can
-/// either share the algorithm's pool (BorgMoea passes its own) or lazily
-/// create a private one sized from the first solution it sees (standalone
-/// construction in tests).
+/// mirrored twice: into a DominanceRows in member order, which the
+/// tournaments read, and into a DominanceTiles, which the injection scan
+/// reads. Once that mirror spans kSpatialTiles tiles its rows sit in a
+/// spatial order, each tile with a bounding box, and the scan visits only
+/// the tiles whose box can hold a dominated or dominating member; the
+/// victim is still drawn in member order, so draws do not change. A
+/// population can either share the algorithm's pool (BorgMoea passes its
+/// own) or lazily create a private one sized from the first solution it
+/// sees (standalone construction in tests).
 
 #include <cstddef>
 #include <memory>
@@ -38,6 +42,10 @@ namespace borg::moea {
 
 class Population {
 public:
+    /// The tile count from which the scan mirror is laid out spatially;
+    /// below it, a member's slot is its index and every tile is scanned.
+    static constexpr std::size_t kSpatialTiles = 64;
+
     /// Standalone population with a private, lazily created pool.
     explicit Population(std::size_t target_size);
     /// Population storing its members in \p pool (must outlive it).
@@ -101,6 +109,10 @@ public:
         return members_[i].index;
     }
 
+    /// Tiles the injection scans have visited, summed over every inject
+    /// that scanned (micro-benchmark support).
+    std::uint64_t scanned_tiles() const noexcept { return scanned_tiles_; }
+
     /// Owning copies of all members, in order (checkpoint/test support).
     std::vector<Solution> materialize_members() const;
 
@@ -115,25 +127,67 @@ private:
     /// next tournament.
     std::span<const std::uint64_t> draw_contestants(
         std::size_t tournament_size, util::Rng& rng) const;
-    /// Refreshes both mirrors' row of members_[i].
-    void cache_member(std::size_t i);
+    /// Refreshes both mirrors' row of members_[i]. In the spatial layout
+    /// the member leaves its slot (if it had one) for a hole in a tile of
+    /// reached_ when \p reached, else in the last tile or a new one.
+    void cache_member(std::size_t i, bool reached = false);
+
+    // The spatial layout (DESIGN.md §15).
+    /// Lays every member out in k-d leaf order, kLeafRows to a tile.
+    void rebuild();
+    /// Orders member_at_[first, first + count) into k-d leaves.
+    void kd_order(std::size_t first, std::size_t count);
+    /// The slot a member with \p values (M objectives, then violation)
+    /// moves to; counts the placement.
+    std::size_t pick_slot(std::span<const double> values, bool reached);
+    /// Puts member \p i with \p values in the free \p slot.
+    void occupy(std::size_t slot, std::size_t i,
+                std::span<const double> values);
+    /// Frees \p slot and recomputes its tile's box.
+    void vacate(std::size_t slot);
+    /// Recomputes tile \p t's corners from its occupied lanes.
+    void refresh_box(std::size_t t);
 
     std::size_t target_size_;
     SolutionPool* pool_ = nullptr;          ///< shared (or = owned_pool_)
     std::unique_ptr<SolutionPool> owned_pool_;
     std::vector<SolutionHandle> members_;
 
-    // Mirrors of each member's objectives + total violation (row i is
-    // members_[i]), refreshed whenever a member changes. The injection
-    // scan reads the tiles, the tournaments read the rows, and neither
-    // reads the pool: at restart-grown sizes (γ·|archive|, thousands of
-    // members) pool views would dominate the master's T_A. Same values,
-    // same comparisons — runs don't change.
+    // Mirrors of each member's objectives + total violation, refreshed
+    // whenever a member changes. The tournaments read the rows (row i is
+    // members_[i]), the injection scan reads the tiles (slot order), and
+    // neither reads the pool: at restart-grown sizes (γ·|archive|,
+    // thousands of members) pool views would dominate the master's T_A.
+    // Same values, same comparisons — runs don't change. The tiles come
+    // first, so they are freed last: the other order left the heap
+    // ≈ 0.35 MB larger after a benchmark run (DESIGN.md §15).
     DominanceTiles mirror_;
     DominanceRows rows_;
 
+    // The spatial layout, on once a scan finds the mirror at
+    // kSpatialTiles tiles; clear() turns it off. While off, slot i holds
+    // member i and the members below are unused.
+    bool spatial_ = false;
+    std::vector<std::uint32_t> slot_of_;   ///< member -> slot
+    std::vector<std::uint32_t> member_at_; ///< slot -> member, or kHole
+    std::vector<std::uint8_t> holes_;      ///< tile -> its free lanes
+    DominanceTiles hi_; ///< row t: tile t's upper corner (NaN: empty)
+    DominanceTiles lo_; ///< row t: tile t's lower corner (NaN: empty)
+    DominanceTiles group_hi_; ///< row g: upper corner of tiles 8g … 8g + 7
+    DominanceTiles group_lo_; ///< row g: their lower corner
+    std::size_t placements_ = 0; ///< since the last rebuild
+    std::size_t misplaced_ = 0;  ///< of them, not into a reached tile
+    std::size_t room_ = 0;       ///< tiles the buffers hold
+    std::uint64_t scanned_tiles_ = 0; ///< scanned_tiles()
+
     // Reusable scratch: the steady-state paths allocate nothing.
     std::vector<std::uint64_t> dominated_bits_;   ///< inject() kernel output
+    std::vector<std::uint64_t> reached_groups_; ///< groups reach() returned
+    std::vector<std::uint64_t> reached_;     ///< tiles reach_tiles() returned
+    std::vector<std::uint64_t> reached_lo_;  ///< the same, lower corners
+    std::vector<std::uint64_t> member_bits_; ///< dominated_bits_ by member
+    std::vector<double> box_;                ///< one box being built
+    std::vector<double> corner_;             ///< widen() scratch
     mutable std::vector<std::uint64_t> contestants_; ///< tournament draws
 };
 

@@ -27,12 +27,17 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 } // namespace
 
-void* operator new(std::size_t size) {
+// The two base operators new and delete are never inlined, and every
+// other form forwards to them: inlined, GCC sees malloc() memory reach
+// operator delete, or operator-new memory reach free(), and warns
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size > 0 ? size : 1)) return p;
     throw std::bad_alloc();
 }
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t align) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     void* p = nullptr;
     if (posix_memalign(&p, static_cast<std::size_t>(align),
@@ -44,17 +49,25 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new[](std::size_t size, std::align_val_t align) {
     return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
     std::free(p);
 }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t,
+                     std::align_val_t align) noexcept {
+    ::operator delete(p, align);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+    ::operator delete(p);
+}
+void operator delete[](void* p, std::align_val_t align) noexcept {
+    ::operator delete(p, align);
+}
+void operator delete[](void* p, std::size_t,
+                       std::align_val_t align) noexcept {
+    ::operator delete(p, align);
 }
 
 namespace {

@@ -500,6 +500,222 @@ void check_rows_survive_growth(Width width) {
     }
 }
 
+/// The reach form's rule, scalar: may the box with corner \p v (M values,
+/// then the violation) hold a row the candidate dominates (kUpper) or
+/// one dominating it (kLower)? Never if the box is empty (NaN violation).
+bool reference_reach(DominanceTiles::Corner corner,
+                     std::span<const double> v, double violation,
+                     std::span<const double> cand, double cv) {
+    if (std::isnan(violation)) return false;
+    bool smaller = false; // the corner (kUpper) or candidate (kLower) is
+    for (std::size_t j = 0; j < cand.size(); ++j)
+        smaller |= corner == DominanceTiles::Corner::kUpper ? v[j] < cand[j]
+                                                           : cand[j] < v[j];
+    if (corner == DominanceTiles::Corner::kUpper)
+        return cv < violation || !(violation < cv || smaller);
+    return violation < cv || !(cv < violation || smaller);
+}
+
+/// Rows in 8-row tiles, some dead (all NaN, like a free slot) and some
+/// tiles wholly empty, with each tile's box as the population builds it:
+/// per-value maxima (NaN as +inf) for the upper corner and minima (NaN as
+/// -inf) for the lower one; an empty tile's corners are all NaN.
+struct BoxedRows {
+    Rows rows;
+    std::vector<bool> live;
+    DominanceTiles tiles;
+    DominanceTiles upper;
+    DominanceTiles lower;
+};
+
+BoxedRows boxed_rows(std::size_t m, std::size_t n, borg::util::Rng& rng,
+                     Width width) {
+    BoxedRows b;
+    b.rows = random_rows(m, n, rng);
+    if (rng.flip(0.5)) { // a spatial order, so that boxes prune
+        std::vector<std::size_t> order(n);
+        for (std::size_t i = 0; i < n; ++i) order[i] = i;
+        std::sort(order.begin(), order.end(), [&](std::size_t x,
+                                                  std::size_t y) {
+            const double a = b.rows.values[x][0];
+            const double c = b.rows.values[y][0];
+            return !std::isnan(a) && (std::isnan(c) || a < c);
+        });
+        Rows sorted;
+        for (const std::size_t i : order) {
+            sorted.values.push_back(b.rows.values[i]);
+            sorted.violations.push_back(b.rows.violations[i]);
+        }
+        b.rows = sorted;
+    }
+    const std::size_t tiles = (n + 7) / 8;
+    for (std::size_t i = 0; i < n; ++i)
+        b.live.push_back(i / 8 % 5 != 3 && !rng.flip(0.15));
+    b.tiles = mirror_of(b.rows, m, width);
+    for (std::size_t i = 0; i < n; ++i)
+        if (!b.live[i]) b.tiles.clear_row(i);
+    for (DominanceTiles* corners : {&b.upper, &b.lower}) {
+        use_width(*corners, width);
+        corners->reset(m);
+        corners->resize(tiles);
+    }
+    for (std::size_t t = 0; t < tiles; ++t) {
+        std::vector<double> hi(m + 1, -kInf);
+        std::vector<double> lo(m + 1, kInf);
+        bool empty = true;
+        for (std::size_t i = 8 * t; i < std::min(n, 8 * t + 8); ++i) {
+            if (!b.live[i]) continue;
+            empty = false;
+            for (std::size_t j = 0; j <= m; ++j) {
+                const double x =
+                    j < m ? b.rows.values[i][j] : b.rows.violations[i];
+                hi[j] = std::max(hi[j], std::isnan(x) ? kInf : x);
+                lo[j] = std::min(lo[j], std::isnan(x) ? -kInf : x);
+            }
+        }
+        if (empty) continue; // corners stay NaN
+        b.upper.set_row(t, std::span(hi).first(m), hi[m]);
+        b.lower.set_row(t, std::span(lo).first(m), lo[m]);
+    }
+    return b;
+}
+
+/// Bit \p i of a bitmask.
+bool bit(const std::vector<std::uint64_t>& bits, std::size_t i) {
+    return ((bits[i / 64] >> (i % 64)) & 1u) != 0;
+}
+
+void check_reach_and_masked_scan(Width width) {
+    using Corner = DominanceTiles::Corner;
+    borg::util::Rng rng(8128);
+    std::size_t pruned = 0;
+    std::size_t reached = 0;
+    for (const std::size_t m : {1u, 2u, 3u, 5u, 8u}) {
+        for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 130u,
+                                    257u, 520u, 1030u}) {
+            const BoxedRows b = boxed_rows(m, n, rng, width);
+            const std::size_t tiles = (n + 7) / 8;
+            std::vector<std::uint64_t> bits;
+            std::vector<std::uint64_t> masked;
+            std::vector<std::uint64_t> up;
+            std::vector<std::uint64_t> down;
+            std::vector<std::uint64_t> some;
+            for (int trial = 0; trial < 30; ++trial) {
+                std::vector<double> cand(m);
+                for (double& x : cand) x = draw_value(rng);
+                double cv = draw_violation(rng);
+                if (n > 0 && trial % 3 == 0) { // a copy of a row
+                    const std::size_t k = rng.below(n);
+                    cand = b.rows.values[k];
+                    cv = b.rows.violations[k];
+                }
+                b.tiles.scan(cand, cv, bits);
+                b.upper.reach(Corner::kUpper, cand, cv, up);
+                b.lower.reach(Corner::kLower, cand, cv, down);
+                ASSERT_EQ(up.size(), (tiles + 63) / 64);
+                ASSERT_EQ(down.size(), (tiles + 63) / 64);
+                for (std::size_t t = 0; t < up.size() * 64; ++t) {
+                    if (t >= tiles) { // past size(): never set
+                        ASSERT_FALSE(bit(up, t)) << "m=" << m << " n=" << n;
+                        ASSERT_FALSE(bit(down, t)) << "m=" << m << " n=" << n;
+                        continue;
+                    }
+                    bool empty = true;
+                    bool dominated = false;
+                    bool dominating = false;
+                    for (std::size_t i = 8 * t; i < std::min(n, 8 * t + 8);
+                         ++i) {
+                        if (!b.live[i]) continue;
+                        empty = false;
+                        const Dominance d = compare_constrained(
+                            cand, cv, b.rows.values[i], b.rows.violations[i]);
+                        dominated |= d == Dominance::kDominates;
+                        dominating |= d == Dominance::kDominatedBy;
+                    }
+                    const auto corner = [&](const DominanceTiles& c) {
+                        std::vector<double> v(m);
+                        for (std::size_t j = 0; j < m; ++j) v[j] = c.value(t, j);
+                        return v;
+                    };
+                    // The kernel computes exactly the rule ...
+                    ASSERT_EQ(bit(up, t),
+                              reference_reach(Corner::kUpper,
+                                              corner(b.upper),
+                                              b.upper.value(t, m), cand, cv))
+                        << "m=" << m << " n=" << n << " tile " << t;
+                    ASSERT_EQ(bit(down, t),
+                              reference_reach(Corner::kLower,
+                                              corner(b.lower),
+                                              b.lower.value(t, m), cand, cv))
+                        << "m=" << m << " n=" << n << " tile " << t;
+                    // ... which reaches every tile that matters, and no
+                    // empty one.
+                    if (dominated) {
+                        ASSERT_TRUE(bit(up, t)) << "tile " << t;
+                    }
+                    if (dominating) {
+                        ASSERT_TRUE(bit(down, t)) << "tile " << t;
+                    }
+                    if (empty) {
+                        ASSERT_FALSE(bit(up, t)) << "empty tile " << t;
+                        ASSERT_FALSE(bit(down, t)) << "empty tile " << t;
+                    } else {
+                        (bit(up, t) ? reached : pruned) += 1;
+                    }
+                }
+                // The masked scan over the upper reach finds every
+                // dominated row; over any mask it gives scan()'s bits on
+                // the tiles it visits and 0 elsewhere.
+                std::vector<std::uint64_t> random_mask(up.size());
+                for (auto& word : random_mask) word = rng(); // bits past
+                                                             // tiles() too
+                for (const auto* mask : {&up, &down, &random_mask}) {
+                    const bool flag =
+                        b.tiles.scan_tiles(*mask, cand, cv, masked);
+                    ASSERT_EQ(masked.size(), bits.size());
+                    bool expected_flag = false;
+                    for (std::size_t i = 0; i < masked.size() * 64; ++i) {
+                        const bool visited = i < n && bit(*mask, i / 8);
+                        ASSERT_EQ(bit(masked, i), visited && bit(bits, i))
+                            << "m=" << m << " n=" << n << " row " << i;
+                        if (visited && b.live[i])
+                            expected_flag |=
+                                compare_constrained(cand, cv,
+                                                    b.rows.values[i],
+                                                    b.rows.violations[i]) ==
+                                Dominance::kDominatedBy;
+                    }
+                    ASSERT_EQ(flag, expected_flag) << "m=" << m << " n=" << n;
+                }
+                ASSERT_TRUE(b.tiles.scan_tiles(down, cand, cv, masked) ==
+                            b.tiles.scan(cand, cv, bits))
+                    << "a dominating row outside the lower reach";
+                b.tiles.scan_tiles(up, cand, cv, masked);
+                ASSERT_EQ(masked, bits) << "a dominated row outside the "
+                                           "upper reach";
+                // reach_tiles: reach() on the tiles of a mask, 0 elsewhere
+                // (a mask over corner rows: 8 boxes per tile).
+                std::vector<std::uint64_t> groups((tiles + 511) / 512);
+                for (auto& word : groups) word = rng();
+                b.upper.reach_tiles(Corner::kUpper, groups, cand, cv, some);
+                ASSERT_EQ(some.size(), up.size());
+                for (std::size_t t = 0; t < some.size() * 64; ++t)
+                    ASSERT_EQ(bit(some, t),
+                              t < tiles && bit(groups, t / 8) && bit(up, t))
+                        << "m=" << m << " n=" << n << " box " << t;
+                b.lower.reach_tiles(Corner::kLower, groups, cand, cv, some);
+                for (std::size_t t = 0; t < some.size() * 64; ++t)
+                    ASSERT_EQ(bit(some, t),
+                              t < tiles && bit(groups, t / 8) && bit(down, t))
+                        << "m=" << m << " n=" << n << " box " << t;
+            }
+        }
+    }
+    // The boxes prune: the check above is not met by reaching everything.
+    EXPECT_GT(pruned, 1000u);
+    EXPECT_GT(reached, 1000u);
+}
+
 TEST(DominanceTiles, ScanMatchesScalarReference) {
     check_scan_matches_scalar_reference(0);
 }
@@ -510,6 +726,10 @@ TEST(DominanceTiles, CoverFindsFirstCoveringBoxAmongFreeRows) {
 
 TEST(DominanceTiles, CompareRowsAndTournamentMatchScalarReference) {
     check_compare_rows_and_tournament(0);
+}
+
+TEST(DominanceTiles, ReachSupersetAndMaskedScanMatchScalarReference) {
+    check_reach_and_masked_scan(0);
 }
 
 TEST(DominanceTiles, ClearedRowsNeverTakePart) {
@@ -569,6 +789,11 @@ TEST_P(DominanceTilesAtWidth, CoverFindsFirstCoveringBoxAmongFreeRows) {
 
 TEST_P(DominanceTilesAtWidth, CompareRowsAndTournamentMatchScalarReference) {
     check_compare_rows_and_tournament(GetParam());
+}
+
+TEST_P(DominanceTilesAtWidth,
+       ReachSupersetAndMaskedScanMatchScalarReference) {
+    check_reach_and_masked_scan(GetParam());
 }
 
 TEST_P(DominanceTilesAtWidth, ClearedRowsNeverTakePart) {

@@ -454,7 +454,7 @@ TEST(NetHotPath, DecodeResultFrameLeavesNonResultsUntouched) {
     EXPECT_EQ(scratch.seq, 77u); // untouched on the false path
     // Malformed bytes still throw, same as decode_frame.
     auto frame = encode_frame(Message(Result{}));
-    frame.resize(frame.size() - 1);
+    frame.pop_back();
     EXPECT_THROW((void)decode_result_frame(frame, scratch), ProtocolError);
 }
 

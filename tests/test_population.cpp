@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -209,13 +212,22 @@ Solution random_candidate(std::size_t m, Rng& rng) {
     return s;
 }
 
+/// Members compared bit for bit, so NaN objectives compare too.
 void expect_same_members(const Population& pop,
                          const ReferencePopulation& ref) {
     ASSERT_EQ(pop.size(), ref.members.size());
     for (std::size_t i = 0; i < pop.size(); ++i) {
         const auto f = pop[i].objectives;
-        ASSERT_EQ(std::vector<double>(f.begin(), f.end()),
-                  ref.members[i].objectives)
+        const auto& g = ref.members[i].objectives;
+        ASSERT_EQ(f.size(), g.size());
+        ASSERT_EQ(std::memcmp(f.data(), g.data(), f.size() * sizeof(double)),
+                  0)
+            << "member " << i;
+        const auto c = pop[i].constraints;
+        const auto& d = ref.members[i].constraints;
+        ASSERT_EQ(c.size(), d.size());
+        ASSERT_EQ(std::memcmp(c.data(), d.data(), c.size() * sizeof(double)),
+                  0)
             << "member " << i;
     }
 }
@@ -247,6 +259,97 @@ TEST(PopulationEquivalence, InjectAndTournamentsMatchScalarReference) {
                       ref.tournament_freq(size, ref_rng, counts, pop));
         }
         expect_same_members(pop, ref);
+        ASSERT_EQ(rng(), ref_rng());
+    }
+}
+
+/// Candidates with spatial structure, so that the spatial layout's boxes
+/// prune: jittered points near a simplex front. Mixed in: duplicates of
+/// earlier candidates, NaN and infinite objectives, NaN constraints
+/// (which total_violation() counts as 0), infinite violations and
+/// infeasible rows with equal or unequal violations.
+Solution spatial_candidate(std::size_t m, Rng& rng,
+                           std::vector<Solution>& history) {
+    if (!history.empty() && rng.flip(0.1))
+        return history[rng.below(history.size())];
+    std::vector<double> f(m);
+    double sum = 0.0;
+    for (double& v : f) {
+        v = -std::log(1.0 - rng.uniform());
+        sum += v;
+    }
+    for (double& v : f) v = v / sum + 0.3 * rng.uniform();
+    if (rng.flip(0.03)) f[rng.below(m)] = std::nan("");
+    if (rng.flip(0.02))
+        f[rng.below(m)] = rng.flip(0.5) ? HUGE_VAL : -HUGE_VAL;
+    Solution s = evaluated(f);
+    if (rng.flip(0.15))
+        s.constraints = {rng.flip(0.5) ? 0.5 : rng.uniform(0.0, 1.0)};
+    else if (rng.flip(0.03))
+        s.constraints = {rng.flip(0.5) ? std::nan("") : HUGE_VAL};
+    else
+        s.constraints = {0.0};
+    history.push_back(s);
+    return s;
+}
+
+/// The spatial layout (a population spanning Population::kSpatialTiles
+/// tiles or more) against the same scalar reference: targets that cross
+/// the threshold both ways, restart-style clear() plus append() bursts,
+/// and restore(), with every verdict, every tournament pick, the members
+/// and the final RNG state compared.
+TEST(PopulationEquivalence, SpatialLayoutMatchesScalarReference) {
+    const std::size_t threshold =
+        Population::kSpatialTiles * DominanceTiles::kTileRows;
+    // {target, injections}: a restart-style refill starts each phase but
+    // the first, restore() the last.
+    const std::vector<std::pair<std::size_t, int>> phases = {
+        {threshold / 2, 1500},     {threshold + 200, 2500},
+        {2 * threshold, 3000},     {threshold / 3, 1000},
+        {threshold + 50, 2500},    {threshold * 3 / 2, 2000}};
+    for (const std::size_t m : {2u, 5u}) {
+        Population pop(phases[0].first);
+        ReferencePopulation ref{phases[0].first, {}};
+        Rng rng(700 + m);
+        Rng ref_rng(700 + m);
+        Rng stream(m);
+        std::vector<Solution> history;
+        std::size_t peak = 0;
+        for (std::size_t phase = 0; phase < phases.size(); ++phase) {
+            const auto [target, injections] = phases[phase];
+            if (phase + 1 == phases.size()) {
+                const std::vector<Solution> members = ref.members;
+                pop.restore(members, target);
+                ref.members = members;
+                ref.target = target;
+            } else if (phase > 0) {
+                // Restart-style: clear, then append part of the old
+                // members; injections grow the rest back.
+                const std::vector<Solution> old = ref.members;
+                pop.clear();
+                ref.members.clear();
+                pop.set_target_size(target);
+                ref.target = target;
+                for (std::size_t i = 0; i < std::min(old.size(), target / 3);
+                     ++i) {
+                    pop.append(old[i]);
+                    ref.members.push_back(old[i]);
+                }
+            }
+            for (int step = 0; step < injections; ++step) {
+                const Solution s = spatial_candidate(m, stream, history);
+                ASSERT_EQ(pop.inject(s, rng), ref.inject(s, ref_rng))
+                    << "m=" << m << " phase " << phase << " step " << step;
+                peak = std::max(peak, pop.size());
+                if (step % 97 != 0) continue;
+                const std::size_t size = 2 + stream.below(20);
+                ASSERT_EQ(pop.tournament_pick_index(size, rng),
+                          ref.tournament(size, ref_rng));
+            }
+            expect_same_members(pop, ref);
+        }
+        ASSERT_GT(peak, 2 * threshold - 1); // the spatial layout ran
+        ASSERT_GT(pop.scanned_tiles(), 0u);
         ASSERT_EQ(rng(), ref_rng());
     }
 }
