@@ -11,7 +11,7 @@
 /// Flags: --problem dtlz2_5  --tf 0.001  --procs 512  --evals 100000
 ///        --islands 1,2,4,8,16  --migration 1000  --epsilon 0.15
 ///        --replicates 2  --seed 2013  --quick
-///        --hv-algo {auto,wfg,naive,mc}  --hv-mc-samples N
+///        --hv-algo {auto,wfg,mc}  --hv-mc-samples N
 
 #include <iostream>
 

@@ -21,7 +21,7 @@
 /// Flags: --tf 0.001,0.01,0.1  --procs 16,...,1024  --evals 50000
 ///        --replicates 1  --epsilon 0.15  --checkpoints 50  --seed 2013
 ///        --jobs N (default: hardware concurrency)  --metrics  --quick
-///        --hv-algo {auto,wfg,naive,mc}  --hv-mc-samples N
+///        --hv-algo {auto,wfg,mc}  --hv-mc-samples N
 
 #include <cmath>
 #include <iostream>

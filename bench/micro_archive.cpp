@@ -7,7 +7,8 @@
 /// 23–78 µs means). This driver has two kinds of cell:
 ///
 ///  * Simplex cells time the ArchiveEngine against the NaiveArchive
-///    reference oracle at steady-state archive sizes {1e2, 1e3, 1e4}:
+///    reference oracle (tests/naive_archive.hpp) at steady-state archive
+///    sizes {1e2, 1e3, 1e4}:
 ///    each prefills both archives with the same 20k-candidate stream of
 ///    jittered 5-objective simplex points (mostly mutually nondominated —
 ///    ε alone controls the resident size), asserting verdict-by-verdict,
@@ -70,6 +71,7 @@
 #include "moea/epsilon_archive.hpp"
 #include "moea/population.hpp"
 #include "moea/restart.hpp"
+#include "naive_archive.hpp"
 #include "problems/problem.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"

@@ -1,27 +1,29 @@
-/// Discrete-event core benchmark and old-vs-new agreement gate.
+/// Discrete-event core benchmark and calendar-vs-heap agreement gate.
 ///
 /// The DES scheduler bounds what a Figure 5 sweep point costs to simulate:
 /// a P = 16,384 cell dispatches millions of timeout/acquire events, so
-/// ns/event is the budget everything else lives inside. This driver times
-/// the calendar-queue engine (QueuePolicy::calendar, DESIGN.md §13)
-/// against the pre-rebuild binary heap (QueuePolicy::heap, kept verbatim
-/// as the behavioral oracle) on a jittered-ticker workload at
-/// P in {64, 4096, 16384} (256 events per process, so the t = 0 spawn
-/// transient — every process in one epoch — amortizes into the
-/// steady-state dispatch rate being measured), and — before any timing
-/// is believed — proves the two engines byte-agree:
+/// ns/event is the budget everything else lives inside. This driver runs
+/// one jittered-ticker hold workload at P in {64, 4096, 16384} (256 events
+/// per process, so the t = 0 spawn transient — every process in one epoch
+/// — amortizes into the steady-state rate being measured) three ways:
 ///
-///   * per timing cell, an order-sensitive FNV hash over every (process,
-///     now()) wake must match between engines (same events, same order,
-///     same clock readings);
-///   * a master-slave resource workload (the simulation model's
-///     acquire/hold/release cycle) must agree on hash, event count,
-///     makespan, and contention;
-///   * simulate_async at P = 64 must produce byte-identical EventTrace
-///     JSONL under both engines.
+///   * on des::Environment (calendar queue, DESIGN.md §13): coroutine
+///     processes, the engine's real dispatch cost (`calendar_ns`);
+///   * as a queue-level hold loop on the CalendarQueue alone, and
+///   * as the same hold loop on the pre-rebuild binary heap, kept verbatim
+///     as the test-only oracle tests/heap_queue.hpp (`heap_ns`).
+///
+/// The environment's schedule depends only on the order its queue pops
+/// events, so the hold loop replays it exactly: the same pushes in the
+/// same order with the same sequence numbers, one parked coroutine frame
+/// per process as the handle. Before any timing is believed, an
+/// order-sensitive FNV hash over every (process, clock) wake must match
+/// across all three runs (same events, same order, same clock readings).
+/// `speedup` is heap over calendar on the hold loop, so the gate compares
+/// the two queues and nothing else.
 ///
 /// ci.sh runs `--quick` (the P = 4096 cell only) as a smoke gate: exit is
-/// non-zero on any disagreement or if the calendar engine is slower than
+/// non-zero on any disagreement or if the calendar queue is slower than
 /// the heap. The full grid additionally gates >= 3x on the P = 4096 cell —
 /// the event-dispatch headline — and produces the checked-in
 /// BENCH_des.json (regenerate from a Release build with
@@ -37,17 +39,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "des/environment.hpp"
 #include "des/event_queue.hpp"
-#include "des/resource.hpp"
-#include "models/simulation_model.hpp"
-#include "obs/event_trace.hpp"
-#include "stats/distribution.hpp"
+#include "heap_queue.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -55,7 +56,6 @@
 namespace {
 
 using namespace borg;
-using des::QueuePolicy;
 
 /// Order-sensitive splitmix-style accumulator: two schedules hash equal
 /// only if they resume the same processes at the same clock readings in
@@ -68,7 +68,6 @@ struct ScheduleHash {
         state = (state ^ v) * 0xff51afd7ed558ccdull;
         state ^= state >> 29;
     }
-    void mix_time(double t) noexcept { mix(std::bit_cast<std::uint64_t>(t)); }
 };
 
 double elapsed_ns(std::chrono::steady_clock::time_point t0,
@@ -76,48 +75,51 @@ double elapsed_ns(std::chrono::steady_clock::time_point t0,
     return std::chrono::duration<double, std::nano>(t1 - t0).count();
 }
 
-// ------------------------------------------------- jittered-ticker cell
-
-/// Hold-model process (Ronngren & Ayani's classic priority-queue
-/// workload): each wakeup schedules one new delay from a bimodal mix —
-/// 90% long holds in [0.7, 1.1), 10% short holds of ~2-5% of
-/// that. The short fraction models the near-immediate wakeups every real
-/// model produces (resource handoffs, fast evaluations in the
-/// heterogeneous-worker sweeps); a uniform-only mix would be the binary
-/// heap's best case, since every push would land near the bottom of the
-/// sift. The rng is shared, so draw order — and therefore every delay —
-/// depends on the wake schedule: any ordering divergence between engines
-/// cascades into different event times, which the hash (and even the
-/// final clock) catches.
-/// kHashed compiles the agreement instrumentation in or out. The hash is
-/// one shared accumulator written by every wakeup — exactly what the
-/// cross-engine agreement check needs, and exactly what a pure
-/// event-dispatch timing should not pay for. The schedule itself is
-/// identical either way: the hash never feeds back into a delay.
-template <bool kHashed>
-des::Process jittered_ticker(des::Environment& env, util::Rng& rng,
-                             int events, std::uint64_t tag,
-                             ScheduleHash& hash) {
-    for (int i = 0; i < events; ++i) {
-        const double u = rng.uniform();
-        co_await env.delay(u < 0.1 ? 0.02 + 0.2 * u : 0.7 + 0.4 * u);
-        // One order-sensitive mix per wakeup: state threads through every
-        // event, so any reordering or time divergence still cascades.
-        if constexpr (kHashed)
-            hash.mix(tag ^ std::bit_cast<std::uint64_t>(env.now()));
-    }
+/// The hold delay for a uniform draw \p u: 90% long holds in [0.7, 1.1),
+/// 10% short holds of ~2-5% of that. The short fraction models the
+/// near-immediate wakeups every real model produces (resource handoffs,
+/// fast evaluations in the heterogeneous-worker sweeps); a uniform-only
+/// mix would be the binary heap's best case, since every push would land
+/// near the bottom of the sift.
+double hold_delay(double u) noexcept {
+    return u < 0.1 ? 0.02 + 0.2 * u : 0.7 + 0.4 * u;
 }
 
-struct TickerRun {
+/// One run of the workload: what the agreement check compares and what
+/// the timing reports.
+struct HoldRun {
     double ns_per_event = 0.0;
     std::uint64_t events = 0;
     std::uint64_t hash = 0;
     double final_time = 0.0;
 };
 
-TickerRun run_tickers_once(QueuePolicy queue, std::uint64_t procs,
-                           int events, std::uint64_t seed, bool hashed) {
-    des::Environment env(queue);
+// ------------------------------------------- jittered tickers on the DES
+
+/// Hold-model process (Ronngren & Ayani's classic priority-queue
+/// workload): each wakeup schedules one new delay from hold_delay(). The
+/// rng is shared, so draw order — and therefore every delay — depends on
+/// the wake schedule: any ordering divergence cascades into different
+/// event times, which the hash (and even the final clock) catches.
+/// kHashed compiles the agreement instrumentation in or out: the hash is
+/// one shared accumulator written by every wakeup — what the agreement
+/// check needs, and what a pure event-dispatch timing should not pay for.
+/// The schedule is identical either way: the hash never feeds back into a
+/// delay.
+template <bool kHashed>
+des::Process jittered_ticker(des::Environment& env, util::Rng& rng,
+                             int events, std::uint64_t tag,
+                             ScheduleHash& hash) {
+    for (int i = 0; i < events; ++i) {
+        co_await env.delay(hold_delay(rng.uniform()));
+        if constexpr (kHashed)
+            hash.mix(tag ^ std::bit_cast<std::uint64_t>(env.now()));
+    }
+}
+
+HoldRun run_environment(std::uint64_t procs, int events, std::uint64_t seed,
+                        bool hashed) {
+    des::Environment env;
     util::Rng rng(seed);
     ScheduleHash hash;
     for (std::uint64_t p = 0; p < procs; ++p)
@@ -127,10 +129,64 @@ TickerRun run_tickers_once(QueuePolicy queue, std::uint64_t procs,
     const auto t0 = std::chrono::steady_clock::now();
     env.run();
     const auto t1 = std::chrono::steady_clock::now();
-    TickerRun r;
+    HoldRun r;
     r.events = env.event_count();
     r.hash = hash.state;
     r.final_time = env.now();
+    r.ns_per_event = elapsed_ns(t0, t1) / static_cast<double>(r.events);
+    return r;
+}
+
+// ------------------------------------------- the same holds on a queue
+
+/// Pops the earliest event, whichever queue is behind it; a null handle
+/// means the queue is empty.
+des::CalendarQueue::Popped pop(des::CalendarQueue& queue) {
+    return queue.pop_ready(std::numeric_limits<double>::infinity());
+}
+
+des::CalendarQueue::Popped pop(des::HeapQueue& queue) {
+    des::EventRecord out;
+    if (!queue.pop_if(std::numeric_limits<double>::infinity(), out))
+        return {0.0, nullptr};
+    return {out.time, out.handle};
+}
+
+/// The tickers' schedule replayed on a bare queue: process p is parked
+/// frame p, spawned at t = 0 with sequence number p (Environment::spawn
+/// order); each pop of p hashes the wake (all but the first, which is the
+/// spawn) and, while p has delays left, pushes its next wake with the
+/// next sequence number — exactly the pushes Environment::delay makes.
+/// The popped frame's promise is read for its index, touching the frame
+/// as a resume would.
+template <bool kHashed, typename Queue>
+HoldRun run_hold_loop(const des::ParkedFrames& frames, int events,
+                      std::uint64_t seed) {
+    Queue queue;
+    util::Rng rng(seed);
+    ScheduleHash hash;
+    std::vector<int> left(frames.size(), events);
+    std::uint64_t seq = 0;
+    for (std::size_t p = 0; p < frames.size(); ++p)
+        queue.push(0.0, seq++, frames[p]);
+    HoldRun r;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto popped = pop(queue); popped.handle; popped = pop(queue)) {
+        ++r.events;
+        r.final_time = popped.time;
+        const std::size_t p = des::ParkedFrames::index_of(popped.handle);
+        if constexpr (kHashed) {
+            if (left[p] < events)
+                hash.mix(p ^ std::bit_cast<std::uint64_t>(popped.time));
+        }
+        if (left[p] > 0) {
+            --left[p];
+            queue.push(popped.time + hold_delay(rng.uniform()), seq++,
+                       popped.handle);
+        }
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    r.hash = hash.state;
     r.ns_per_event = elapsed_ns(t0, t1) / static_cast<double>(r.events);
     return r;
 }
@@ -140,117 +196,33 @@ double median(std::vector<double> xs) {
     return xs[xs.size() / 2];
 }
 
-/// One timed sample: \p reps full runs (unhashed tickers), ns per
-/// dispatched event. Every rep must reproduce the calibration pass's
-/// event count and bit-exact final clock: the rng is shared across all
-/// processes, so any ordering divergence changes which process draws
-/// which delay and the final clock cascades away from the reference.
-/// (Cross-engine byte agreement is proven by the hashed calibration pass
-/// and the workload gates; this check pins the timed runs to it.)
-double timed_sample_ns(QueuePolicy queue, std::uint64_t procs, int events,
-                       std::uint64_t seed, std::uint64_t reps,
-                       const TickerRun& reference) {
-    // Sum the per-run dispatch-loop timings (run_tickers_once brackets
-    // env.run() alone) rather than wall-clocking the rep loop: environment
-    // construction, spawning, and frame teardown are setup, not event
-    // dispatch, and counting them dilutes both engines by the same
-    // additive constant.
+/// One timed sample: \p reps unhashed runs of \p run, ns per dispatched
+/// event. Only the dispatch loops are timed (each run brackets its own
+/// loop): construction, spawning and teardown are setup, and counting
+/// them would dilute every side by the same additive constant. Every rep
+/// must reproduce the calibration pass's event count and bit-exact final
+/// clock: the rng is shared across all processes, so any ordering
+/// divergence changes which process draws which delay and the final clock
+/// cascades away from the reference.
+template <typename Run>
+double timed_sample_ns(const char* side, std::uint64_t procs,
+                       std::uint64_t reps, const HoldRun& reference,
+                       Run run) {
     double ns = 0.0;
     std::uint64_t total = 0;
     for (std::uint64_t rep = 0; rep < reps; ++rep) {
-        const TickerRun r =
-            run_tickers_once(queue, procs, events, seed, false);
+        const HoldRun r = run();
         ns += r.ns_per_event * static_cast<double>(r.events);
         total += r.events;
         if (r.events != reference.events ||
             std::bit_cast<std::uint64_t>(r.final_time) !=
                 std::bit_cast<std::uint64_t>(reference.final_time)) {
-            std::cerr << "FAIL: nondeterministic schedule within one "
-                         "engine (policy "
-                      << (queue == QueuePolicy::heap ? "heap" : "calendar")
-                      << ", P=" << procs << ")\n";
+            std::cerr << "FAIL: nondeterministic schedule across timed reps ("
+                      << side << ", P=" << procs << ")\n";
             std::exit(2);
         }
     }
     return ns / static_cast<double>(total);
-}
-
-// ------------------------------------- master-slave resource agreement
-
-des::Process ms_worker(des::Environment& env, des::Resource& master,
-                       util::Rng& rng, int jobs, std::uint64_t tag,
-                       ScheduleHash& hash) {
-    for (int j = 0; j < jobs; ++j) {
-        co_await env.delay(0.01 * (0.5 + rng.uniform()));
-        co_await master.acquire();
-        hash.mix(tag);
-        hash.mix_time(env.now());
-        co_await env.delay(0.002);
-        master.release();
-    }
-}
-
-struct MasterSlaveRun {
-    std::uint64_t hash = 0;
-    std::uint64_t events = 0;
-    double makespan = 0.0;
-    std::size_t contended = 0;
-};
-
-MasterSlaveRun run_master_slave(QueuePolicy queue, std::uint64_t seed) {
-    des::Environment env(queue);
-    des::Resource master(env, 1);
-    util::Rng rng(seed);
-    ScheduleHash hash;
-    for (std::uint64_t w = 0; w < 32; ++w)
-        env.spawn(ms_worker(env, master, rng, 20, w, hash));
-    env.run();
-    return {hash.state, env.event_count(), env.now(),
-            master.contended_acquires()};
-}
-
-bool master_slave_agreement(std::uint64_t seed) {
-    const MasterSlaveRun heap = run_master_slave(QueuePolicy::heap, seed);
-    const MasterSlaveRun cal = run_master_slave(QueuePolicy::calendar, seed);
-    if (heap.hash != cal.hash || heap.events != cal.events ||
-        heap.makespan != cal.makespan || heap.contended != cal.contended) {
-        std::cerr << "FAIL: master-slave workload disagreement (heap "
-                  << heap.events << " events, makespan " << heap.makespan
-                  << "; calendar " << cal.events << ", " << cal.makespan
-                  << ")\n";
-        return false;
-    }
-    return true;
-}
-
-bool simulate_async_trace_agreement(std::uint64_t seed) {
-    const auto tf = stats::make_delay(0.01, 0.1);
-    const auto tc = stats::make_delay(0.000006, 0.0);
-    const auto ta = stats::make_delay(0.000029, 0.2);
-    std::string jsonl[2];
-    const QueuePolicy policies[2] = {QueuePolicy::heap,
-                                     QueuePolicy::calendar};
-    for (int k = 0; k < 2; ++k) {
-        models::SimulationConfig cfg;
-        cfg.evaluations = 8 * 64;
-        cfg.processors = 64;
-        cfg.tf = tf.get();
-        cfg.tc = tc.get();
-        cfg.ta = ta.get();
-        cfg.seed = seed;
-        cfg.queue = policies[k];
-        obs::EventTrace trace;
-        (void)models::simulate_async(cfg, {.trace = &trace});
-        jsonl[k] = trace.to_jsonl();
-    }
-    if (jsonl[0] != jsonl[1]) {
-        std::cerr << "FAIL: simulate_async P=64 traces differ between "
-                     "engines ("
-                  << jsonl[0].size() << " vs " << jsonl[1].size()
-                  << " bytes)\n";
-        return false;
-    }
-    return true;
 }
 
 // --------------------------------------------------------------- report
@@ -263,12 +235,19 @@ std::string format_ns(double ns) {
 
 struct CellReport {
     std::uint64_t procs = 0;
-    double calendar_ns = 0.0;
-    double heap_ns = 0.0;
-    double speedup = 0.0;
+    double calendar_ns = 0.0;       ///< Environment, per dispatched event
+    double calendar_queue_ns = 0.0; ///< hold loop on the calendar queue
+    double heap_ns = 0.0;           ///< hold loop on the heap oracle
+    double speedup = 0.0;           ///< heap over calendar, hold loop
     bool schedule_match = false;
     bool gated = true; ///< saturation cells report without gating
 };
+
+bool same_schedule(const HoldRun& a, const HoldRun& b) {
+    return a.hash == b.hash && a.events == b.events &&
+           std::bit_cast<std::uint64_t>(a.final_time) ==
+               std::bit_cast<std::uint64_t>(b.final_time);
+}
 
 } // namespace
 
@@ -289,68 +268,80 @@ int main(int argc, char** argv) {
         samples = std::min<std::size_t>(samples, 3);
     }
 
-    std::cout << "DES event dispatch: calendar queue vs binary-heap "
-                 "oracle, jittered ticker, "
-              << events << " events/process, median of " << samples
-              << " samples\n";
+    std::cout << "DES event dispatch, jittered ticker, " << events
+              << " events/process, median of " << samples
+              << " samples: des::Environment, and the same holds on the "
+                 "calendar queue vs the binary-heap oracle\n";
 
-    // Agreement gates first: timings of a wrong schedule are worthless.
-    int rc = 0;
-    if (!master_slave_agreement(seed)) rc = 2;
-    if (!simulate_async_trace_agreement(seed)) rc = 2;
-    if (rc != 0) return rc;
-    std::cout << "agreement: master-slave workload + simulate_async P=64 "
-                 "trace byte-identical across engines\n";
-
-    util::Table table({"P", "events", "calendar ns/ev", "heap ns/ev",
-                       "speedup", "schedule"});
+    util::Table table({"P", "events", "env ns/ev", "calendar ns/ev",
+                       "heap ns/ev", "speedup", "schedule"});
     std::vector<CellReport> cells;
     const auto run_cell = [&](std::uint64_t p, std::size_t cell_samples,
                               bool gated) {
         const std::uint64_t cell_seed = seed + p;
-        // Calibration pass per engine: schedule hash for the agreement
+        const des::ParkedFrames frames(p);
+        const auto calendar_loop = [&] {
+            return run_hold_loop<false, des::CalendarQueue>(frames, events,
+                                                            cell_seed);
+        };
+        const auto heap_loop = [&] {
+            return run_hold_loop<false, des::HeapQueue>(frames, events,
+                                                        cell_seed);
+        };
+        const auto environment = [&] {
+            return run_environment(p, events, cell_seed, false);
+        };
+        // Calibration pass per side: schedule hash for the agreement
         // check, wall time to size the rep count (>= 20 ms per sample so
         // clock quantization stays negligible).
-        const TickerRun cal = run_tickers_once(QueuePolicy::calendar, p,
-                                               events, cell_seed, true);
-        const TickerRun heap =
-            run_tickers_once(QueuePolicy::heap, p, events, cell_seed, true);
+        const HoldRun env = run_environment(p, events, cell_seed, true);
+        const HoldRun cal =
+            run_hold_loop<true, des::CalendarQueue>(frames, events,
+                                                    cell_seed);
+        const HoldRun heap =
+            run_hold_loop<true, des::HeapQueue>(frames, events, cell_seed);
         constexpr double kMinSampleNs = 2e7;
         const double fastest_ns =
-            std::max(1.0, std::min(cal.ns_per_event, heap.ns_per_event) *
-                              static_cast<double>(cal.events));
+            std::max(1.0, std::min({env.ns_per_event, cal.ns_per_event,
+                                    heap.ns_per_event}) *
+                              static_cast<double>(env.events));
         const auto reps = static_cast<std::uint64_t>(
             std::max(1.0, std::ceil(kMinSampleNs / fastest_ns)));
 
-        // Samples interleave the engines so slow drift (thermal, noisy
-        // neighbors on this single-core box) hits both sides of each
-        // ratio; the speedup is the median of per-sample ratios.
+        // Samples interleave the sides so slow drift (thermal, noisy
+        // neighbors) hits all of them; the speedup is the median of
+        // per-sample ratios.
+        std::vector<double> env_ns;
         std::vector<double> cal_ns;
         std::vector<double> heap_ns;
         std::vector<double> ratio;
         for (std::size_t s = 0; s < cell_samples; ++s) {
-            cal_ns.push_back(timed_sample_ns(QueuePolicy::calendar, p,
-                                             events, cell_seed, reps, cal));
-            heap_ns.push_back(timed_sample_ns(QueuePolicy::heap, p, events,
-                                              cell_seed, reps, heap));
+            env_ns.push_back(
+                timed_sample_ns("environment", p, reps, env, environment));
+            cal_ns.push_back(timed_sample_ns("calendar queue", p, reps, cal,
+                                             calendar_loop));
+            heap_ns.push_back(
+                timed_sample_ns("heap queue", p, reps, heap, heap_loop));
             ratio.push_back(heap_ns.back() / cal_ns.back());
         }
         CellReport cell;
         cell.procs = p;
-        cell.calendar_ns = median(cal_ns);
+        cell.calendar_ns = median(env_ns);
+        cell.calendar_queue_ns = median(cal_ns);
         cell.heap_ns = median(heap_ns);
         cell.speedup = median(ratio);
         cell.schedule_match =
-            cal.hash == heap.hash && cal.events == heap.events;
+            same_schedule(env, cal) && same_schedule(env, heap);
         cell.gated = gated;
         cells.push_back(cell);
 
         char speedup_buf[32];
         std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx",
                       cell.speedup);
-        table.add_row({std::to_string(p), std::to_string(cal.events),
-                       format_ns(cell.calendar_ns), format_ns(cell.heap_ns),
-                       speedup_buf,
+        table.add_row({std::to_string(p), std::to_string(env.events),
+                       format_ns(cell.calendar_ns),
+                       format_ns(cell.calendar_queue_ns),
+                       format_ns(cell.heap_ns), speedup_buf,
                        cell.schedule_match ? "match" : "MISMATCH"});
     };
     for (const std::int64_t p : procs)
@@ -358,18 +349,20 @@ int main(int argc, char** argv) {
     if (saturation) run_cell(100000, 1, false);
     table.print(std::cout);
 
+    int rc = 0;
     for (const CellReport& cell : cells) {
         if (!cell.schedule_match) {
-            std::cerr << "FAIL: engines disagree on the P=" << cell.procs
-                      << " ticker schedule\n";
+            std::cerr << "FAIL: the environment, the calendar queue and the "
+                         "heap disagree on the P="
+                      << cell.procs << " ticker schedule\n";
             rc = 2;
         }
     }
     if (rc != 0) return rc;
 
-    // Speed gates. Quick (ci.sh): the calendar engine must not lose to the
-    // heap on the P = 4096 cell. Full grid: >= 3x there — the
-    // event-dispatch headline this rebuild claims.
+    // Speed gates, queue against queue. Quick (ci.sh): the calendar queue
+    // must not lose to the heap on the P = 4096 cell. Full grid: >= 3x
+    // there — the event-dispatch headline of the calendar rebuild.
     for (const CellReport& cell : cells) {
         if (!cell.gated || cell.procs != 4096) continue;
         const double required = quick ? 1.0 : 3.0;
@@ -394,8 +387,6 @@ int main(int argc, char** argv) {
             << "  \"workload\": \"jittered-ticker\",\n"
             << "  \"events_per_proc\": " << events << ",\n"
             << "  \"samples\": " << samples << ",\n"
-            << "  \"agreement\": {\"master_slave\": true, "
-               "\"simulate_async_trace\": true},\n"
             << "  \"cells\": [\n";
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const CellReport& c = cells[i];
@@ -403,10 +394,11 @@ int main(int argc, char** argv) {
             std::snprintf(
                 buf, sizeof(buf),
                 "    {\"procs\": %llu, \"calendar_ns\": %.1f, "
-                "\"heap_ns\": %.1f, \"speedup\": %.2f, "
-                "\"schedule_match\": %s}%s\n",
+                "\"calendar_queue_ns\": %.1f, \"heap_ns\": %.1f, "
+                "\"speedup\": %.2f, \"schedule_match\": %s}%s\n",
                 static_cast<unsigned long long>(c.procs), c.calendar_ns,
-                c.heap_ns, c.speedup, c.schedule_match ? "true" : "false",
+                c.calendar_queue_ns, c.heap_ns, c.speedup,
+                c.schedule_match ? "true" : "false",
                 i + 1 < cells.size() ? "," : "");
             out << buf;
         }

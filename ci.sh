@@ -65,9 +65,10 @@ echo "=== hypervolume engine gate (agreement + speedup smoke) ==="
 ./build/bench/micro_hypervolume --quick --json build/BENCH_hypervolume.json
 
 echo "=== archive engine gate (agreement + speedup smoke) ==="
-# Fails if ArchiveEngine diverges from the NaiveArchive oracle on any
-# verdict, member, or counter over the 20k-candidate prefill stream or
-# the recorded archive10k replay stream, if Population::inject diverges
+# Fails if ArchiveEngine diverges from the NaiveArchive oracle (the
+# test-only tests/naive_archive.hpp) on any verdict, member, or counter
+# over the 20k-candidate prefill stream or the recorded archive10k
+# replay stream, if Population::inject diverges
 # from its scalar reference on that replay stream or on the 100-member
 # one, if two dominance-kernel widths disagree (the reach forms
 # included), or if the engine is not faster on the 1e3-member
@@ -75,9 +76,11 @@ echo "=== archive engine gate (agreement + speedup smoke) ==="
 ./build/bench/micro_archive --quick --json build/BENCH_archive.json
 
 echo "=== DES engine gate (agreement + speedup smoke) ==="
-# Fails if the calendar-queue engine's schedule diverges from the binary
-# heap oracle (wake-order hash, master-slave workload, simulate_async
-# trace) or if it is slower than the heap on the P = 4096 ticker cell.
+# Fails if des::Environment, a hold loop on the CalendarQueue and the same
+# hold loop on the binary-heap oracle (the test-only tests/heap_queue.hpp)
+# disagree on the P = 4096 ticker schedule (wake-order hash, event count,
+# final clock), or if the calendar queue is slower than the heap on that
+# hold loop (queue against queue; the environment's ns/event is reported).
 ./build/bench/micro_des --quick --json build/BENCH_des.json
 
 echo "=== operator gate (recorded-offspring agreement + timing smoke) ==="

@@ -65,36 +65,22 @@ void Environment::on_process_finished(Process::promise_type& promise) noexcept {
     free_slots_.push_back(promise.slot);
 }
 
-void Environment::dispatch(const EventRecord& item) {
-    now_ = item.time;
-    ++events_fired_;
-    item.handle.resume();
-    if (first_exception_)
-        std::rethrow_exception(std::exchange(first_exception_, nullptr));
+void Environment::dispatch_until(double max_time) {
+    while (!stopped_) {
+        const auto popped = queue_.pop_ready(max_time);
+        if (!popped.handle) break;
+        now_ = popped.time;
+        ++events_fired_;
+        popped.handle.resume();
+        if (first_exception_)
+            std::rethrow_exception(std::exchange(first_exception_, nullptr));
+    }
 }
 
 void Environment::run() {
     stopped_ = false;
     const MetricsOnExit metrics_guard{*this};
-    EventRecord item;
-    // The queue kind is fixed for the environment's lifetime, but the
-    // compiler cannot prove resume() leaves it alone, so hoist the branch
-    // out of the hot loop by hand — one tight loop per engine.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    if (queue_kind_ == QueuePolicy::heap) {
-        while (!stopped_ && heap_.pop_if(kInf, item)) dispatch(item);
-    } else {
-        while (!stopped_) {
-            const auto popped = calendar_.pop_ready(kInf);
-            if (!popped.handle) break;
-            now_ = popped.time;
-            ++events_fired_;
-            popped.handle.resume();
-            if (first_exception_)
-                std::rethrow_exception(
-                    std::exchange(first_exception_, nullptr));
-        }
-    }
+    dispatch_until(std::numeric_limits<double>::infinity());
 }
 
 void Environment::run_until(double t) {
@@ -102,21 +88,7 @@ void Environment::run_until(double t) {
         throw std::invalid_argument("run_until: non-finite deadline");
     stopped_ = false;
     const MetricsOnExit metrics_guard{*this};
-    EventRecord item;
-    if (queue_kind_ == QueuePolicy::heap) {
-        while (!stopped_ && heap_.pop_if(t, item)) dispatch(item);
-    } else {
-        while (!stopped_) {
-            const auto popped = calendar_.pop_ready(t);
-            if (!popped.handle) break;
-            now_ = popped.time;
-            ++events_fired_;
-            popped.handle.resume();
-            if (first_exception_)
-                std::rethrow_exception(
-                    std::exchange(first_exception_, nullptr));
-        }
-    }
+    dispatch_until(t);
     // SimPy run(until=...) semantics: a non-stopped exit leaves the clock
     // at the deadline even when later events remain queued, so subsequent
     // delay()s compute from t rather than the last fired event.

@@ -30,9 +30,7 @@
 /// function of its inputs (including RNG seeds).
 ///
 /// Scale (DESIGN.md §13): pending events live in a calendar queue over a
-/// flat struct-of-arrays arena (O(1) amortized dispatch; the pre-rebuild
-/// binary heap remains available as QueuePolicy::heap, the behavioral
-/// oracle both engines are gated against). Coroutine frames come from a
+/// flat slot arena (O(1) amortized dispatch). Coroutine frames come from a
 /// thread-local size-class pool (frame_pool.hpp) and are reclaimed eagerly
 /// the moment a process finishes, so a 10^6-worker saturation run neither
 /// hammers the global allocator nor accretes dead frames.
@@ -114,17 +112,10 @@ private:
 /// queue of suspended coroutine resumptions.
 class Environment {
 public:
-    /// \p queue selects the pending-event store: the calendar queue
-    /// (default — O(1) amortized dispatch) or the original binary heap
-    /// kept as the schedule-equivalence oracle. Both produce byte-identical
-    /// schedules; see event_queue.hpp.
-    explicit Environment(QueuePolicy queue = QueuePolicy::calendar) noexcept
-        : queue_kind_(queue) {}
+    Environment() = default;
     Environment(const Environment&) = delete;
     Environment& operator=(const Environment&) = delete;
     ~Environment();
-
-    QueuePolicy queue_policy() const noexcept { return queue_kind_; }
 
     /// Current virtual time in seconds.
     double now() const noexcept { return now_; }
@@ -168,12 +159,6 @@ public:
         return live_.size() - free_slots_.size();
     }
 
-    /// Pending (not yet dispatched) events.
-    std::size_t pending_events() const noexcept {
-        return queue_kind_ == QueuePolicy::heap ? heap_.size()
-                                                : calendar_.size();
-    }
-
     /// Total events dispatched so far (diagnostic / test hook).
     std::uint64_t event_count() const noexcept { return events_fired_; }
 
@@ -205,10 +190,7 @@ public:
                 "schedule_at: non-finite event time");
         if (t < now_)
             throw std::logic_error("schedule_at: cannot schedule in the past");
-        if (queue_kind_ == QueuePolicy::heap)
-            heap_.push(t, next_seq_++, handle);
-        else
-            calendar_.push(t, next_seq_++, handle);
+        queue_.push(t, next_seq_++, handle);
     }
 
     /// Called by Process::promise_type at final suspend, just before the
@@ -216,13 +198,9 @@ public:
     void on_process_finished(Process::promise_type& promise) noexcept;
 
 private:
-    bool pop_next(double max_time, EventRecord& out) {
-        return queue_kind_ == QueuePolicy::heap
-                   ? heap_.pop_if(max_time, out)
-                   : calendar_.pop_if(max_time, out);
-    }
-
-    void dispatch(const EventRecord& item);
+    /// Dispatches every event due by \p max_time until the queue runs
+    /// dry or stop() is called; the loop run() and run_until() share.
+    void dispatch_until(double max_time);
 
     void publish_engine_metrics() const noexcept;
 
@@ -233,7 +211,6 @@ private:
         ~MetricsOnExit() { env.publish_engine_metrics(); }
     };
 
-    QueuePolicy queue_kind_;
     double now_ = 0.0;
     bool stopped_ = false;
     obs::TraceSink* trace_ = nullptr;
@@ -242,8 +219,7 @@ private:
     std::uint64_t events_fired_ = 0;
     std::size_t finished_ = 0;
     std::exception_ptr first_exception_;
-    HeapQueue heap_;
-    CalendarQueue calendar_;
+    CalendarQueue queue_;
 
     /// Slot-indexed registry of live frames (null = free slot, chained
     /// through free_slots_). Finishing processes clear their own slot in

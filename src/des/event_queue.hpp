@@ -2,92 +2,39 @@
 #define BORG_DES_EVENT_QUEUE_HPP
 
 /// \file event_queue.hpp
-/// The two pending-event stores behind des::Environment (DESIGN.md §13).
+/// The pending-event store behind des::Environment (DESIGN.md §13): a
+/// calendar queue (Brown 1988) over a flat slot arena. O(1) amortized
+/// push/pop: events hash into width-sized time buckets (chained through
+/// the arena, no per-event allocation); a refill detaches a batch of
+/// consecutive epochs into a scratch window drained through a cursor.
+/// Epochs are disjoint time ranges detached in ascending order, so only
+/// each epoch's few events need sorting — the window is ordered by
+/// construction.
 ///
-/// Both expose the same total order — ascending (time, seq), seq being the
-/// scheduling sequence number that makes same-time events FIFO — so the
-/// environment's schedule is a pure function of its inputs regardless of
-/// which store backs it:
+/// Pops come out in ascending (time, seq) order, seq being the scheduling
+/// sequence number that makes same-time events FIFO, so the environment's
+/// schedule is a pure function of its inputs. The pre-rebuild binary heap
+/// that fixed this order is a test-only oracle (tests/heap_queue.hpp); a
+/// lockstep test and bench/micro_des pin the two queues' pop sequences
+/// together.
 ///
-///   * HeapQueue      — the original std::priority_queue binary heap, kept
-///                      verbatim as the behavioral oracle. O(log n) per
-///                      operation with a full-depth sift on every pop.
-///   * CalendarQueue  — a calendar queue (Brown 1988) over a flat slot
-///                      arena. O(1) amortized push/pop:
-///                      events hash into width-sized time buckets (chained
-///                      through the arena, no per-event allocation); a
-///                      refill detaches a batch of consecutive epochs into
-///                      a scratch window drained through a cursor. Epochs
-///                      are disjoint time ranges detached in ascending
-///                      order, so only each epoch's few events need
-///                      sorting — the window is ordered by construction.
-///
-/// The calendar variant never allocates in steady state: arena slots are
+/// The queue never allocates in steady state: arena slots are
 /// freelist-recycled, bucket chains are index-linked, and the drain scratch
 /// reuses its capacity. Bucket count and width self-tune as the population
 /// grows/shrinks (resize samples the live inter-event gaps), so the same
 /// structure serves a P = 64 ticker set and a P = 10^6 saturation study.
 ///
-/// Neither store owns the coroutine handles it holds; the environment's
-/// live-process registry does.
+/// The queue does not own the coroutine handles it holds; the
+/// environment's live-process registry does.
 
 #include <algorithm>
 #include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <vector>
 
 namespace borg::des {
-
-/// Which pending-event store an Environment uses. `calendar` is the
-/// default; `heap` is the pre-rebuild binary heap kept as the oracle for
-/// schedule-equivalence gates (bench/micro_des, golden traces).
-enum class QueuePolicy { calendar, heap };
-
-/// One scheduled resumption, as popped from either store.
-struct EventRecord {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-    std::coroutine_handle<> handle;
-};
-
-/// The original binary-heap store, verbatim from the pre-calendar engine.
-class HeapQueue {
-public:
-    void push(double time, std::uint64_t seq,
-              std::coroutine_handle<> handle) {
-        queue_.push(Scheduled{time, seq, handle});
-    }
-
-    /// Pops the earliest event into \p out if its time is <= max_time.
-    bool pop_if(double max_time, EventRecord& out) {
-        if (queue_.empty()) return false;
-        const Scheduled& top = queue_.top();
-        if (top.time > max_time) return false;
-        out = {top.time, top.seq, top.handle};
-        queue_.pop();
-        return true;
-    }
-
-    bool empty() const noexcept { return queue_.empty(); }
-    std::size_t size() const noexcept { return queue_.size(); }
-
-private:
-    struct Scheduled {
-        double time;
-        std::uint64_t seq;
-        std::coroutine_handle<> handle;
-        bool operator>(const Scheduled& other) const noexcept {
-            if (time != other.time) return time > other.time;
-            return seq > other.seq;
-        }
-    };
-
-    std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>
-        queue_;
-};
 
 /// Calendar queue over a flat arena. See the file comment for the design;
 /// the correctness invariants are:
@@ -106,10 +53,10 @@ private:
 ///       min(scratch[cursor], overflow.top()) is the globally earliest
 ///       pending event.
 ///
-/// Together these make pop order exactly ascending (time, seq) — the heap
-/// order — without the per-pop log-depth sift: the overflow heap is tiny
-/// (same-time wakeups such as resource handoffs), so its log cost never
-/// sees the full population.
+/// Together these make pop order exactly ascending (time, seq) — a binary
+/// heap's order — without the per-pop log-depth sift: the overflow heap
+/// is tiny (same-time wakeups such as resource handoffs), so its log cost
+/// never sees the full population.
 class CalendarQueue {
 public:
     CalendarQueue() { bucket_.assign(nbuckets_, kNil); }
@@ -147,23 +94,19 @@ public:
     }
 
     /// What Environment's dispatch loop needs from a pop, and nothing
-    /// more: 16 bytes, so the SysV ABI returns it in XMM0/RAX instead of
-    /// bouncing a full EventRecord through the stack once per event. A
-    /// null handle means nothing was due.
+    /// more: 16 bytes, so the SysV ABI returns it in XMM0/RAX. A null
+    /// handle means nothing was due.
     struct Popped {
         double time;
         std::coroutine_handle<> handle;
     };
 
+    /// Pops the earliest pending event if its time is <= \p max_time.
     Popped pop_ready(double max_time) {
         // Hot path: overflow empty, scratch non-exhausted — one branch
-        // each, then a cursor bump. Mirrors pop_if minus the seq
-        // plumbing.
-        if (!overflow_.empty()) [[unlikely]] {
-            EventRecord out;
-            if (!pop_with_overflow(max_time, out)) return {0.0, nullptr};
-            return {out.time, out.handle};
-        }
+        // each, then a cursor bump.
+        if (!overflow_.empty()) [[unlikely]]
+            return pop_with_overflow(max_time);
         if (scratch_pos_ == scratch_.size() && !refill())
             return {0.0, nullptr};
         const ScratchEntry& top = scratch_[scratch_pos_];
@@ -173,21 +116,6 @@ public:
         --size_;
         prefetch_resume_ahead();
         return popped;
-    }
-
-    bool pop_if(double max_time, EventRecord& out) {
-        // Hot path: overflow empty, scratch non-exhausted — one branch
-        // each, then a cursor bump.
-        if (!overflow_.empty()) [[unlikely]]
-            return pop_with_overflow(max_time, out);
-        if (scratch_pos_ == scratch_.size() && !refill()) return false;
-        const ScratchEntry& top = scratch_[scratch_pos_];
-        if (top.time > max_time) return false;
-        out = {top.time, top.seq, top.handle};
-        ++scratch_pos_;
-        --size_;
-        prefetch_resume_ahead();
-        return true;
     }
 
     bool empty() const noexcept { return size_ == 0; }
@@ -241,17 +169,17 @@ private:
         return a.seq < b.seq;
     }
 
-    /// Cold path of pop_if: the overflow heap holds at least one event
+    /// Cold path of pop_ready: the overflow heap holds at least one event
     /// (same-time wakeups pushed while the scratch drained), so the
     /// earliest pending event is min(scratch[cursor], overflow.front()).
-    bool pop_with_overflow(double max_time, EventRecord& out) {
+    Popped pop_with_overflow(double max_time) {
         const bool from_overflow =
             scratch_pos_ == scratch_.size() ||
             descending(scratch_[scratch_pos_], overflow_.front());
         const ScratchEntry& top =
             from_overflow ? overflow_.front() : scratch_[scratch_pos_];
-        if (top.time > max_time) return false;
-        out = {top.time, top.seq, top.handle};
+        if (top.time > max_time) return {0.0, nullptr};
+        const Popped popped{top.time, top.handle};
         if (from_overflow) {
             std::pop_heap(overflow_.begin(), overflow_.end(), descending);
             overflow_.pop_back();
@@ -259,7 +187,7 @@ private:
             ++scratch_pos_;
         }
         --size_;
-        return true;
+        return popped;
     }
 
     std::uint64_t epoch_of(double time) const noexcept {
@@ -354,11 +282,11 @@ private:
             scratch_live_ = false;
             return false;
         }
-        // Every prior entry has been drained (pop_if only lands here with
-        // the cursor at the end): recycle the window's capacity.
+        // Every prior entry has been drained (pop_ready only lands here
+        // with the cursor at the end): recycle the window's capacity.
         scratch_.clear();
         scratch_pos_ = 0;
-        // Shrink here rather than per pop: pop_if reaches refill whenever
+        // Shrink here rather than per pop: pop_ready reaches refill whenever
         // its windows run dry, which is exactly when a shrunken population
         // is worth re-bucketing.
         if (size_ < nbuckets_ / 4 && nbuckets_ > kMinBuckets) resize();
@@ -407,7 +335,7 @@ private:
             cur_epoch_ = epoch;
             scratch_live_ = true;
 #if defined(__GNUC__) || defined(__clang__)
-            // The resume-ahead prefetch in pop_if() only has lead time once
+            // The resume-ahead prefetch in pop_ready() only has lead time once
             // the cursor is a few entries deep; the first dispatches of a
             // fresh window would otherwise always resume cold frames. Warm
             // them here, while the sort results above are still in flight.

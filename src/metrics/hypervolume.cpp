@@ -135,17 +135,15 @@ Front nondominated_subset(Front front) {
 HvAlgo parse_hv_algo(const std::string& name) {
     if (name == "auto") return HvAlgo::kAuto;
     if (name == "wfg") return HvAlgo::kWfg;
-    if (name == "naive") return HvAlgo::kNaive;
     if (name == "mc") return HvAlgo::kMonteCarlo;
     throw std::invalid_argument("--hv-algo: unknown algorithm '" + name +
-                                "' (expected auto|wfg|naive|mc)");
+                                "' (expected auto|wfg|mc)");
 }
 
 const char* to_string(HvAlgo algo) noexcept {
     switch (algo) {
     case HvAlgo::kAuto: return "auto";
     case HvAlgo::kWfg: return "wfg";
-    case HvAlgo::kNaive: return "naive";
     case HvAlgo::kMonteCarlo: return "mc";
     }
     return "auto";
@@ -212,7 +210,6 @@ double HypervolumeEngine::compute(const Front& front,
                    : HvAlgo::kMonteCarlo;
     }
     switch (algo) {
-    case HvAlgo::kNaive: return hypervolume_naive(front, ref);
     case HvAlgo::kMonteCarlo:
         return hypervolume_monte_carlo(front, ref, config_.mc_samples,
                                        config_.mc_seed);

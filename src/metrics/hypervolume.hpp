@@ -19,9 +19,6 @@
 /// exact 2D/3D sweep and 4D-slicing base cases, so a 5-objective call
 /// recurses only one level. Policies (HvAlgo):
 ///  * wfg:   the engine's exact path;
-///  * naive: the original allocating recursive WFG, kept as the reference
-///    implementation that tests and bench/micro_hypervolume pin the engine
-///    against;
 ///  * mc:    seeded Monte Carlo sampling of the bounding box;
 ///  * auto:  exact while the estimated cost fits HvConfig::exact_budget,
 ///    Monte Carlo beyond it (see DESIGN.md §11).
@@ -43,13 +40,13 @@ namespace borg::metrics {
 using Front = std::vector<std::vector<double>>;
 
 /// Hypervolume algorithm policy; see file comment.
-enum class HvAlgo { kAuto, kWfg, kNaive, kMonteCarlo };
+enum class HvAlgo { kAuto, kWfg, kMonteCarlo };
 
-/// Parses "auto" | "wfg" | "naive" | "mc"; throws std::invalid_argument
-/// (naming the --hv-algo flag) on anything else.
+/// Parses "auto" | "wfg" | "mc"; throws std::invalid_argument (naming the
+/// --hv-algo flag) on anything else.
 HvAlgo parse_hv_algo(const std::string& name);
 
-/// The flag spelling of the policy ("auto", "wfg", "naive", "mc").
+/// The flag spelling of the policy ("auto", "wfg", "mc").
 const char* to_string(HvAlgo algo) noexcept;
 
 struct HvConfig {

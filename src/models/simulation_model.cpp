@@ -28,10 +28,8 @@ void validate(const SimulationConfig& config) {
 }
 
 ClusterEngine::Setup engine_setup(const SimulationConfig& config) {
-    parallel::VirtualClusterConfig cluster{config.processors, config.tf,
-                                           config.tc, config.ta, config.seed};
-    cluster.queue = config.queue;
-    return {.cluster = std::move(cluster)};
+    return {.cluster = {config.processors, config.tf, config.tc, config.ta,
+                        config.seed}};
 }
 
 /// The paper's SimPy fragment as a master policy: nothing real is

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "des/event_queue.hpp"
 #include "models/analytical.hpp"
 #include "parallel/run_context.hpp"
 #include "parallel/virtual_cluster.hpp"
@@ -45,11 +44,6 @@ struct SimulationConfig {
     const stats::Distribution* tc = nullptr;
     const stats::Distribution* ta = nullptr;
     std::uint64_t seed = 1;
-    /// DES pending-event store (async protocol only; the sync protocol is
-    /// generational and never touches the event queue). Calendar and heap
-    /// produce byte-identical schedules — `heap` is the pre-rebuild oracle
-    /// bench/micro_des gates the calendar engine against.
-    des::QueuePolicy queue = des::QueuePolicy::calendar;
 };
 
 /// Simulates the asynchronous master-slave protocol. The result is the

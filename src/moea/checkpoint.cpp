@@ -64,11 +64,17 @@ void expect_token(std::istream& is, const std::string& expected) {
         fail("expected token '" + expected + "', got '" + token + "'");
 }
 
-Solution read_solution(std::istream& is) {
+/// Reads a v2 inline solution whose arities must equal the problem's
+/// (\p nvars, \p nobjs, \p ncons): the file's counts are checked before
+/// they size anything. \p section names the record in the error.
+Solution read_solution(std::istream& is, std::size_t nvars, std::size_t nobjs,
+                       std::size_t ncons, const char* section) {
     expect_token(is, "solution");
-    const auto nvars = read_value<std::size_t>(is, "variable count");
-    const auto nobjs = read_value<std::size_t>(is, "objective count");
-    const auto ncons = read_value<std::size_t>(is, "constraint count");
+    if (read_value<std::size_t>(is, "variable count") != nvars ||
+        read_value<std::size_t>(is, "objective count") != nobjs ||
+        read_value<std::size_t>(is, "constraint count") != ncons)
+        fail(std::string(section) +
+             " solution arity mismatch (different problem?)");
     Solution s;
     s.operator_index = read_value<int>(is, "operator index");
     s.evaluated = read_value<int>(is, "evaluated flag") != 0;
@@ -189,31 +195,23 @@ static void read_common(BorgMoea& algorithm, std::istream& is,
     out.restarts = read_value<std::uint64_t>(is, "restart count");
 }
 
-static void check_epsilons(const BorgMoea& algorithm,
-                           const std::vector<double>& epsilons) {
-    // ε mismatch would silently re-box (and possibly drop) the saved
-    // archive under the loader's grid — refuse instead. Exact comparison
-    // is correct: doubles round-trip exactly through write_double.
-    if (epsilons != algorithm.archive_.epsilons())
+/// Reads the archive record's ε vector and refuses one that differs from
+/// the loader's: a mismatch would silently re-box (and possibly drop) the
+/// saved archive under the loader's grid. The count is checked before it
+/// sizes anything. Exact comparison is correct: doubles round-trip
+/// exactly through write_double.
+static void read_epsilons(const BorgMoea& algorithm, std::istream& is) {
+    const std::vector<double>& expected = algorithm.archive_.epsilons();
+    if (read_value<std::size_t>(is, "epsilon count") != expected.size())
         fail("archive epsilon mismatch (different BorgParams?)");
+    for (const double e : expected)
+        if (read_value<double>(is, "epsilon") != e)
+            fail("archive epsilon mismatch (different BorgParams?)");
 }
 
-static void validate_and_commit(BorgMoea& algorithm,
-                                ParsedCheckpoint& parsed) {
-    // Validate dimensions against the configured problem before mutating.
-    const std::size_t nvars = algorithm.problem_.num_variables();
-    const std::size_t nobjs = algorithm.problem_.num_objectives();
-    const std::size_t ncons = algorithm.problem_.num_constraints();
-    for (const Solution& s : parsed.members)
-        if (s.variables.size() != nvars || s.objectives.size() != nobjs ||
-            s.constraints.size() != ncons)
-            fail("population solution arity mismatch (different problem?)");
-    for (const Solution& s : parsed.archived)
-        if (s.variables.size() != nvars || s.objectives.size() != nobjs ||
-            s.constraints.size() != ncons)
-            fail("archive solution arity mismatch (different problem?)");
-
-    // Everything parsed; commit.
+/// Applies a fully parsed checkpoint. Both readers have checked every
+/// count and arity against the configured problem while parsing.
+static void commit(BorgMoea& algorithm, ParsedCheckpoint& parsed) {
     algorithm.issued_ = parsed.issued;
     algorithm.received_ = parsed.received;
     algorithm.pending_restart_mutants_ = parsed.pending;
@@ -232,26 +230,28 @@ static void load_v2(BorgMoea& algorithm, std::istream& is) {
     ParsedCheckpoint parsed;
     read_common(algorithm, is, parsed);
 
+    // Counts come from the file: they bound the read loops below but size
+    // nothing, so a corrupted count fails on the missing records.
+    const std::size_t nvars = algorithm.problem_.num_variables();
+    const std::size_t nobjs = algorithm.problem_.num_objectives();
+    const std::size_t ncons = algorithm.problem_.num_constraints();
     expect_token(is, "population");
     parsed.pop_target = read_value<std::size_t>(is, "population target");
     const auto pop_count = read_value<std::size_t>(is, "population size");
-    parsed.members.reserve(pop_count);
     for (std::size_t i = 0; i < pop_count; ++i)
-        parsed.members.push_back(read_solution(is));
+        parsed.members.push_back(
+            read_solution(is, nvars, nobjs, ncons, "population"));
 
     expect_token(is, "archive");
     const auto archive_count = read_value<std::size_t>(is, "archive size");
     parsed.progress = read_value<std::uint64_t>(is, "epsilon progress");
     parsed.improvements = read_value<std::uint64_t>(is, "improvements");
-    const auto epsilon_count = read_value<std::size_t>(is, "epsilon count");
-    std::vector<double> epsilons(epsilon_count);
-    for (double& e : epsilons) e = read_value<double>(is, "epsilon");
-    parsed.archived.reserve(archive_count);
+    read_epsilons(algorithm, is);
     for (std::size_t i = 0; i < archive_count; ++i)
-        parsed.archived.push_back(read_solution(is));
+        parsed.archived.push_back(
+            read_solution(is, nvars, nobjs, ncons, "archive"));
 
-    check_epsilons(algorithm, epsilons);
-    validate_and_commit(algorithm, parsed);
+    commit(algorithm, parsed);
 }
 
 static void load_v3(BorgMoea& algorithm, std::istream& is) {
@@ -267,8 +267,8 @@ static void load_v3(BorgMoea& algorithm, std::istream& is) {
         nobjs != algorithm.problem_.num_objectives() ||
         ncons != algorithm.problem_.num_constraints())
         fail("pool arity mismatch (different problem?)");
+    // As in load_v2, counts read from the file size nothing.
     std::vector<Solution> rows;
-    rows.reserve(row_count);
     for (std::size_t i = 0; i < row_count; ++i)
         rows.push_back(read_pool_row(is, nvars, nobjs, ncons));
 
@@ -281,7 +281,6 @@ static void load_v3(BorgMoea& algorithm, std::istream& is) {
     expect_token(is, "population");
     parsed.pop_target = read_value<std::size_t>(is, "population target");
     const auto pop_count = read_value<std::size_t>(is, "population size");
-    parsed.members.reserve(pop_count);
     for (std::size_t i = 0; i < pop_count; ++i)
         parsed.members.push_back(rows[read_row_ref("population row ref")]);
 
@@ -289,15 +288,11 @@ static void load_v3(BorgMoea& algorithm, std::istream& is) {
     const auto archive_count = read_value<std::size_t>(is, "archive size");
     parsed.progress = read_value<std::uint64_t>(is, "epsilon progress");
     parsed.improvements = read_value<std::uint64_t>(is, "improvements");
-    const auto epsilon_count = read_value<std::size_t>(is, "epsilon count");
-    std::vector<double> epsilons(epsilon_count);
-    for (double& e : epsilons) e = read_value<double>(is, "epsilon");
-    parsed.archived.reserve(archive_count);
+    read_epsilons(algorithm, is);
     for (std::size_t i = 0; i < archive_count; ++i)
         parsed.archived.push_back(rows[read_row_ref("archive row ref")]);
 
-    check_epsilons(algorithm, epsilons);
-    validate_and_commit(algorithm, parsed);
+    commit(algorithm, parsed);
 }
 
 static void save_v3(const BorgMoea& algorithm, std::ostream& os) {

@@ -22,26 +22,23 @@
 /// violation improvement counts as ε-progress, so restarts behave
 /// sensibly during the feasibility-seeking phase.
 ///
-/// Two implementations share this contract (DESIGN.md §12):
+/// ArchiveEngine is the production archive (DESIGN.md §12). Every
+/// insertion is one pass of the dominance kernel's cover form
+/// (DominanceTiles, DESIGN.md §15) over the members' boxes: it stops at
+/// the first member whose box dominates or equals the candidate's — a
+/// rejection or a same-box contest — and otherwise yields the members to
+/// evict. Box computation uses reusable scratch and member payloads live
+/// as SolutionPool rows (DESIGN.md §15) — a slot holds a pool handle, not
+/// a Solution — so the steady-state add path allocates nothing: accepted
+/// owned handles are adopted in place and evicted rows return to the
+/// pool's free list.
 ///
-///   * ArchiveEngine — the production archive. Every insertion is one
-///     pass of the dominance kernel's cover form (DominanceTiles,
-///     DESIGN.md §15) over the members' boxes: it stops at the first
-///     member whose box dominates or equals the candidate's — a rejection
-///     or a same-box contest — and otherwise yields the members to evict.
-///     Box computation uses reusable scratch and member payloads live as
-///     SolutionPool rows (DESIGN.md §15) — a slot holds a pool handle, not
-///     a Solution — so the steady-state add path allocates nothing:
-///     accepted owned handles are adopted in place and evicted rows
-///     return to the pool's free list.
-///   * NaiveArchive — the original O(n·m)-scan-per-add implementation,
-///     kept verbatim as the reference oracle. Randomized equivalence tests
-///     and bench/micro_archive pin the engine against it: identical
-///     verdicts, membership, iteration order, and counters on any stream.
-///
-/// Both maintain the same iteration order (insertion order, stable under
-/// eviction, same-box winners re-appended at the end), so the engine is a
-/// drop-in replacement whose runs are bit-identical to the naive archive's.
+/// Iteration order is insertion order, stable under eviction, with
+/// same-box winners re-appended at the end — the order of the original
+/// O(n·m)-scan-per-add archive, which survives as a test-only oracle
+/// (tests/naive_archive.hpp). Randomized equivalence tests and
+/// bench/micro_archive pin the engine against it: identical verdicts,
+/// membership, iteration order, and counters on any stream.
 
 #include <cstddef>
 #include <cstdint>
@@ -230,50 +227,6 @@ private:
 
 /// The production archive type used throughout the algorithm.
 using EpsilonBoxArchive = ArchiveEngine;
-
-/// The original linear-scan archive, kept as the reference oracle the
-/// engine is pinned against (same role as HvAlgo::naive for the
-/// hypervolume engine). O(n·m) per add; allocates a box per insertion.
-/// Do not "optimize" this class — its value is being obviously correct.
-class NaiveArchive {
-public:
-    explicit NaiveArchive(std::vector<double> epsilons);
-
-    ArchiveAdd add(const Solution& solution);
-    ArchiveBatchResult add_all(std::span<const Solution> batch);
-
-    std::size_t size() const noexcept { return entries_.size(); }
-    bool empty() const noexcept { return entries_.empty(); }
-
-    const Solution& operator[](std::size_t i) const {
-        return entries_[i].solution;
-    }
-
-    std::vector<Solution> solutions() const;
-    std::vector<std::vector<double>> objective_vectors() const;
-
-    const std::vector<double>& epsilons() const noexcept { return epsilons_; }
-    std::uint64_t epsilon_progress() const noexcept { return progress_; }
-    std::uint64_t improvements() const noexcept { return improvements_; }
-
-    std::vector<std::size_t> operator_counts(std::size_t num_operators) const;
-
-    void clear() noexcept;
-
-    void restore(const std::vector<Solution>& solutions,
-                 std::uint64_t progress, std::uint64_t improvements);
-
-private:
-    struct Entry {
-        Solution solution;
-        std::vector<double> box;
-    };
-
-    std::vector<double> epsilons_;
-    std::vector<Entry> entries_;
-    std::uint64_t progress_ = 0;
-    std::uint64_t improvements_ = 0;
-};
 
 } // namespace borg::moea
 

@@ -29,8 +29,9 @@
 /// member names as `Solution` (`variables`, `objectives`, `constraints`,
 /// `operator_index`, `evaluated`, `total_violation()`, `feasible()`) and is
 /// implicitly constructible from `const Solution&`, so generic code — the
-/// TYPED_TEST suites over `ArchiveEngine` and `NaiveArchive` in
-/// particular — works with either representation. See DESIGN.md §15 for
+/// TYPED_TEST suites over `ArchiveEngine` and the test-only naive
+/// oracle (tests/naive_archive.hpp) in particular — works with either
+/// representation. See DESIGN.md §15 for
 /// the layout and the handle-lifetime rules.
 
 #include <cstdint>
@@ -76,7 +77,7 @@ public:
         : variables(vars), objectives(objs), constraints(cons),
           operator_index(op_index), evaluated(is_evaluated) {}
     // Intentionally implicit: lets `const Solution&` flow anywhere a view
-    // is expected (NaiveArchive oracle, value-API wrappers, tests).
+    // is expected (value-API wrappers, tests).
     ConstSolutionView(const Solution& s) noexcept // NOLINT(google-explicit-constructor)
         : variables(s.variables), objectives(s.objectives),
           constraints(s.constraints), operator_index(s.operator_index),

@@ -29,7 +29,7 @@ void EventMasterPolicy::record_spawn(ClusterEngine& engine,
 
 ClusterEngine::ClusterEngine(Setup setup, const RunContext& ctx)
     : setup_(std::move(setup)), ctx_(ctx),
-      env_(std::make_unique<des::Environment>(setup_.cluster.queue)) {
+      env_(std::make_unique<des::Environment>()) {
     if (setup_.groups.empty())
         setup_.groups = {
             {setup_.cluster.processors - 1, setup_.cluster.seed, 0}};

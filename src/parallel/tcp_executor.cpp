@@ -338,8 +338,12 @@ struct TcpRunManager::Impl {
     }
 
     void handle_result(Conn& conn, net::Result& result) {
+        // Workers evaluate FIFO, so a Result must answer the connection's
+        // oldest in-flight task; one before the handshake finished or
+        // with any other seq is a protocol violation like a bad payload.
         if (conn.state != Conn::State::active || conn.inflight.empty() ||
             conn.inflight.front().seq != result.seq) {
+            ++stats.invalid_results;
             conn_lost(conn, /*graceful=*/false);
             return;
         }

@@ -114,9 +114,11 @@ struct TcpRunStats {
     std::uint64_t reassignments = 0;     ///< tasks re-queued after a loss
     std::uint64_t heartbeat_timeouts = 0;
     std::uint64_t stale_results = 0;     ///< results for already-done tasks
-    /// Results refused at the trust boundary (non-finite or negative
-    /// eval_seconds, wrong objective/constraint arity); each reaps its
-    /// connection and reassigns the task.
+    /// Results refused at the trust boundary (before the handshake
+    /// finished, a seq other than the connection's oldest in flight,
+    /// non-finite or negative eval_seconds, wrong objective/constraint
+    /// arity, non-finite values); each reaps its connection and reassigns
+    /// its in-flight tasks.
     std::uint64_t invalid_results = 0;
     std::uint64_t connect_retries = 0;   ///< summed worker connect backoffs
     std::uint64_t tasks_sent = 0;        ///< Task frames (incl. redispatch)

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "des/event_queue.hpp"
 #include "stats/distribution.hpp"
 #include "stats/summary.hpp"
 
@@ -73,12 +72,6 @@ struct VirtualClusterConfig {
     /// Empty means no failures; +infinity entries never fail. When set, the
     /// size must equal the worker count.
     std::vector<double> worker_failure_at;
-
-    /// Pending-event store for the discrete-event engine. The calendar
-    /// queue (default) and the pre-rebuild binary heap produce
-    /// byte-identical schedules (DESIGN.md §13); the heap is retained as
-    /// the oracle for equivalence gates.
-    des::QueuePolicy queue = des::QueuePolicy::calendar;
 };
 
 struct VirtualRunResult {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -298,6 +299,26 @@ TEST(CheckpointMigration, V2ToV3RewriteEqualsDirectV3Save) {
     }
 }
 
+/// \p text with field \p field (0 is the keyword itself) of the first line
+/// that starts with \p keyword replaced by \p value.
+std::string with_field(std::string text, const std::string& keyword,
+                       std::size_t field, const std::string& value) {
+    const std::size_t line = text.find("\n" + keyword + " ");
+    if (line == std::string::npos) {
+        ADD_FAILURE() << "no '" << keyword << "' line";
+        return text;
+    }
+    const std::size_t line_end = text.find('\n', line + 1);
+    std::size_t start = line + 1;
+    for (std::size_t i = 0; i < field; ++i) start = text.find(' ', start) + 1;
+    const std::size_t end = std::min(text.find(' ', start), line_end);
+    return text.replace(start, end - start, value);
+}
+
+/// A count above every vector's max_size(): a loader that sized a buffer
+/// from it would throw std::length_error instead of CheckpointError.
+constexpr const char* kHugeCount = "2305843009213693951";
+
 TEST(CheckpointMigration, CorruptedPoolSectionThrows) {
     const auto problem = problems::make_problem("zdt1");
     BorgMoea original(*problem, params_for(*problem), 36);
@@ -340,6 +361,48 @@ TEST(CheckpointMigration, CorruptedPoolSectionThrows) {
         bad.replace(last_space + 1, line_end - last_space - 1, "999999");
         std::stringstream is(bad);
         BorgMoea victim(*problem, params_for(*problem), 39);
+        EXPECT_THROW(load_checkpoint(victim, is), CheckpointError);
+    }
+    // Counts no file could back: the pool's row count, the population and
+    // archive sizes, and the ε count.
+    const struct {
+        const char* keyword;
+        std::size_t field;
+    } counts[] = {{"pool", 1}, {"population", 2}, {"archive", 1},
+                  {"archive", 4}};
+    for (const auto& count : counts) {
+        SCOPED_TRACE(std::string(count.keyword) + " field " +
+                     std::to_string(count.field));
+        std::stringstream is(
+            with_field(good, count.keyword, count.field, kHugeCount));
+        BorgMoea victim(*problem, params_for(*problem), 40);
+        EXPECT_THROW(load_checkpoint(victim, is), CheckpointError);
+    }
+}
+
+TEST(CheckpointMigration, CorruptedV2SectionThrows) {
+    // The v2 reader sizes nothing from the file either: section sizes, the
+    // ε count and each inline solution's arities are checked before use.
+    const auto problem = problems::make_problem("zdt1");
+    std::ifstream legacy = v2_fixture("checkpoint_v2_zdt1_seed33_2500.txt");
+    const std::string good{std::istreambuf_iterator<char>(legacy),
+                           std::istreambuf_iterator<char>()};
+    {
+        std::stringstream is(good);
+        BorgMoea intact(*problem, params_for(*problem), 41);
+        ASSERT_NO_THROW(load_checkpoint(intact, is));
+    }
+    const struct {
+        const char* keyword;
+        std::size_t field;
+    } counts[] = {{"population", 2}, {"archive", 1}, {"archive", 4},
+                  {"solution", 1},   {"solution", 2}, {"solution", 3}};
+    for (const auto& count : counts) {
+        SCOPED_TRACE(std::string(count.keyword) + " field " +
+                     std::to_string(count.field));
+        std::stringstream is(
+            with_field(good, count.keyword, count.field, kHugeCount));
+        BorgMoea victim(*problem, params_for(*problem), 42);
         EXPECT_THROW(load_checkpoint(victim, is), CheckpointError);
     }
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -13,6 +15,7 @@
 
 #include "des/event_queue.hpp"
 #include "des/frame_pool.hpp"
+#include "heap_queue.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "util/rng.hpp"
@@ -551,98 +554,132 @@ TEST(Des, FramePoolRecyclesFrames) {
 #endif
 }
 
-// ------------------------------------- calendar-vs-heap schedule oracle
+// ------------------------------------------ calendar-vs-heap pop oracle
+//
+// The environment's schedule depends only on the order its queue pops
+// events, so the calendar queue is pinned against the pre-rebuild binary
+// heap (tests/heap_queue.hpp) at the queue level: both receive the same
+// reactive push/pop stream and every pop must agree on (time, handle).
 
-using borg::des::QueuePolicy;
+using borg::des::CalendarQueue;
+using borg::des::EventRecord;
+using borg::des::HeapQueue;
+using borg::des::ParkedFrames;
 
-struct FiringLog {
-    std::vector<std::pair<int, double>> entries;
-    std::uint64_t events = 0;
-    double makespan = 0.0;
+/// Drives a HeapQueue and a CalendarQueue in lockstep. Event seq s carries
+/// frame s % frames.size(); with more frames than events ever pending,
+/// no two pending events share a handle, so a swapped pair (same-time ties
+/// included) shows up as a handle mismatch.
+struct LockstepQueues {
+    explicit LockstepQueues(std::size_t frame_count) : frames(frame_count) {}
+
+    void push(double t) {
+        const auto handle = frames[seq % frames.size()];
+        heap.push(t, seq, handle);
+        calendar.push(t, seq, handle);
+        ++seq;
+    }
+
+    /// Pops from both queues under \p deadline; returns whether an event
+    /// was due. Records the first disagreement instead of asserting per
+    /// pop, so a broken queue fails with one message, not thousands.
+    bool pop(double deadline) {
+        EventRecord expected;
+        const bool due = heap.pop_if(deadline, expected);
+        const CalendarQueue::Popped got = calendar.pop_ready(deadline);
+        const bool agree =
+            due == (got.handle != nullptr) &&
+            (!due || (std::bit_cast<std::uint64_t>(expected.time) ==
+                          std::bit_cast<std::uint64_t>(got.time) &&
+                      expected.handle == got.handle));
+        if (!agree && first_mismatch.empty())
+            first_mismatch = "pop " + std::to_string(pops) + " (deadline " +
+                             std::to_string(deadline) + "): heap " +
+                             (due ? std::to_string(expected.time) : "none") +
+                             ", calendar " +
+                             (got.handle ? std::to_string(got.time) : "none");
+        if (!due) return false;
+        now = expected.time;
+        ++pops;
+        return true;
+    }
+
+    ParkedFrames frames;
+    HeapQueue heap;
+    CalendarQueue calendar;
+    std::uint64_t seq = 0;
+    std::uint64_t pops = 0;
+    double now = 0.0;
+    std::string first_mismatch;
 };
 
-Process logging_worker(Environment& env, Resource& master,
-                       borg::util::Rng& rng, int tag, int jobs,
-                       FiringLog& log) {
-    for (int j = 0; j < jobs; ++j) {
-        co_await env.delay(rng.uniform() * 0.3);
-        log.entries.emplace_back(tag, env.now());
-        co_await master.acquire();
-        log.entries.emplace_back(tag + 1000, env.now());
-        co_await env.delay(0.01);
-        master.release();
-    }
-}
+TEST(Des, CalendarQueuePopsInHeapOrder) {
+    LockstepQueues q(1u << 15);
+    borg::util::Rng rng(20240611);
+    constexpr int kPopulation = 256;
+    // Every process starts at t = 0: one epoch holding the whole
+    // population, which sends the first refill through the re-tune path.
+    for (int p = 0; p < kPopulation; ++p) q.push(0.0);
 
-Process spawner(Environment& env, Resource& master, borg::util::Rng& rng,
-                int children, FiringLog& log) {
-    // Spawning mid-run exercises pushes below the calendar's current
-    // drain epoch (the scratch merge path).
-    for (int c = 0; c < children; ++c) {
-        co_await env.delay(0.5);
-        env.spawn(logging_worker(env, master, rng, 100 + c, 3, log));
-    }
-}
-
-FiringLog run_mixed_workload(QueuePolicy policy, std::uint64_t seed) {
-    Environment env(policy);
-    Resource master(env, 1);
-    borg::util::Rng rng(seed);
-    FiringLog log;
-    for (int w = 0; w < 12; ++w)
-        env.spawn(logging_worker(env, master, rng, w, 8, log));
-    env.spawn(spawner(env, master, rng, 4, log));
-    env.run();
-    log.events = env.event_count();
-    log.makespan = env.now();
-    return log;
-}
-
-TEST(Des, CalendarMatchesHeapScheduleExactly) {
-    // Property: the calendar queue is a drop-in replacement for the binary
-    // heap — identical resumption order, identical clock readings, for
-    // workloads mixing jittered delays, same-time ties (FIFO), resource
-    // handoffs, and mid-run spawns.
-    for (const std::uint64_t seed : {3u, 17u, 1234u, 987654u}) {
-        const FiringLog heap = run_mixed_workload(QueuePolicy::heap, seed);
-        const FiringLog cal = run_mixed_workload(QueuePolicy::calendar, seed);
-        EXPECT_EQ(heap.events, cal.events) << "seed " << seed;
-        EXPECT_DOUBLE_EQ(heap.makespan, cal.makespan) << "seed " << seed;
-        ASSERT_EQ(heap.entries.size(), cal.entries.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < heap.entries.size(); ++i) {
-            EXPECT_EQ(heap.entries[i].first, cal.entries[i].first)
-                << "seed " << seed << " entry " << i;
-            EXPECT_DOUBLE_EQ(heap.entries[i].second, cal.entries[i].second)
-                << "seed " << seed << " entry " << i;
+    // Hold model: each pop schedules its successor from a bimodal mix
+    // (90% long holds, 10% short), plus zero-delay pushes (they land at or
+    // below the epoch being drained: the overflow heap), same-time pairs,
+    // near-zero holds and retirements. Pops alternate between unbounded
+    // ones and run_until-style deadlines, some of which find nothing due.
+    for (int step = 0; step < 60000; ++step) {
+        if (step % 97 == 0) {
+            // Nothing is due before the clock: the earliest pending event
+            // is never earlier than the last one popped.
+            EXPECT_FALSE(q.pop(std::nextafter(q.now, -1.0)));
+        }
+        const double deadline =
+            step % 5 == 0 ? q.now + 0.05
+                          : std::numeric_limits<double>::infinity();
+        if (!q.pop(deadline)) {
+            ASSERT_FALSE(q.heap.empty()) << "population died out";
+            continue;
+        }
+        const double u = rng.uniform();
+        if (u < 0.03) {
+            // Retire: no successor.
+        } else if (u < 0.08) {
+            q.push(q.now);
+        } else if (u < 0.13) {
+            const double t = q.now + 0.3 * rng.uniform();
+            q.push(t);
+            q.push(t);
+        } else if (u < 0.16) {
+            q.push(q.now + 1e-9);
+        } else if (u < 0.26) {
+            q.push(q.now + 0.02 + 0.2 * rng.uniform());
+        } else {
+            q.push(q.now + 0.7 + 0.4 * rng.uniform());
         }
     }
-}
+    ASSERT_TRUE(q.first_mismatch.empty()) << q.first_mismatch;
 
-TEST(Des, CalendarRunUntilMatchesHeap) {
-    for (const std::uint64_t seed : {5u, 42u}) {
-        FiringLog logs[2];
-        const QueuePolicy policies[2] = {QueuePolicy::heap,
-                                         QueuePolicy::calendar};
-        double now[2];
-        for (int k = 0; k < 2; ++k) {
-            Environment env(policies[k]);
-            Resource master(env, 1);
-            borg::util::Rng rng(seed);
-            for (int w = 0; w < 6; ++w)
-                env.spawn(
-                    logging_worker(env, master, rng, w, 10, logs[k]));
-            env.run_until(0.4);
-            env.run_until(0.9);
-            env.run();
-            logs[k].events = env.event_count();
-            now[k] = env.now();
-        }
-        EXPECT_EQ(logs[0].events, logs[1].events);
-        EXPECT_DOUBLE_EQ(now[0], now[1]);
-        ASSERT_EQ(logs[0].entries.size(), logs[1].entries.size());
-        for (std::size_t i = 0; i < logs[0].entries.size(); ++i)
-            EXPECT_EQ(logs[0].entries[i], logs[1].entries[i]) << i;
+    // Drain the hold population: the bucket table shrinks as it empties.
+    while (q.pop(std::numeric_limits<double>::infinity())) {
     }
+    ASSERT_TRUE(q.first_mismatch.empty()) << q.first_mismatch;
+    ASSERT_TRUE(q.calendar.empty());
+
+    // Ramp: 20k pushes into the empty queue with no pops grow the bucket
+    // table through several resizes. Every other push descends, so after
+    // each resize pushes keep landing below the earliest pending epoch;
+    // the rest scatter. Then the drain shrinks the table back, still
+    // pushing the odd zero-delay event.
+    for (int r = 0; r < 20000; ++r)
+        q.push(q.now + (r % 2 == 0 ? 5.0 - 2.5e-4 * r : 5.0 * rng.uniform()));
+    EXPECT_EQ(q.calendar.size(), 20000u);
+    std::uint64_t drained = 0;
+    while (q.pop(std::numeric_limits<double>::infinity()))
+        if (++drained % 10 == 0 && drained < 30000) q.push(q.now);
+    EXPECT_TRUE(q.first_mismatch.empty()) << q.first_mismatch;
+    EXPECT_TRUE(q.heap.empty());
+    EXPECT_TRUE(q.calendar.empty());
+    EXPECT_EQ(q.pops, q.seq);
+    EXPECT_FALSE(q.pop(std::numeric_limits<double>::infinity()));
 }
 
 TEST(Des, CalendarScalesToManyProcesses) {

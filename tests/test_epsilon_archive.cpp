@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "naive_archive.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -30,8 +31,8 @@ Solution evaluated(std::vector<double> objectives, int op = kNoOperator) {
 
 // ---------------------------------------------------------------------------
 // Behavioral contract, run against BOTH implementations: the indexed
-// ArchiveEngine and the NaiveArchive reference oracle must satisfy every
-// property identically.
+// ArchiveEngine and the NaiveArchive reference oracle (naive_archive.hpp)
+// must satisfy every property identically.
 // ---------------------------------------------------------------------------
 
 template <typename Impl>

@@ -322,113 +322,6 @@ TEST(GoldenTraces, SimulationModelCells) {
     check_golden("simulation_model.result.txt", out);
 }
 
-// ----------------------------------- heap-vs-calendar schedule equality
-//
-// The fixtures above were captured from the pre-rebuild binary-heap
-// engine, so passing them under the default calendar queue already proves
-// old-core/new-core equivalence for the committed seeds. This test states
-// the property directly — both pending-event stores must produce
-// byte-identical traces and result dumps — across all five master
-// policies, without going through files, so it also holds whenever the
-// fixtures are legitimately re-captured.
-
-TEST(GoldenTraces, HeapAndCalendarSchedulesAreByteIdentical) {
-    using des::QueuePolicy;
-    struct Artifacts {
-        std::string trace;
-        std::string result;
-    };
-
-    const auto run_all = [](QueuePolicy queue) {
-        std::vector<Artifacts> out;
-        const auto problem = problems::make_problem("zdt1");
-        Streams s;
-
-        { // AsyncBorgPolicy (homogeneous)
-            moea::BorgMoea algo(
-                *problem, moea::BorgParams::for_problem(*problem, 0.01), 21);
-            VirtualClusterConfig cfg{9, s.tf.get(), s.tc.get(), s.ta.get(),
-                                     22};
-            cfg.queue = queue;
-            AsyncMasterSlaveExecutor exec(algo, *problem, cfg);
-            obs::EventTrace trace;
-            const auto r = exec.run(300, {.trace = &trace});
-            out.push_back({trace.to_jsonl(), dump_result(r)});
-        }
-        { // AsyncBorgPolicy under heterogeneity + failures
-            moea::BorgMoea algo(
-                *problem, moea::BorgParams::for_problem(*problem, 0.01), 41);
-            VirtualClusterConfig cfg{6, s.tf.get(), s.tc.get(), s.ta.get(),
-                                     42};
-            cfg.worker_speed = {1.0, 2.0, 0.5, 1.0, 1.5};
-            cfg.worker_failure_at = {kInf, 0.2, kInf, kInf, 0.25};
-            cfg.queue = queue;
-            AsyncMasterSlaveExecutor exec(algo, *problem, cfg);
-            obs::EventTrace trace;
-            const auto r = exec.run(250, {.trace = &trace});
-            out.push_back({trace.to_jsonl(), dump_result(r)});
-        }
-        { // SyncBorgPolicy
-            moea::Nsga2 algo(*problem, 20, 31);
-            VirtualClusterConfig cfg{9, s.tf.get(), s.tc.get(), s.ta.get(),
-                                     32};
-            cfg.queue = queue;
-            SyncMasterSlaveExecutor exec(algo, *problem, cfg);
-            obs::EventTrace trace;
-            const auto r = exec.run(200, {.trace = &trace});
-            out.push_back({trace.to_jsonl(), dump_result(r)});
-        }
-        { // IslandRingPolicy
-            MultiMasterConfig mm;
-            mm.cluster = VirtualClusterConfig{12, s.tf.get(), s.tc.get(),
-                                              s.ta.get(), 52};
-            mm.cluster.queue = queue;
-            mm.islands = 3;
-            mm.migration_interval = 40;
-            MultiMasterExecutor exec(
-                *problem, moea::BorgParams::for_problem(*problem, 0.01), mm);
-            obs::EventTrace trace;
-            const auto r = exec.run(240, {.trace = &trace});
-            std::string dump;
-            kv(dump, "elapsed", r.elapsed);
-            kv(dump, "evaluations", r.evaluations);
-            kv(dump, "migrations", r.migrations);
-            out.push_back({trace.to_jsonl(), dump});
-        }
-        { // SimAsyncPolicy and SimSyncPolicy
-            models::SimulationConfig cfg;
-            cfg.tf = s.tf.get();
-            cfg.tc = s.tc.get();
-            cfg.ta = s.ta.get();
-            cfg.evaluations = 2000;
-            cfg.processors = 32;
-            cfg.seed = 7;
-            cfg.queue = queue;
-            obs::EventTrace trace;
-            const auto ra = models::simulate_async(cfg, {.trace = &trace});
-            std::string dump;
-            kv(dump, "async.elapsed", ra.elapsed);
-            kv(dump, "async.evaluations", ra.evaluations);
-            kv(dump, "async.mean_queue_wait", ra.mean_queue_wait);
-            const auto rs = models::simulate_sync(cfg);
-            kv(dump, "sync.elapsed", rs.elapsed);
-            kv(dump, "sync.evaluations", rs.evaluations);
-            out.push_back({trace.to_jsonl(), dump});
-        }
-        return out;
-    };
-
-    const auto heap = run_all(QueuePolicy::heap);
-    const auto calendar = run_all(QueuePolicy::calendar);
-    ASSERT_EQ(heap.size(), calendar.size());
-    const char* names[] = {"async", "async_hetero_fail", "sync",
-                           "multi_master", "simulation_model"};
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        EXPECT_EQ(heap[i].trace, calendar[i].trace) << names[i];
-        EXPECT_EQ(heap[i].result, calendar[i].result) << names[i];
-    }
-}
-
 TEST(GoldenTraces, SerialVirtualBaseline) {
     const auto problem = problems::make_problem("zdt1");
     Streams s;

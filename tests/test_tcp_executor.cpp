@@ -570,11 +570,12 @@ auto scripted_peer(Corrupt corrupt) {
 
 TEST(TcpExecutor, InvalidResultsAreRejectedAndReassigned) {
     // A worker-reported T_F that is NaN or negative must not reach the
-    // engine's T_F statistics, and a payload of the wrong arity or with a
-    // non-finite objective must not reach a pool row: each such Result is
-    // refused, its connection reaped, and the task reassigned — the
-    // archive stays the reference archive. (zdt1 has no constraints, so
-    // there is no constraint case.)
+    // engine's T_F statistics, a payload of the wrong arity or with a
+    // non-finite objective must not reach a pool row, and a Result for a
+    // seq the connection does not have oldest in flight must not complete
+    // any task: each such Result is refused and counted, its connection
+    // reaped, and the task reassigned — the archive stays the reference
+    // archive. (zdt1 has no constraints, so there is no constraint case.)
     const auto problem = problems::make_problem(kProblem);
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
@@ -604,6 +605,7 @@ TEST(TcpExecutor, InvalidResultsAreRejectedAndReassigned) {
          [](net::Result& r) {
              r.objectives[0] = -std::numeric_limits<double>::infinity();
          }},
+        {"unknown seq", [](net::Result& r) { r.seq += 1; }},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
