@@ -6,7 +6,9 @@
 # over the engine/parallel layer (skipped when clang-tidy is not
 # installed), the arena-ownership lint, the trace_check observability
 # gate, the hypervolume, ε-archive, and DES agreement+speedup smoke
-# gates, the variation-operator agreement gate, the fast+threads+net
+# gates, the variation-operator agreement gate, a one-second run of every
+# BENCHMARK.json workload through saturation_bench/run.py, the
+# fast+threads+net
 # tiers (including the SolutionPool and allocation-behavior tests) under
 # AddressSanitizer + UBSan (float-cast-overflow included; the first
 # report fails the test), and the concurrency surface (thread pool,
@@ -108,6 +110,29 @@ echo "=== net gate (agreement + syscall-count smoke) ==="
 # it makes more than 2 epoll_ctl calls per connection (+2 for the
 # listener; poll makes none). All three are counts, not timings.
 ./build/bench/micro_net --quick --json build/BENCH_net.json
+
+echo "=== saturation benchmark smoke (builds, runs, archives match) ==="
+# Builds saturation_bench the way the benchmark harness does (run.py, its
+# own CMake tree, here under build/) and runs every BENCHMARK.json
+# workload for one second. Fails if the build or a run exits non-zero, or
+# if the last line is not a result with "correct": true (a run's archive
+# differed from the serial reference). Nothing here is gated on timing.
+for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  if ! out=$(CARGO_TARGET_DIR=build/saturation_bench_smoke \
+      python3 saturation_bench/run.py --workload "$workload" --seed 1 \
+      --seconds 1); then
+    echo "FAIL: saturation_bench $workload exited non-zero"
+    exit 1
+  fi
+  last=$(printf '%s\n' "$out" | tail -n 1)
+  if ! printf '%s\n' "$last" | python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)'; then
+    echo "FAIL: saturation_bench $workload: $last"
+    exit 1
+  fi
+  echo "saturation_bench $workload: correct"
+done
 
 echo "=== Sanitizer build (address,undefined) + fast/threads/net tiers ==="
 # -LE slow deliberately includes the net tier: the wire-codec fuzz tests

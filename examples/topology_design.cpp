@@ -4,7 +4,7 @@
 ///
 /// Workflow (the full paper pipeline at workstation scale):
 ///   1. measure — run a short physical master-slave burst and collect real
-///      T_A samples (master processing per result) and channel latencies;
+///      T_A samples (master processing per result) and result latencies;
 ///   2. fit — select distributions for T_A / T_C by log-likelihood
 ///      (the R-project step of Section IV-B);
 ///   3. simulate — sweep processor counts through the DES simulation model
@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "models/analytical.hpp"
 #include "models/simulation_model.hpp"
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     std::printf("      T_A: mean %.1f us (sd %.1f us, n = %zu)\n",
                 ta_summary.mean * 1e6, ta_summary.stddev * 1e6,
                 ta_summary.count);
-    std::printf("      T_C: mean %.1f us (result-channel latency)\n",
+    std::printf("      T_C: mean %.1f us (result-ring latency)\n",
                 tc_summary.mean * 1e6);
 
     // --- 2. fit ----------------------------------------------------------

@@ -2,21 +2,20 @@
 #define BORG_PARALLEL_MESSAGE_HPP
 
 /// \file message.hpp
-/// Transport-shared message payloads and channels for the physical
-/// master-slave executors (threads and TCP).
+/// Transport-shared message payloads for the physical master-slave
+/// executors (threads and TCP).
 ///
 /// The paper's implementation moved decision variables and objectives
 /// between the master and workers as fixed-size MPI messages. Here the
-/// same payloads ride two transports: an in-process mutex/condition-
-/// variable channel with the semantics of a matched MPI_Send/MPI_Recv
-/// pair (the thread executor; the master owns one send channel per worker
-/// and all workers share one result channel — exactly the MPI_ANY_SOURCE
-/// receive loop of the original), and the framed TCP protocol of
-/// net/wire.hpp (the socket run manager sends the same variables as a
-/// Task frame and gets objectives back as a Result frame). Both drivers
-/// hand what arrives to the same master core (window_protocol.hpp), which
-/// owns the task table and the ingest order; the payloads here are only
-/// the thread driver's wire.
+/// same payloads ride two transports: the thread executor's lock-free
+/// rings (spsc_ring.hpp; per worker, one ring of WorkPayloads out and one
+/// of ResultPayloads back, which the master polls round-robin in place of
+/// the original's MPI_ANY_SOURCE receive loop), and the framed TCP
+/// protocol of net/wire.hpp (the socket run manager sends the same
+/// variables as a Task frame and gets objectives back as a Result frame).
+/// Both drivers hand what arrives to the same master core
+/// (window_protocol.hpp), which owns the task table and the ingest order;
+/// the payloads here are only the thread driver's wire.
 ///
 /// The in-process payloads carry no owning Solution (DESIGN.md §15). The
 /// master resolves the pool slot's payload spans at dispatch time — block
@@ -27,14 +26,9 @@
 /// single-writer) and ingests without ever copying the payload.
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
 #include <span>
-#include <utility>
 
 namespace borg::parallel {
 
@@ -75,49 +69,6 @@ struct ResultPayload {
     std::size_t worker = 0;
     double eval_seconds = 0.0; ///< measured T_F (problem.evaluate)
     std::chrono::steady_clock::time_point sent_at{};
-};
-
-/// Unbounded MPSC/SPSC blocking queue. close() wakes all receivers;
-/// receive() returns std::nullopt once the channel is closed and drained.
-template <typename T>
-class Channel {
-public:
-    Channel() = default;
-    Channel(const Channel&) = delete;
-    Channel& operator=(const Channel&) = delete;
-
-    void send(T value) {
-        {
-            const std::lock_guard lock(mutex_);
-            if (closed_) return; // messages to a closed channel are dropped
-            queue_.push_back(std::move(value));
-        }
-        ready_.notify_one();
-    }
-
-    /// Blocks until a message arrives or the channel is closed and empty.
-    std::optional<T> receive() {
-        std::unique_lock lock(mutex_);
-        ready_.wait(lock, [&] { return !queue_.empty() || closed_; });
-        if (queue_.empty()) return std::nullopt;
-        T value = std::move(queue_.front());
-        queue_.pop_front();
-        return value;
-    }
-
-    void close() {
-        {
-            const std::lock_guard lock(mutex_);
-            closed_ = true;
-        }
-        ready_.notify_all();
-    }
-
-private:
-    std::mutex mutex_;
-    std::condition_variable ready_;
-    std::deque<T> queue_;
-    bool closed_ = false;
 };
 
 } // namespace borg::parallel

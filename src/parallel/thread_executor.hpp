@@ -3,18 +3,23 @@
 
 /// \file thread_executor.hpp
 /// A physical asynchronous master-slave executor using std::thread workers
-/// and message channels — the in-process stand-in for the paper's OpenMPI
+/// and lock-free rings — the in-process stand-in for the paper's OpenMPI
 /// deployment (DESIGN.md §2).
 ///
 /// Protocol (identical to the MPI implementation):
 ///  * the master seeds every worker with one offspring;
 ///  * workers loop: receive work, evaluate (a DelayedProblem physically
 ///    blocks for the sampled T_F), send the result back;
-///  * the master blocks on the shared result channel (MPI_ANY_SOURCE),
-///    ingests each result, and immediately dispatches fresh work — no
-///    barriers anywhere.
+///  * the master polls every worker's result ring (the MPI_ANY_SOURCE
+///    receive), ingests each result, and immediately dispatches fresh
+///    work — no barriers anywhere.
 ///
-/// The executor is a transport only: threads, channels and zero-copy
+/// The wire (spsc_ring.hpp): per worker, one single-producer/single-
+/// consumer ring of tasks and one of results. A side with nothing to do
+/// spins kSpinPauses polls, then parks on an atomic counter its producer
+/// bumps: one per worker for tasks (and shutdown), one for all results.
+///
+/// The executor is a transport only: threads, rings and zero-copy
 /// evaluation into the pool's rows. The master loop above the wire —
 /// window seeding, the task table, ingest order, and the T_F/T_C/T_A
 /// accounting — is the WindowProtocol core the TCP run manager drives
@@ -26,7 +31,7 @@
 /// Besides demonstrating the production path at workstation scale, this
 /// executor is the measurement instrument of the model-calibration
 /// workflow: it records real T_A samples (master processing time per
-/// result) and per-message channel latencies, which stats::fit_all turns
+/// result) and per-result ring latencies, which stats::fit_all turns
 /// into the distributions the simulation model consumes — the paper's
 /// "collect timings on Ranger, fit with R" step.
 
@@ -47,8 +52,8 @@ struct ThreadRunResult : VirtualRunResult {
     /// The T_A the engine applied to each ingested result: the measured
     /// master step (receive + generate).
     std::vector<double> ta_samples;
-    /// Measured one-way result-channel latencies (send timestamp to
-    /// master pickup), the physical analogue of T_C.
+    /// Measured one-way result latencies (the worker's send timestamp to
+    /// the master's pickup from its ring), the physical analogue of T_C.
     std::vector<double> tc_samples;
 };
 
@@ -70,10 +75,11 @@ public:
     ///
     /// If an evaluation throws inside a worker thread, the exception is
     /// captured, every thread is shut down and joined, and the exception
-    /// is rethrown here. ctx.trace receives the engine's event stream —
+    /// is rethrown here. The worker threads live for this call only:
+    /// they start here and are joined before it returns. ctx.trace receives the engine's event stream —
     /// emitted from the master thread only, with times in wall-clock
     /// seconds since run start; ctx.metrics the "async." instruments
-    /// (`async.tc_seconds` holds the measured channel latencies);
+    /// (`async.tc_seconds` holds the measured result latencies);
     /// ctx.recorder per-result checkpoints and the final snapshot.
     ThreadRunResult run(moea::BorgMoea& algorithm,
                         const problems::Problem& problem,

@@ -1,6 +1,7 @@
 #include "parallel/window_protocol.hpp"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 

@@ -3,7 +3,7 @@
 
 /// \file window_protocol.hpp
 /// The real-time master above the wire, shared by every physical
-/// transport (DESIGN.md §14): the thread executor's in-process channels
+/// transport (DESIGN.md §14): the thread executor's in-process rings
 /// and the TCP run manager's sockets drive this one object.
 ///
 /// It owns what the paper's master loop does between receiving a result

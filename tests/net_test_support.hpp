@@ -18,6 +18,7 @@
 #include <deque>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "moea/borg.hpp"

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "metrics/hypervolume.hpp"
 #include "net_test_support.hpp"
@@ -22,49 +25,10 @@
 #include "stats/fitting.hpp"
 #include "stats/summary.hpp"
 
-#include <thread>
-
 namespace {
 
 using namespace borg;
 using namespace borg::parallel;
-
-TEST(Channel, SendReceiveOrder) {
-    Channel<int> ch;
-    ch.send(1);
-    ch.send(2);
-    ch.send(3);
-    EXPECT_EQ(ch.receive(), 1);
-    EXPECT_EQ(ch.receive(), 2);
-    EXPECT_EQ(ch.receive(), 3);
-}
-
-TEST(Channel, CloseDrainsThenNullopt) {
-    Channel<int> ch;
-    ch.send(7);
-    ch.close();
-    EXPECT_EQ(ch.receive(), 7);
-    EXPECT_EQ(ch.receive(), std::nullopt);
-}
-
-TEST(Channel, SendAfterCloseDropped) {
-    Channel<int> ch;
-    ch.close();
-    ch.send(1);
-    EXPECT_EQ(ch.receive(), std::nullopt);
-}
-
-TEST(Channel, CrossThreadDelivery) {
-    Channel<int> ch;
-    std::thread producer([&] {
-        for (int i = 0; i < 100; ++i) ch.send(i);
-        ch.close();
-    });
-    int expected = 0;
-    while (auto v = ch.receive()) EXPECT_EQ(*v, expected++);
-    EXPECT_EQ(expected, 100);
-    producer.join();
-}
 
 moea::BorgParams quick_params(const problems::Problem& problem) {
     return moea::BorgParams::for_problem(problem, 0.01);
@@ -171,6 +135,26 @@ TEST(ThreadExecutor, DispatchArchiveMatchesSerialWindowEmulation) {
     }
 }
 
+TEST(ThreadExecutor, OversubscribedFleetMatchesSerialWindowEmulation) {
+    // A dozen workers on a host with fewer vCPUs: idle workers spin, then
+    // park, and the master competes with them for a CPU. The wait must
+    // neither lose a wake-up (the run would hang) nor reorder anything
+    // the dispatch-order archive depends on.
+    const auto problem = problems::make_problem("dtlz2_5");
+    constexpr std::size_t kWorkers = 12;
+    constexpr std::uint64_t kSeed = 61;
+    moea::BorgMoea algo(*problem,
+                        moea::BorgParams::for_problem(*problem, 0.1), kSeed);
+    ThreadMasterSlaveExecutor exec(kWorkers, IngestOrder::dispatch);
+    const ThreadRunResult result = exec.run(algo, *problem, 3000);
+    EXPECT_EQ(result.evaluations, 3000u);
+    const std::vector<moea::Solution> expected =
+        testnet::window_serial_archive(*problem, 0.1, kSeed, kWorkers, 3000);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_TRUE(
+        testnet::archives_identical(algo.archive().solutions(), expected));
+}
+
 // ------------------------------------------------------- observability
 
 /// One traced, metered, recorded thread run shared by the tests below.
@@ -248,12 +232,16 @@ TEST(ThreadExecutor, MetricsCarryOneTcAndTaSamplePerResult) {
 }
 
 /// Forwards to ZDT1 but throws once a configured number of evaluations has
-/// been reached — exercised concurrently from the worker threads.
+/// been reached — exercised concurrently from the worker threads. A
+/// throwing evaluation first sleeps for \p delay_before_throw.
 class ThrowingProblem final : public problems::Problem {
 public:
     ThrowingProblem(std::unique_ptr<problems::Problem> inner,
-                    std::uint64_t throw_after)
-        : inner_(std::move(inner)), throw_after_(throw_after) {}
+                    std::uint64_t throw_after,
+                    std::chrono::milliseconds delay_before_throw = {})
+        : inner_(std::move(inner)),
+          throw_after_(throw_after),
+          delay_before_throw_(delay_before_throw) {}
 
     std::string name() const override { return "throwing_" + inner_->name(); }
     std::size_t num_variables() const override {
@@ -270,22 +258,25 @@ public:
     }
     void evaluate(std::span<const double> variables,
                   std::span<double> objectives) const override {
-        if (calls_.fetch_add(1, std::memory_order_relaxed) >= throw_after_)
+        if (calls_.fetch_add(1, std::memory_order_relaxed) >= throw_after_) {
+            std::this_thread::sleep_for(delay_before_throw_);
             throw std::runtime_error("injected evaluation failure");
+        }
         inner_->evaluate(variables, objectives);
     }
 
 private:
     std::unique_ptr<problems::Problem> inner_;
     std::uint64_t throw_after_;
+    std::chrono::milliseconds delay_before_throw_;
     mutable std::atomic<std::uint64_t> calls_{0};
 };
 
 TEST(ThreadExecutor, WorkerExceptionRethrownInMaster) {
     // Regression: an exception escaping moea::evaluate on a worker thread
     // used to leave the coroutine-free thread body, calling std::terminate
-    // (or, had the thread died quietly, the master would block forever on
-    // the result channel). The executor must capture it, join the fleet,
+    // (or, had the thread died quietly, the master would wait forever for
+    // its result). The executor must capture it, join the fleet,
     // and rethrow in the calling thread.
     const ThrowingProblem problem(problems::make_problem("zdt1"), 500);
     moea::BorgMoea algo(problem, quick_params(problem), 11);
@@ -302,6 +293,22 @@ TEST(ThreadExecutor, ImmediateWorkerExceptionStillRethrown) {
     ThreadMasterSlaveExecutor exec(2);
     EXPECT_THROW(exec.run(algo, problem, 100), std::runtime_error);
     EXPECT_EQ(algo.evaluations(), 0u);
+}
+
+TEST(ThreadExecutor, WorkerExceptionAfterMasterParkedStillRethrown) {
+    // The failing evaluations sleep 50 ms first — thousands of times the
+    // spin bound — so the master has parked on its result signal when the
+    // exception arrives. The failure must wake it, and it must join the
+    // fleet and rethrow.
+    const ThrowingProblem problem(problems::make_problem("zdt1"), 200,
+                                  std::chrono::milliseconds(50));
+    moea::BorgMoea algo(problem, quick_params(problem), 13);
+    ThreadMasterSlaveExecutor exec(2);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(exec.run(algo, problem, 1000), std::runtime_error);
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(50));
+    EXPECT_LT(algo.evaluations(), 1000u);
 }
 
 TEST(ThreadExecutor, RejectsBadInput) {
