@@ -140,10 +140,7 @@ inline int run_hv_speedup(const std::string& problem_name,
         const auto tf = stats::make_delay(tf_mean, 0.1);
         const auto tc = stats::make_delay(kPaperTc, 0.0);
         const auto problem = problems::make_problem(problem_name);
-        // Defer the per-checkpoint hypervolume sweep off the DES path;
-        // it is resolved below, still on this pool worker.
-        parallel::TrajectoryRecorder rec(*normalizer, interval,
-                                         /*defer_hypervolume=*/true);
+        parallel::TrajectoryRecorder rec(*normalizer, interval);
         if (cell.p == 0) {
             const auto ta = stats::make_delay(
                 paper_ta_mean(problem_name, 128), 0.2);
@@ -168,7 +165,6 @@ inline int run_hv_speedup(const std::string& problem_name,
             parallel::AsyncMasterSlaveExecutor exec(algo, *problem, cfg);
             exec.run(opt.evals, {.recorder = &rec});
         }
-        rec.resolve_pending();
         CellResult& out = results[i];
         out.threshold_times.reserve(thresholds.size());
         for (const double h : thresholds)

@@ -12,7 +12,7 @@
 ///   * master CPU per result (getrusage RUSAGE_SELF around run(): the
 ///     workers are separate processes, so this isolates engine + loop);
 ///   * io syscalls per result (send + recv + wait + ctl) — the number the
-///     serve loop's gathered writes and single-shot reads exist to shrink.
+///     serve loop's batched writes and single-shot reads exist to shrink.
 ///     The readiness backend is the build's (net::Poller: epoll on Linux,
 ///     poll elsewhere);
 ///   * epoll_ctl calls (poll: none);

@@ -6,9 +6,10 @@
 # over the engine/parallel layer (skipped when clang-tidy is not
 # installed), the arena-ownership lint, the trace_check observability
 # gate, the hypervolume, ε-archive, and DES agreement+speedup smoke
-# gates, the variation-operator agreement gate, a one-second run of every
-# BENCHMARK.json workload through saturation_bench/run.py, the
-# fast+threads+net
+# gates, the variation-operator agreement gate, a small Figure 3 grid at
+# --jobs 1 and --jobs 2 compared byte for byte with a checked-in fixture,
+# a one-second run of every BENCHMARK.json workload through
+# saturation_bench/run.py, the fast+threads+net
 # tiers (including the SolutionPool and allocation-behavior tests) under
 # AddressSanitizer + UBSan (float-cast-overflow included; the first
 # report fails the test), and the concurrency surface (thread pool,
@@ -110,6 +111,22 @@ echo "=== net gate (agreement + syscall-count smoke) ==="
 # it makes more than 2 epoll_ctl calls per connection (+2 for the
 # listener; poll makes none). All three are counts, not timings.
 ./build/bench/micro_net --quick --json build/BENCH_net.json
+
+echo "=== Figure 3 smoke (stdout pinned, identical for any --jobs) ==="
+# Runs a small fig3_hv_speedup_dtlz2 grid (under 1 s) serially and on two
+# sweep workers. Fails unless both stdouts equal
+# tests/fig3_hv_speedup_smoke.expected: the trajectory recorder, the
+# simulated runs and the sweep's jobs-invariance (DESIGN.md §9) are then
+# pinned end to end, not only in unit tests.
+for fig3_jobs in 1 2; do
+  if ! ./build/bench/fig3_hv_speedup_dtlz2 --tf 0.01 --procs 16,64 \
+      --evals 5000 --csv --jobs "$fig3_jobs" 2>/dev/null |
+      cmp -s - tests/fig3_hv_speedup_smoke.expected; then
+    echo "FAIL: fig3_hv_speedup_dtlz2 --jobs $fig3_jobs differs from" \
+      "tests/fig3_hv_speedup_smoke.expected"
+    exit 1
+  fi
+done
 
 echo "=== saturation benchmark smoke (builds, runs, archives match) ==="
 # Builds saturation_bench the way the benchmark harness does (run.py, its

@@ -56,7 +56,7 @@ struct PollerStats {
 //   set_write_interest(fd, data, want_write) — flips write interest for a
 //     registered fd. Callers only invoke it on actual transitions, so the
 //     epoll backend performs zero epoll_ctl syscalls in a steady state
-//     whose outboxes drain in one gathered write.
+//     whose outboxes drain in one send.
 //   remove(fd) — deregisters fd. Must precede close(fd).
 //   wait(timeout_ms) — blocks up to timeout_ms for readiness. The span
 //     aliases an internal buffer reused across calls (no allocation in

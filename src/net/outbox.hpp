@@ -2,120 +2,60 @@
 #define BORG_NET_OUTBOX_HPP
 
 /// \file outbox.hpp
-/// Per-connection outbound byte queues for the TCP run manager
-/// (DESIGN.md §16).
+/// Per-connection outbound byte queue for the TCP run manager
+/// (DESIGN.md §16): a flat vector plus a sent offset, the same shape as
+/// FrameReader on the receive side. Frames append at the back and one
+/// send(2) drains the contiguous unsent tail, so a whole batch of queued
+/// frames leaves in a single syscall.
 ///
-/// The pre-refactor master kept one `std::vector<uint8_t>` + offset per
-/// connection: clearing it on drain kept the capacity, but a partially
-/// sent buffer accumulated a dead prefix until fully flushed, and every
-/// queued frame was pushed with its own write() syscall. `OutboxRing` is
-/// a power-of-two byte ring instead: frames append contiguously (two
-/// segments at most, across the wrap), a single gathered sendmsg drains
-/// everything queued, and consumed bytes recycle in place — the buffer
-/// reaches its high-water capacity once and never touches the allocator
-/// again. `OutboxPool` recycles rings across connection churn so a
-/// late-joining worker inherits a warmed buffer instead of growing a
-/// fresh one.
+/// A drained queue clears in place and keeps its capacity, so the steady
+/// state never touches the allocator. Under backpressure the sent prefix
+/// is compacted away only once it reaches half the vector: each
+/// compaction moves at most as many bytes as were sent since the last
+/// one, so a backlog costs amortized O(1) per byte, never a memmove of
+/// the whole backlog per partial write.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <sys/uio.h>
-#include <utility>
 #include <vector>
 
 namespace borg::net {
 
-class OutboxRing {
+class Outbox {
 public:
-    bool empty() const noexcept { return head_ == tail_; }
-    std::size_t size() const noexcept {
-        return static_cast<std::size_t>(tail_ - head_);
+    bool empty() const noexcept { return sent_ == bytes_.size(); }
+    /// Queued bytes not yet sent.
+    std::size_t size() const noexcept { return bytes_.size() - sent_; }
+
+    /// The unsent bytes, oldest first.
+    std::span<const std::uint8_t> unsent() const noexcept {
+        return {bytes_.data() + sent_, size()};
     }
-    std::size_t capacity() const noexcept { return buf_.size(); }
 
-    void clear() noexcept { head_ = tail_ = 0; }
-
-    /// Appends bytes, growing (power-of-two doubling) only when the queue
-    /// depth exceeds anything seen before. Callers enforce their own cap
-    /// *before* appending (the run manager reaps a connection whose
-    /// outbox would exceed TcpRunConfig::max_outbox_bytes).
+    /// Callers enforce their own cap *before* appending (the run manager
+    /// reaps a connection whose outbox would exceed
+    /// TcpRunConfig::max_outbox_bytes).
     void append(std::span<const std::uint8_t> bytes) {
-        reserve(size() + bytes.size());
-        const std::size_t at = static_cast<std::size_t>(tail_) & mask_;
-        const std::size_t contiguous =
-            std::min(bytes.size(), buf_.size() - at);
-        std::memcpy(buf_.data() + at, bytes.data(), contiguous);
-        if (contiguous < bytes.size())
-            std::memcpy(buf_.data(), bytes.data() + contiguous,
-                        bytes.size() - contiguous);
-        tail_ += bytes.size();
+        bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
     }
 
-    /// Fills up to two iovecs covering every queued byte (two when the
-    /// content wraps). Returns the iovec count; 0 when empty.
-    std::size_t gather(iovec out[2]) const noexcept {
-        if (empty()) return 0;
-        const std::size_t at = static_cast<std::size_t>(head_) & mask_;
-        const std::size_t contiguous = std::min(size(), buf_.size() - at);
-        out[0].iov_base = const_cast<std::uint8_t*>(buf_.data() + at);
-        out[0].iov_len = contiguous;
-        if (contiguous == size()) return 1;
-        out[1].iov_base = const_cast<std::uint8_t*>(buf_.data());
-        out[1].iov_len = size() - contiguous;
-        return 2;
-    }
-
-    /// Marks \p n bytes (<= size()) as sent.
-    void consume(std::size_t n) noexcept { head_ += n; }
-
-private:
-    void reserve(std::size_t needed) {
-        if (needed <= buf_.size()) return;
-        std::size_t cap = buf_.empty() ? 512 : buf_.size();
-        while (cap < needed) cap *= 2;
-        std::vector<std::uint8_t> next(cap);
-        iovec segments[2];
-        const std::size_t count = gather(segments);
-        std::size_t copied = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            std::memcpy(next.data() + copied, segments[i].iov_base,
-                        segments[i].iov_len);
-            copied += segments[i].iov_len;
+    /// Marks the first \p n (<= size()) unsent bytes as sent.
+    void consume(std::size_t n) {
+        sent_ += n;
+        if (sent_ == bytes_.size()) {
+            bytes_.clear();
+            sent_ = 0;
+        } else if (2 * sent_ >= bytes_.size()) {
+            bytes_.erase(bytes_.begin(),
+                         bytes_.begin() + static_cast<std::ptrdiff_t>(sent_));
+            sent_ = 0;
         }
-        buf_ = std::move(next);
-        mask_ = cap - 1;
-        head_ = 0;
-        tail_ = copied;
     }
-
-    std::vector<std::uint8_t> buf_;
-    std::size_t mask_ = 0;
-    std::uint64_t head_ = 0; ///< consumed bytes (free-running, masked)
-    std::uint64_t tail_ = 0; ///< appended bytes (free-running, masked)
-};
-
-/// Free list of warmed rings. Connection churn (late joins after deaths)
-/// then recycles grown buffers instead of allocating fresh ones.
-class OutboxPool {
-public:
-    OutboxRing acquire() {
-        if (free_.empty()) return OutboxRing{};
-        OutboxRing ring = std::move(free_.back());
-        free_.pop_back();
-        return ring;
-    }
-
-    void release(OutboxRing&& ring) {
-        ring.clear();
-        free_.push_back(std::move(ring));
-    }
-
-    std::size_t pooled() const noexcept { return free_.size(); }
 
 private:
-    std::vector<OutboxRing> free_;
+    std::vector<std::uint8_t> bytes_;
+    std::size_t sent_ = 0;
 };
 
 } // namespace borg::net

@@ -105,20 +105,6 @@ Socket::IoResult Socket::send_some(std::span<const std::uint8_t> bytes) noexcept
     }
 }
 
-Socket::IoResult
-Socket::writev_some(std::span<const struct iovec> segments) noexcept {
-    msghdr msg{};
-    msg.msg_iov = const_cast<struct iovec*>(segments.data());
-    msg.msg_iovlen = segments.size();
-    for (;;) {
-        const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-        if (n >= 0) return {static_cast<std::size_t>(n), false};
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return {0, false};
-        return {0, true};
-    }
-}
-
 void Socket::set_send_buffer(int bytes) {
     if (::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)) != 0)
         throw SocketError(errno_text("setsockopt(SO_SNDBUF)"));

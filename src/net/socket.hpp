@@ -19,7 +19,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <sys/uio.h>
 
 namespace borg::net {
 
@@ -66,12 +65,6 @@ public:
 
     /// Nonblocking-friendly partial send (for outbox draining).
     IoResult send_some(std::span<const std::uint8_t> bytes) noexcept;
-    /// Gathered nonblocking-friendly send: one sendmsg(2) covering every
-    /// iovec (the outbox ring's at-most-two segments), so a whole batch
-    /// of queued frames drains in a single syscall. Uses MSG_NOSIGNAL —
-    /// never use plain writev(2) on a socket here, a dead peer would
-    /// SIGPIPE the process.
-    IoResult writev_some(std::span<const struct iovec> segments) noexcept;
     /// Nonblocking-friendly read into \p buffer.
     IoResult recv_some(std::span<std::uint8_t> buffer) noexcept;
 

@@ -13,7 +13,6 @@
 #include "net/event_poller.hpp"
 #include "net/outbox.hpp"
 #include "net/socket.hpp"
-#include "net/timing_wheel.hpp"
 #include "net/wire.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
@@ -58,7 +57,7 @@ struct TcpRunManager::Impl {
     struct Conn {
         net::Socket socket;
         net::FrameReader reader;
-        net::OutboxRing outbox;
+        net::Outbox outbox;
         enum class State { handshaking, active, closing } state =
             State::handshaking;
         std::uint32_t worker_id = 0; ///< valid once active
@@ -67,7 +66,6 @@ struct TcpRunManager::Impl {
         /// depth > 1 (pipelining) changes latency, never ingest order.
         std::vector<Inflight> inflight;
         std::uint64_t last_heard_ms = 0;
-        std::uint32_t wheel_id = net::TimingWheel::kNone;
         bool want_write = false; ///< write interest as the poller knows it
         bool registered = false; ///< fd currently known to the poller
         bool dirty = false;      ///< queued bytes awaiting the batched flush
@@ -77,7 +75,6 @@ struct TcpRunManager::Impl {
     TcpRunConfig config;
     net::Listener listener;
     bool ran = false;
-    net::TimingWheel wheel;
 
     // Per-run state (valid during run()). The window owns the task table,
     // the dispatch queue and credits, and ingest order; this driver owns
@@ -88,27 +85,28 @@ struct TcpRunManager::Impl {
     TcpRunStats stats;
     /// Readiness backend (DESIGN.md §16): epoll on Linux, poll elsewhere.
     std::optional<net::Poller> poller;
-    net::OutboxPool outbox_pool;
     std::vector<std::unique_ptr<Conn>> conns;
     std::vector<Conn*> active_by_id; ///< O(1) worker-id -> conn
-    std::vector<Conn*> wheel_owner;  ///< wheel node id -> conn
     std::uint32_t next_worker_id = 0;
-    bool any_dead = false; ///< gates the dead-conn sweep
+    bool any_dead = false; ///< gates the dead-conn erase
+    std::uint64_t next_sweep_ms = 0; ///< due time of the heartbeat sweep
     /// Decode target reused across every Result frame: its vectors keep
     /// their capacity, so the steady-state receive path never allocates.
     net::Result scratch_result;
     std::vector<std::uint8_t> frame_scratch; ///< staging for one frame
     std::vector<std::uint8_t> recv_buf;      ///< 64 KiB single-shot reads
-    std::vector<std::uint32_t> due_scratch;  ///< wheel advance() output
     std::vector<Conn*> dirty_conns;          ///< batched-flush worklist
 
     explicit Impl(const TcpRunConfig& cfg)
-        : config(cfg), listener(cfg.host, cfg.port), wheel(now_ms()) {
+        : config(cfg), listener(cfg.host, cfg.port) {
         recv_buf.resize(std::size_t{64} * 1024);
         frame_scratch.reserve(512);
     }
 
     static std::uint64_t now_ms() { return steady_ns() / 1'000'000u; }
+
+    /// Heartbeat sweep period: multi-second timeouts need no finer reap.
+    static constexpr std::uint64_t kSweepMs = 64;
 
     Conn* find_active(std::uint32_t worker_id) {
         if (worker_id >= active_by_id.size()) return nullptr;
@@ -143,7 +141,7 @@ struct TcpRunManager::Impl {
     }
 
     /// Marks the conn dirty; dirty conns drain once per loop turn, so a
-    /// burst of frames to one worker leaves in one gathered write.
+    /// burst of frames to one worker leaves in one send.
     void after_queue(Conn& conn) {
         if (conn.dead) return;
         if (!conn.dirty) {
@@ -160,17 +158,15 @@ struct TcpRunManager::Impl {
         dirty_conns.clear();
     }
 
-    /// Drains as much outbox as the socket accepts right now — at most
-    /// two iovecs per sendmsg (the ring's wrap), so a whole backlog of
-    /// frames costs one syscall. A hard send failure is a peer loss; a
-    /// fully drained `closing` conn is closed.
+    /// Drains as much outbox as the socket accepts right now — the unsent
+    /// bytes are contiguous, so a whole backlog of frames costs one send.
+    /// A hard send failure is a peer loss; a fully drained `closing` conn
+    /// is closed.
     void flush(Conn& conn) {
         while (!conn.dead && !conn.outbox.empty()) {
-            iovec segments[2];
-            const std::size_t count = conn.outbox.gather(segments);
             ++stats.syscalls_send;
             const net::Socket::IoResult io =
-                conn.socket.writev_some({segments, count});
+                conn.socket.send_some(conn.outbox.unsent());
             if (io.closed) {
                 conn_lost(conn, /*graceful=*/false);
                 return;
@@ -201,20 +197,13 @@ struct TcpRunManager::Impl {
     // -------------------------------------------------------- lifecycle
 
     /// Tears a socket down without any worker-level bookkeeping (none
-    /// existed, or the caller already did it). Deregisters before close,
-    /// recycles the outbox ring, disarms the heartbeat deadline.
+    /// existed, or the caller already did it). Deregisters before close.
     void close_quietly(Conn& conn) {
         if (conn.dead) return;
-        if (conn.wheel_id != net::TimingWheel::kNone) {
-            wheel_owner[conn.wheel_id] = nullptr;
-            wheel.cancel(conn.wheel_id);
-            conn.wheel_id = net::TimingWheel::kNone;
-        }
         if (conn.registered) {
             poller->remove(conn.socket.fd());
             conn.registered = false;
         }
-        outbox_pool.release(std::move(conn.outbox));
         conn.socket.close();
         conn.dead = true;
         any_dead = true;
@@ -482,24 +471,14 @@ struct TcpRunManager::Impl {
             conn->socket.set_nodelay(true);
             if (config.send_buffer_bytes > 0)
                 conn->socket.set_send_buffer(config.send_buffer_bytes);
-            conn->outbox = outbox_pool.acquire();
             conn->last_heard_ms = now_ms();
             poller->add(conn->socket.fd(), conn.get(), false);
             conn->registered = true;
-            arm_wheel(*conn);
             conns.push_back(std::move(conn));
         }
     }
 
     // ------------------------------------------------------- heartbeats
-
-    void arm_wheel(Conn& conn) {
-        const std::uint32_t id =
-            wheel.arm(conn.last_heard_ms + config.heartbeat_timeout_ms);
-        conn.wheel_id = id;
-        if (wheel_owner.size() <= id) wheel_owner.resize(id + 1, nullptr);
-        wheel_owner[id] = &conn;
-    }
 
     void expire(Conn& conn) {
         if (conn.state == Conn::State::active) {
@@ -511,27 +490,17 @@ struct TcpRunManager::Impl {
         }
     }
 
-    /// Heartbeat deadlines are lazy — reads only bump last_heard_ms,
-    /// and a fired entry whose peer spoke since it was armed is simply
-    /// re-armed at last_heard + timeout. Work is O(entries actually due),
-    /// not O(conns) per tick — there is no tick.
-    void service_wheel() {
+    /// Reads only refresh last_heard_ms; once per kSweepMs the sweep
+    /// expires every live conn silent for heartbeat_timeout_ms or longer,
+    /// so a reap lands within one sweep of its deadline.
+    void sweep_heartbeats() {
         const std::uint64_t now = now_ms();
-        due_scratch.clear();
-        wheel.advance(now, due_scratch);
-        for (const std::uint32_t id : due_scratch) {
-            Conn* conn = wheel_owner[id];
-            // A dead/disowned entry was already canceled via its conn's
-            // close (which nulls the owner) — never cancel twice.
-            if (conn == nullptr || conn->dead || conn->wheel_id != id)
-                continue;
-            const std::uint64_t deadline =
-                conn->last_heard_ms + config.heartbeat_timeout_ms;
-            if (deadline > now)
-                wheel.rearm(id, deadline);
-            else
-                expire(*conn); // cancels the entry via close_quietly
-        }
+        if (now < next_sweep_ms) return;
+        next_sweep_ms = now + kSweepMs;
+        for (auto& conn : conns)
+            if (!conn->dead &&
+                conn->last_heard_ms + config.heartbeat_timeout_ms <= now)
+                expire(*conn);
     }
 
     // --------------------------------------------------------- teardown
@@ -675,7 +644,7 @@ struct TcpRunManager::Impl {
             if (config.run_timeout_s > 0.0 && elapsed_s > config.run_timeout_s)
                 throw TcpError("tcp manager: run timeout exceeded");
 
-            // Tick-free: sleep until the nearest heartbeat deadline slot,
+            // Sleep until the next heartbeat sweep (no conns, no sweep),
             // capped so the run-timeout check stays live.
             std::uint64_t cap = 500;
             if (config.run_timeout_s > 0.0) {
@@ -684,8 +653,12 @@ struct TcpRunManager::Impl {
                     remaining_s > 0.0 ? remaining_s * 1000.0 + 1.0 : 1.0);
                 cap = std::min(cap, remaining_ms);
             }
-            const auto timeout_ms =
-                static_cast<int>(wheel.ms_until_next(now_ms(), cap));
+            if (!conns.empty()) {
+                const std::uint64_t now = now_ms();
+                cap = std::min(cap, next_sweep_ms > now ? next_sweep_ms - now
+                                                        : std::uint64_t{0});
+            }
+            const auto timeout_ms = static_cast<int>(cap);
 
             std::span<const net::PollerEvent> events;
             try {
@@ -706,7 +679,7 @@ struct TcpRunManager::Impl {
                     read_from(conn);
             }
             if (window->finished()) break;
-            service_wheel();
+            sweep_heartbeats();
             dispatch_pending();
             flush_dirty();
             if (any_dead) {

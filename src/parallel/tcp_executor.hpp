@@ -127,7 +127,7 @@ struct TcpRunStats {
     std::uint64_t bytes_received = 0;
     // --- fleet-scale instrumentation (DESIGN.md §16) ---
     std::uint64_t frames_sent = 0;       ///< frames queued toward workers
-    std::uint64_t syscalls_send = 0;     ///< send/sendmsg calls
+    std::uint64_t syscalls_send = 0;     ///< send calls
     std::uint64_t syscalls_recv = 0;     ///< recv calls (incl. EAGAIN probes)
     std::uint64_t syscalls_wait = 0;     ///< poll/epoll_wait calls
     std::uint64_t syscalls_ctl = 0;      ///< epoll_ctl calls (poll: 0)

@@ -1,5 +1,6 @@
 #include "parallel/thread_executor.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -151,6 +152,9 @@ ThreadRunResult ThreadMasterSlaveExecutor::run(
     // The master polls the result rings round-robin, starting after the
     // worker it served last.
     std::size_t next = 0;
+    // End of the master's latest service: a result that arrived before it
+    // waited on the master, not on the wire.
+    SteadyClock::time_point service_end = SteadyClock::now();
     ResultPayload result;
     WorkerLink* failed = nullptr;
     const auto poll = [&] {
@@ -177,12 +181,14 @@ ThreadRunResult ThreadMasterSlaveExecutor::run(
             shutdown();
             std::rethrow_exception(failed->failure);
         }
-        const double tc = seconds_between(result.sent_at, SteadyClock::now());
+        const double tc = seconds_between(
+            std::max(result.sent_at, service_end), SteadyClock::now());
         run_result.tc_samples.push_back(tc);
         const auto worker = static_cast<std::uint32_t>(result.worker);
         window.add_credit(worker);
         window.complete(result.slot, {worker, result.eval_seconds, tc});
         dispatch();
+        service_end = SteadyClock::now();
     }
 
     shutdown();

@@ -52,8 +52,12 @@ struct ThreadRunResult : VirtualRunResult {
     /// The T_A the engine applied to each ingested result: the measured
     /// master step (receive + generate).
     std::vector<double> ta_samples;
-    /// Measured one-way result latencies (the worker's send timestamp to
-    /// the master's pickup from its ring), the physical analogue of T_C.
+    /// Measured one-way result latencies, the physical analogue of T_C:
+    /// from the worker's send timestamp, or from the end of the master's
+    /// previous service if that came later, to the master's pickup from
+    /// the ring. Time a result spent queued behind other services is the
+    /// master's, not the link's, so it is left out — the simulation model
+    /// charges that queueing itself when it is calibrated from these.
     std::vector<double> tc_samples;
 };
 

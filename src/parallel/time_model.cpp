@@ -6,29 +6,6 @@
 
 namespace borg::parallel {
 
-// ------------------------------------------------------------------ scaled
-
-ScaledTimeModel::ScaledTimeModel(const stats::Distribution* tf,
-                                 std::vector<double> worker_speed)
-    : tf_(tf), worker_speed_(std::move(worker_speed)) {
-    if (tf_ == nullptr)
-        throw std::invalid_argument("scaled time model: null distribution");
-    for (const double speed : worker_speed_)
-        if (!(speed > 0.0))
-            throw std::invalid_argument(
-                "scaled time model: speeds must be positive");
-}
-
-double ScaledTimeModel::sample(util::Rng& rng, const TimeSampleContext& ctx) {
-    const double speed =
-        worker_speed_.empty() ? 1.0 : worker_speed_[ctx.worker];
-    return tf_->sample(rng) * speed;
-}
-
-std::string ScaledTimeModel::describe() const {
-    return "scaled(" + tf_->describe() + ")";
-}
-
 // -------------------------------------------------------------- per-worker
 
 PerWorkerTimeModel::PerWorkerTimeModel(

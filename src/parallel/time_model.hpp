@@ -59,22 +59,6 @@ public:
     virtual std::string describe() const = 0;
 };
 
-/// The legacy scheme as a model: one distribution, scaled by a per-worker
-/// speed multiplier (empty = homogeneous). Draw-for-draw identical to the
-/// engine's flat path — pinned by a byte-identity test.
-class ScaledTimeModel final : public TimeModel {
-public:
-    /// \p tf must outlive the model; \p worker_speed empty means 1.0.
-    explicit ScaledTimeModel(const stats::Distribution* tf,
-                             std::vector<double> worker_speed = {});
-    double sample(util::Rng& rng, const TimeSampleContext& ctx) override;
-    std::string describe() const override;
-
-private:
-    const stats::Distribution* tf_;
-    std::vector<double> worker_speed_;
-};
-
 /// One distribution per worker — chronic heterogeneity (straggler nodes
 /// with lognormal/Pareto tails next to nominal cv = 0.1 nodes).
 class PerWorkerTimeModel final : public TimeModel {

@@ -1,44 +1,16 @@
 #include "parallel/trajectory.hpp"
 
-#include <condition_variable>
-#include <cstring>
+#include <algorithm>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <string>
-#include <unordered_map>
-
-#include "util/thread_pool.hpp"
+#include <utility>
 
 namespace borg::parallel {
 
-std::uint64_t front_digest(const metrics::Front& front) noexcept {
-    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
-    const auto mix = [&hash](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            hash ^= (v >> (8 * b)) & 0xffu;
-            hash *= 1099511628211ull; // FNV prime
-        }
-    };
-    mix(front.size());
-    for (const auto& row : front) {
-        mix(row.size());
-        for (const double x : row) {
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &x, sizeof(bits));
-            mix(bits);
-        }
-    }
-    return hash;
-}
-
 TrajectoryRecorder::TrajectoryRecorder(
-    const metrics::HypervolumeNormalizer& normalizer, std::uint64_t interval,
-    bool defer_hypervolume)
-    : normalizer_(normalizer),
-      interval_(interval),
-      next_checkpoint_(interval),
-      defer_(defer_hypervolume) {
+    const metrics::HypervolumeNormalizer& normalizer, std::uint64_t interval)
+    : normalizer_(normalizer), interval_(interval),
+      next_checkpoint_(interval) {
     if (interval == 0)
         throw std::invalid_argument("trajectory: interval must be >= 1");
 }
@@ -49,118 +21,16 @@ void TrajectoryRecorder::checkpoint(
     TrajectoryPoint point;
     point.time = time;
     point.evaluations = evaluations;
-    if (defer_) {
-        pending_.emplace_back(points_.size(), front());
+    metrics::Front f = front();
+    if (last_valid_ && f == last_front_) {
+        point.hypervolume = last_value_; // archive unchanged
     } else {
-        metrics::Front f = front();
-        if (last_valid_ && f == last_front_) {
-            point.hypervolume = last_value_; // archive unchanged
-        } else {
-            point.hypervolume = normalizer_.normalized(f);
-            last_front_ = std::move(f);
-            last_value_ = point.hypervolume;
-            last_valid_ = true;
-        }
+        point.hypervolume = normalizer_.normalized(f);
+        last_front_ = std::move(f);
+        last_value_ = point.hypervolume;
+        last_valid_ = true;
     }
     points_.push_back(point);
-}
-
-ResolveStats TrajectoryRecorder::resolve_pending(util::ThreadPool* pool) {
-    ResolveStats stats;
-    stats.resolved = pending_.size();
-    if (pending_.empty()) return stats;
-
-    // Deduplicate the batch: one slot per distinct front, candidates
-    // matched by digest and confirmed by full comparison. Slot order is
-    // first-occurrence order, so it depends only on the recorded fronts.
-    struct Unique {
-        const metrics::Front* front = nullptr;
-        double value = 0.0;
-        bool known = false;
-    };
-    std::vector<Unique> uniques;
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_digest;
-    // Seed with the most recently resolved front: a batch whose leading
-    // checkpoints still show the previous batch's archive reuses its
-    // value without recomputing.
-    if (last_valid_) {
-        by_digest[front_digest(last_front_)].push_back(0);
-        uniques.push_back({&last_front_, last_value_, true});
-    }
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> slot(pending_.size(), kNone);
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        const metrics::Front& f = pending_[i].second;
-        auto& candidates = by_digest[front_digest(f)];
-        std::size_t found = kNone;
-        for (const std::size_t c : candidates) {
-            if (*uniques[c].front == f) {
-                found = c;
-                break;
-            }
-        }
-        if (found == kNone) {
-            found = uniques.size();
-            uniques.push_back({&f});
-            candidates.push_back(found);
-        }
-        slot[i] = found;
-    }
-
-    std::vector<std::size_t> todo;
-    for (std::size_t u = 0; u < uniques.size(); ++u)
-        if (!uniques[u].known) todo.push_back(u);
-    stats.computed = todo.size();
-
-    if (pool != nullptr && todo.size() > 1) {
-        // Fan the distinct fronts out across the pool. Each task writes
-        // only its own slot; the single mutex orders the completion count
-        // and publishes the values, so the result is byte-identical to
-        // the serial loop for any worker count or schedule. The recorder
-        // cannot use ThreadPool::wait_idle (the pool may be shared), so
-        // completion is counted here.
-        std::mutex mutex;
-        std::condition_variable done_cv;
-        std::size_t remaining = todo.size();
-        std::exception_ptr first_error;
-        for (const std::size_t u : todo) {
-            pool->submit([this, &uniques, u, &mutex, &done_cv, &remaining,
-                          &first_error] {
-                double value = 0.0;
-                std::exception_ptr error;
-                try {
-                    value = normalizer_.normalized(*uniques[u].front);
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                const std::lock_guard lock(mutex);
-                uniques[u].value = value;
-                if (error && !first_error) first_error = error;
-                if (--remaining == 0) done_cv.notify_all();
-            });
-        }
-        std::unique_lock lock(mutex);
-        done_cv.wait(lock, [&remaining] { return remaining == 0; });
-        if (first_error) std::rethrow_exception(first_error);
-    } else {
-        for (const std::size_t u : todo)
-            uniques[u].value = normalizer_.normalized(*uniques[u].front);
-    }
-
-    for (std::size_t i = 0; i < pending_.size(); ++i)
-        points_[pending_[i].first].hypervolume = uniques[slot[i]].value;
-
-    last_value_ = uniques[slot.back()].value;
-    last_front_ = std::move(pending_.back().second);
-    last_valid_ = true;
-    pending_.clear();
-    return stats;
-}
-
-void TrajectoryRecorder::require_resolved(const char* what) const {
-    if (!pending_.empty())
-        throw std::logic_error(std::string("trajectory: ") + what +
-                               " read before resolve_pending()");
 }
 
 void TrajectoryRecorder::on_result(
@@ -179,12 +49,10 @@ void TrajectoryRecorder::finalize(
 }
 
 double TrajectoryRecorder::time_to_threshold(double threshold) const {
-    require_resolved("time_to_threshold");
     return parallel::time_to_threshold(points_, threshold);
 }
 
 double TrajectoryRecorder::final_hypervolume() const {
-    require_resolved("final_hypervolume");
     double best = 0.0;
     for (const TrajectoryPoint& p : points_)
         best = std::max(best, p.hypervolume);

@@ -10,15 +10,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <utility>
 #include <vector>
 
 #include "metrics/hypervolume.hpp"
-
-namespace borg::util {
-class ThreadPool;
-} // namespace borg::util
 
 namespace borg::parallel {
 
@@ -28,29 +22,12 @@ struct TrajectoryPoint {
     double hypervolume = 0.0; ///< normalized, 1 is ideal
 };
 
-/// What a resolve_pending() call actually did: how many deferred
-/// checkpoints were filled in, and how many distinct hypervolume
-/// computations that took (the digest cache collapses checkpoints that
-/// captured an unchanged archive front — common late in a run, where the
-/// archive is static for thousands of evaluations).
-struct ResolveStats {
-    std::size_t resolved = 0;
-    std::size_t computed = 0;
-};
-
 class TrajectoryRecorder {
 public:
     /// Computes a hypervolume checkpoint every \p interval evaluations
     /// (and on finalize). The normalizer must outlive the recorder.
-    ///
-    /// With \p defer_hypervolume set, checkpoints only snapshot the front
-    /// (cheap copy) and the exact WFG hypervolume — the dominant cost of a
-    /// checkpointed run — is computed later by resolve_pending(), lifting
-    /// it off the simulation path. Deferred or not, the recorded values
-    /// are identical: the same fronts meet the same normalizer.
     TrajectoryRecorder(const metrics::HypervolumeNormalizer& normalizer,
-                       std::uint64_t interval,
-                       bool defer_hypervolume = false);
+                       std::uint64_t interval);
 
     /// Called by executors after every ingested result. \p front is only
     /// invoked at checkpoints, so suppliers may be arbitrarily expensive.
@@ -65,59 +42,27 @@ public:
         return points_;
     }
 
-    /// Deferred checkpoints whose hypervolume has not been computed yet.
-    std::size_t pending() const noexcept { return pending_.size(); }
-
-    /// Computes the hypervolume of every deferred checkpoint. Required
-    /// before reading thresholds or points when defer_hypervolume was
-    /// set; a no-op otherwise.
-    ///
-    /// Duplicate fronts (identical byte-for-byte snapshots, detected by
-    /// digest then confirmed by comparison) are computed once. With a
-    /// \p pool, the distinct fronts fan out across its workers and every
-    /// result is written into a slot addressed by its deduplication
-    /// index, so the resolved values are byte-identical to the serial
-    /// path for any worker count or scheduling order. Must not be called
-    /// from a task running on \p pool itself (the wait would deadlock a
-    /// fully busy pool); sweep cells resolve serially on their own
-    /// worker instead.
-    ResolveStats resolve_pending(util::ThreadPool* pool = nullptr);
-
     /// First recorded time at which hypervolume reached \p threshold;
-    /// +infinity when the run never got there. Throws std::logic_error
-    /// while deferred checkpoints are unresolved.
+    /// +infinity when the run never got there.
     double time_to_threshold(double threshold) const;
 
-    /// Best hypervolume seen across the whole run. Throws
-    /// std::logic_error while deferred checkpoints are unresolved.
+    /// Best hypervolume seen across the whole run.
     double final_hypervolume() const;
 
 private:
     void checkpoint(double time, std::uint64_t evaluations,
                     const std::function<metrics::Front()>& front);
-    void require_resolved(const char* what) const;
 
     const metrics::HypervolumeNormalizer& normalizer_;
     std::uint64_t interval_;
     std::uint64_t next_checkpoint_;
-    bool defer_;
     std::vector<TrajectoryPoint> points_;
-    /// (index into points_, snapshotted front) awaiting resolve_pending().
-    std::vector<std::pair<std::size_t, metrics::Front>> pending_;
     /// Most recently evaluated front and its value — consecutive
-    /// checkpoints of an unchanged archive skip the recomputation on both
-    /// the immediate and the deferred path.
+    /// checkpoints of an unchanged archive skip the recomputation.
     metrics::Front last_front_;
     double last_value_ = 0.0;
     bool last_valid_ = false;
 };
-
-/// 64-bit digest of a front snapshot: FNV-1a over its shape and raw
-/// coordinate bit patterns (row order matters — "unchanged archive" means
-/// an identical snapshot). Equal fronts share a digest; the recorder
-/// confirms candidate hits with a full comparison, so collisions cost
-/// time, never correctness.
-std::uint64_t front_digest(const metrics::Front& front) noexcept;
 
 /// Interpolation-free threshold lookup over an arbitrary trajectory:
 /// first point with hypervolume >= threshold (+inf if none). Exposed for

@@ -145,7 +145,7 @@ TEST(SteadyStateAllocations, TcpMasterLoopIsAllocationFreePerResult) {
     // between consecutive runs isolates the marginal cost of 1000 extra
     // results flowing through the full dispatch -> encode -> send ->
     // recv -> decode -> reorder -> ingest loop. Post-warm-up that margin
-    // must be (near) zero — scratch buffers, outbox rings, the reorder
+    // must be (near) zero — scratch buffers, outboxes, the reorder
     // ring, and the pool-backed task slots all reach capacity during the
     // first run's equivalent prefix. min-over-deltas tolerates a window
     // that catches a rare restart or archive rehash, exactly like the

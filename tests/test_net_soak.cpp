@@ -1,9 +1,9 @@
 /// Fleet soak for the TCP run manager (DESIGN.md §16): a 64-process
 /// worker fleet on loopback, pipelined two-deep, driven by the build's
 /// poller (epoll on Linux) — the smallest configuration that exercises
-/// every fleet-scale mechanism at once (persistent registration, gathered
+/// every fleet-scale mechanism at once (persistent registration, batched
 /// writes across dozens of dirty connections per wakeup, the heartbeat
-/// timing wheel at real population) while staying inside a CTest timeout.
+/// sweep at real population) while staying inside a CTest timeout.
 /// The full {64..512} cost grid lives in bench/micro_net; this test pins
 /// correctness and sane syscall shape at fleet scale on every CI run.
 ///
@@ -79,13 +79,13 @@ TEST(TcpSoak, SixtyFourWorkerFleetEpollPipelined) {
     // bench/micro_net): coalescing must keep the master well under the
     // ~4 syscalls/result a loop paying one send per frame and a
     // read-until-EAGAIN probe per readable socket would cost, and
-    // gathered writes must batch more than one frame per send on average.
+    // batched writes must carry more than one frame per send on average.
     const double per_result =
         static_cast<double>(result.net.io_syscalls()) /
         static_cast<double>(result.net.results_received);
     EXPECT_LT(per_result, 4.0) << "io syscalls per result: " << per_result;
     EXPECT_GT(result.net.frames_sent, result.net.syscalls_send)
-        << "gathered writes never batched: every frame paid its own send";
+        << "writes never batched: every frame paid its own send";
 }
 
 } // namespace

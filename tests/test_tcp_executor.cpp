@@ -22,6 +22,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <poll.h>
 #include <thread>
 #include <variant>
 
@@ -312,6 +313,36 @@ TEST(TcpExecutor, HungWorkerIsReapedByHeartbeatTimeout) {
     EXPECT_TRUE(archives_identical(reference, tcp.archive));
 }
 
+TEST(TcpExecutor, SilentHalfOpenConnectionIsClosed) {
+    // A peer that connects and never sends Hello has no worker identity:
+    // no EOF arrives and no heartbeat is owed, so only the heartbeat
+    // sweep's handshaking branch can close it. It must be closed without
+    // counting as a worker failure or a heartbeat timeout, and the run
+    // completes on the fleet that joins afterwards.
+    const auto problem = problems::make_problem(kProblem);
+    const std::vector<moea::Solution> reference =
+        reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
+
+    auto config = test_config();
+    config.heartbeat_timeout_ms = 500;
+    const GatedRun run = run_gated(config, [](std::uint16_t port) {
+        net::Socket socket = net::Socket::connect_to("127.0.0.1", port);
+        if (!socket.valid()) return 0;
+        pollfd ready{socket.fd(), POLLIN, 0};
+        if (::poll(&ready, 1, 10000) != 1) return 0; // never closed
+        std::uint8_t byte = 0;
+        return socket.recv_some({&byte, 1}).closed ? 1 : 0;
+    });
+    const TcpRun& tcp = run.tcp;
+
+    EXPECT_EQ(run.first_result, 1) << "the half-open socket never read EOF";
+    EXPECT_TRUE(tcp.result.run.completed_target);
+    EXPECT_EQ(tcp.result.net.heartbeat_timeouts, 0u);
+    EXPECT_EQ(tcp.result.run.failed_workers, 0u);
+    EXPECT_EQ(tcp.result.net.connects, 4u);
+    EXPECT_TRUE(archives_identical(reference, tcp.archive));
+}
+
 // ----------------------------------------------------- handshake policing
 
 TEST(TcpExecutor, MismatchedProblemSignatureIsRejected) {
@@ -393,17 +424,17 @@ TEST(TcpExecutor, PipelineDepthDoesNotChangeArchive) {
     EXPECT_EQ(tcp.result.net.results_received, kEvals);
     EXPECT_TRUE(archives_identical(reference, tcp.archive))
         << "pipelining depth changed the dispatch-mode archive";
-    // Gathered writes: a handshake's HelloAck and the worker's first two
-    // tasks leave in one sendmsg, so frames outnumber send calls (one
+    // Batched writes: a handshake's HelloAck and the worker's first two
+    // tasks leave in one send, so frames outnumber send calls (one
     // send per frame would make them equal).
     EXPECT_GT(tcp.result.net.frames_sent, tcp.result.net.syscalls_send);
 }
 
 TEST(TcpExecutor, SlowReaderBackpressureDrainsWithoutCorruption) {
     // One worker, a 96-deep dispatch burst, and deliberately tiny socket
-    // buffers on both sides: the first gathered write cannot complete, so
+    // buffers on both sides: the first batched write cannot complete, so
     // the master must take the partial-write path, arm POLLOUT, and
-    // resume draining the outbox ring across wakeups. The archive must
+    // resume draining the outbox across wakeups. The archive must
     // come out identical to a thread run at the same window — flow
     // control may stall frames, never corrupt or reorder them.
     constexpr std::size_t kBurst = 96;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -150,6 +151,40 @@ TEST(ThreadExecutor, OversubscribedFleetMatchesSerialWindowEmulation) {
     EXPECT_EQ(result.evaluations, 3000u);
     const std::vector<moea::Solution> expected =
         testnet::window_serial_archive(*problem, 0.1, kSeed, kWorkers, 3000);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_TRUE(
+        testnet::archives_identical(algo.archive().solutions(), expected));
+}
+
+TEST(ThreadExecutor, TcSamplesExcludeMasterQueueing) {
+    // Workers on a closed-form problem (T_F ~ 0) keep results queued at
+    // the master. A T_C sample must measure the link only: a result
+    // waiting behind other services is master time, which the simulation
+    // model charges itself when calibrated from these samples. Each
+    // sample then spans a gap between two services, and each T_A sample
+    // lies inside a service, so the two sums fit in the run. Three
+    // workers plus the master fit a 4-vCPU host, so hand-offs stay in the
+    // spin phase and the master, not the wake-ups, is the bottleneck: a
+    // T_C that counted queueing sums to ~1.7x the run there. An
+    // oversubscribed fleet parks instead and leaves the master idle.
+    const auto problem = problems::make_problem("dtlz2_5");
+    constexpr std::size_t kWorkers = 3;
+    constexpr std::uint64_t kSeed = 67;
+    constexpr std::uint64_t kEvals = 3000;
+    moea::BorgMoea algo(*problem,
+                        moea::BorgParams::for_problem(*problem, 0.1), kSeed);
+    ThreadMasterSlaveExecutor exec(kWorkers, IngestOrder::dispatch);
+    const ThreadRunResult result = exec.run(algo, *problem, kEvals);
+    ASSERT_EQ(result.tc_samples.size(), kEvals);
+    const double tc_sum = std::accumulate(result.tc_samples.begin(),
+                                          result.tc_samples.end(), 0.0);
+    const double ta_sum = std::accumulate(result.ta_samples.begin(),
+                                          result.ta_samples.end(), 0.0);
+    EXPECT_LE(tc_sum + ta_sum, result.elapsed)
+        << "sum T_C " << tc_sum << " s + sum T_A " << ta_sum
+        << " s exceeds the run's " << result.elapsed << " s";
+    const std::vector<moea::Solution> expected =
+        testnet::window_serial_archive(*problem, 0.1, kSeed, kWorkers, kEvals);
     ASSERT_FALSE(expected.empty());
     EXPECT_TRUE(
         testnet::archives_identical(algo.archive().solutions(), expected));

@@ -1,9 +1,7 @@
 /// Tests for the heterogeneous evaluation-time models (DESIGN.md §17):
-/// ScaledTimeModel's byte-identity with the engine's flat tf path (the
-/// contract that lets every existing config migrate to a model with zero
-/// schedule change), the straggler-fleet factory, the episodic slowdown
-/// phase machine, the variable-cost (heritable T_F) model, and the
-/// generational drivers' refusal of a model-carrying Setup.
+/// the straggler-fleet factory, the episodic slowdown phase machine, the
+/// variable-cost (heritable T_F) model, and the generational drivers'
+/// refusal of a model-carrying Setup.
 
 #include "parallel/time_model.hpp"
 
@@ -14,10 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "moea/borg.hpp"
 #include "moea/nsga2.hpp"
-#include "obs/event_trace.hpp"
-#include "parallel/async_executor.hpp"
 #include "parallel/sync_executor.hpp"
 #include "problems/problem.hpp"
 #include "stats/distribution.hpp"
@@ -29,48 +24,6 @@ using namespace borg::parallel;
 using borg::stats::ConstantDistribution;
 using borg::stats::make_delay;
 using borg::util::Rng;
-
-TEST(ScaledTimeModel, ByteIdenticalWithFlatEnginePath) {
-    // The same cluster run twice — once through the engine's flat
-    // tf × worker_speed path, once through a ScaledTimeModel carrying the
-    // identical distribution and speeds. Every event must match: the model
-    // seam may not perturb a single draw or timestamp.
-    const auto problem = problems::make_problem("zdt1");
-    const auto tf = make_delay(0.01, 0.1);
-    const auto tc = make_delay(0.000006, 0.1);
-    const auto ta = make_delay(0.000029, 0.1);
-    const std::vector<double> speeds = {1.0, 2.0, 1.0};
-
-    const auto run = [&](TimeModel* model) {
-        VirtualClusterConfig cfg(4, tf.get(), tc.get(), ta.get(), 99);
-        if (model != nullptr)
-            cfg.time_model = model; // owns the whole per-worker story
-        else
-            cfg.worker_speed = speeds;
-        moea::BorgMoea algo(*problem,
-                            moea::BorgParams::for_problem(*problem, 0.01),
-                            1234);
-        AsyncMasterSlaveExecutor exec(algo, *problem, cfg);
-        obs::EventTrace trace;
-        const auto result = exec.run(400, {.trace = &trace});
-        EXPECT_TRUE(result.completed_target);
-        return trace.events();
-    };
-
-    const auto flat = run(nullptr);
-    ScaledTimeModel model(tf.get(), speeds);
-    const auto modeled = run(&model);
-    ASSERT_EQ(flat.size(), modeled.size());
-    for (std::size_t i = 0; i < flat.size(); ++i)
-        ASSERT_TRUE(flat[i] == modeled[i]) << "event " << i << " diverged";
-}
-
-TEST(ScaledTimeModel, RejectsBadConstruction) {
-    const auto tf = make_delay(0.01, 0.0);
-    EXPECT_THROW(ScaledTimeModel(nullptr), std::invalid_argument);
-    EXPECT_THROW(ScaledTimeModel(tf.get(), {1.0, 0.0}),
-                 std::invalid_argument);
-}
 
 TEST(PerWorkerTimeModel, StragglerFleetClonesTailToEveryKth) {
     const ConstantDistribution body(1.0);
@@ -170,9 +123,10 @@ TEST(TimeModelScope, GenerationalDriversRefuseAModel) {
     const auto tf = make_delay(0.01, 0.0);
     const auto tc = make_delay(0.000006, 0.0);
     const auto ta = make_delay(0.000029, 0.0);
-    ScaledTimeModel model(tf.get());
+    const auto model = PerWorkerTimeModel::straggler_fleet(
+        4, *tf, *tf, /*every=*/4);
     VirtualClusterConfig cfg(4, tf.get(), tc.get(), ta.get(), 5);
-    cfg.time_model = &model;
+    cfg.time_model = model.get();
     moea::Nsga2 algo(*problem, 8, 8);
     SyncMasterSlaveExecutor exec(algo, *problem, cfg);
     EXPECT_THROW(exec.run(64), std::invalid_argument);

@@ -105,104 +105,6 @@ TEST_F(Fixture, RejectsZeroInterval) {
     EXPECT_THROW(TrajectoryRecorder(normalizer, 0), std::invalid_argument);
 }
 
-TEST_F(Fixture, DeferredResolveMatchesImmediate) {
-    TrajectoryRecorder immediate(normalizer, 10);
-    TrajectoryRecorder deferred(normalizer, 10, /*defer_hypervolume=*/true);
-    const double shifts[] = {0.5, 0.2, 0.2, 0.05, 0.0};
-    std::uint64_t evals = 0;
-    for (const double shift : shifts) {
-        evals += 10;
-        const double time = 0.1 * static_cast<double>(evals);
-        immediate.on_result(time, evals,
-                            [&] { return shifted_front(shift); });
-        deferred.on_result(time, evals, [&] { return shifted_front(shift); });
-    }
-    EXPECT_EQ(deferred.pending(), 5u);
-    deferred.resolve_pending();
-    ASSERT_EQ(deferred.points().size(), immediate.points().size());
-    for (std::size_t i = 0; i < deferred.points().size(); ++i)
-        EXPECT_DOUBLE_EQ(deferred.points()[i].hypervolume,
-                         immediate.points()[i].hypervolume);
-}
-
-TEST_F(Fixture, ResolveDeduplicatesIdenticalFronts) {
-    TrajectoryRecorder recorder(normalizer, 10, /*defer_hypervolume=*/true);
-    for (std::uint64_t e = 10; e <= 50; e += 10)
-        recorder.on_result(0.1 * static_cast<double>(e), e,
-                           [&] { return shifted_front(0.1); });
-    const ResolveStats stats = recorder.resolve_pending();
-    EXPECT_EQ(stats.resolved, 5u);
-    EXPECT_EQ(stats.computed, 1u); // one distinct front across the batch
-    const double expected = normalizer.normalized(shifted_front(0.1));
-    for (const TrajectoryPoint& p : recorder.points())
-        EXPECT_DOUBLE_EQ(p.hypervolume, expected);
-}
-
-TEST_F(Fixture, ResolveComputesEachDistinctFrontOnce) {
-    TrajectoryRecorder recorder(normalizer, 10, /*defer_hypervolume=*/true);
-    const double shifts[] = {0.3, 0.1, 0.3, 0.1};
-    std::uint64_t evals = 0;
-    for (const double shift : shifts) {
-        evals += 10;
-        recorder.on_result(0.1 * static_cast<double>(evals), evals,
-                           [&] { return shifted_front(shift); });
-    }
-    const ResolveStats stats = recorder.resolve_pending();
-    EXPECT_EQ(stats.resolved, 4u);
-    EXPECT_EQ(stats.computed, 2u);
-    EXPECT_DOUBLE_EQ(recorder.points()[0].hypervolume,
-                     recorder.points()[2].hypervolume);
-    EXPECT_DOUBLE_EQ(recorder.points()[1].hypervolume,
-                     recorder.points()[3].hypervolume);
-    EXPECT_LT(recorder.points()[0].hypervolume,
-              recorder.points()[1].hypervolume);
-}
-
-TEST_F(Fixture, ResolveSeedsNextBatchWithLastFront) {
-    TrajectoryRecorder recorder(normalizer, 10, /*defer_hypervolume=*/true);
-    recorder.on_result(1.0, 10, [&] { return shifted_front(0.1); });
-    const ResolveStats first = recorder.resolve_pending();
-    EXPECT_EQ(first.computed, 1u);
-    // The archive did not change: the next batch reuses the cached value.
-    for (std::uint64_t e = 20; e <= 40; e += 10)
-        recorder.on_result(0.1 * static_cast<double>(e), e,
-                           [&] { return shifted_front(0.1); });
-    const ResolveStats second = recorder.resolve_pending();
-    EXPECT_EQ(second.resolved, 3u);
-    EXPECT_EQ(second.computed, 0u);
-    for (const TrajectoryPoint& p : recorder.points())
-        EXPECT_DOUBLE_EQ(p.hypervolume,
-                         recorder.points()[0].hypervolume);
-}
-
-TEST_F(Fixture, ResolveOnEmptyPendingIsNoOp) {
-    TrajectoryRecorder recorder(normalizer, 10);
-    recorder.on_result(1.0, 10, [&] { return shifted_front(0.1); });
-    const ResolveStats stats = recorder.resolve_pending();
-    EXPECT_EQ(stats.resolved, 0u);
-    EXPECT_EQ(stats.computed, 0u);
-}
-
-TEST_F(Fixture, ThresholdReadsThrowWhileUnresolved) {
-    TrajectoryRecorder recorder(normalizer, 10, /*defer_hypervolume=*/true);
-    recorder.on_result(1.0, 10, [&] { return shifted_front(0.1); });
-    EXPECT_THROW((void)recorder.time_to_threshold(0.5), std::logic_error);
-    EXPECT_THROW((void)recorder.final_hypervolume(), std::logic_error);
-    recorder.resolve_pending();
-    EXPECT_NO_THROW((void)recorder.final_hypervolume());
-}
-
-TEST(FrontDigest, EqualFrontsShareDigestDistinctOnesDiffer) {
-    const metrics::Front a{{0.1, 0.9}, {0.5, 0.5}};
-    const metrics::Front b{{0.1, 0.9}, {0.5, 0.5}};
-    EXPECT_EQ(front_digest(a), front_digest(b));
-    // Any perturbation — value, shape, or row order — changes the digest.
-    EXPECT_NE(front_digest(a), front_digest({{0.1, 0.9}, {0.5, 0.5001}}));
-    EXPECT_NE(front_digest(a), front_digest({{0.1, 0.9}}));
-    EXPECT_NE(front_digest(a), front_digest({{0.5, 0.5}, {0.1, 0.9}}));
-    EXPECT_NE(front_digest({}), front_digest({{}}));
-}
-
 TEST(TimeToThreshold, FreeFunctionOnRawPoints) {
     const std::vector<TrajectoryPoint> points{
         {1.0, 10, 0.2}, {2.0, 20, 0.6}, {3.0, 30, 0.9}};
