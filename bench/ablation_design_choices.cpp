@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
 
     obs::MetricsRegistry sweep_metrics;
     bench::SweepRunner runner({.jobs = jobs,
-                               .obs = {.metrics = &sweep_metrics},
+                               .metrics = &sweep_metrics,
                                .progress = &std::cerr,
                                .label = "Ablation"});
     const bench::SweepReport report = runner.run(cells, [&](std::size_t i) {

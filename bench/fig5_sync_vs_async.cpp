@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
     obs::MetricsRegistry sweep_metrics;
     bench::SweepRunner runner({.jobs = jobs,
-                               .obs = {.metrics = &sweep_metrics},
+                               .metrics = &sweep_metrics,
                                .progress = &std::cerr,
                                .label = "Figure 5"});
     const bench::SweepReport report =

@@ -131,7 +131,7 @@ inline int run_hv_speedup(const std::string& problem_name,
 
     obs::MetricsRegistry sweep_metrics;
     SweepRunner runner({.jobs = opt.jobs,
-                        .obs = {.metrics = &sweep_metrics},
+                        .metrics = &sweep_metrics,
                         .progress = &std::cerr,
                         .label = figure_label});
     const SweepReport report = runner.run(cells.size(), [&](std::size_t i) {

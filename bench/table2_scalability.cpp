@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
 
     obs::MetricsRegistry sweep_metrics;
     bench::SweepRunner runner({.jobs = opt.jobs,
-                               .obs = {.metrics = &sweep_metrics},
+                               .metrics = &sweep_metrics,
                                .progress = &std::cerr,
                                .label = "Table II"});
     const bench::SweepReport report =

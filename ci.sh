@@ -7,12 +7,12 @@
 # installed), the arena-ownership lint, the trace_check observability
 # gate, the hypervolume, ε-archive, and DES agreement+speedup smoke
 # gates, the variation-operator agreement gate, a small Figure 3 grid at
-# --jobs 1 and --jobs 2 compared byte for byte with a checked-in fixture,
+# --jobs 1, 2 and 8 compared byte for byte with a checked-in fixture,
 # a one-second run of every BENCHMARK.json workload through
 # saturation_bench/run.py, the fast+threads+net
 # tiers (including the SolutionPool and allocation-behavior tests) under
 # AddressSanitizer + UBSan (float-cast-overflow included; the first
-# report fails the test), and the concurrency surface (thread pool,
+# report fails the test), and the concurrency surface (SPSC rings,
 # sweep runner, host-thread executor) under ThreadSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -113,12 +113,14 @@ echo "=== net gate (agreement + syscall-count smoke) ==="
 ./build/bench/micro_net --quick --json build/BENCH_net.json
 
 echo "=== Figure 3 smoke (stdout pinned, identical for any --jobs) ==="
-# Runs a small fig3_hv_speedup_dtlz2 grid (under 1 s) serially and on two
-# sweep workers. Fails unless both stdouts equal
-# tests/fig3_hv_speedup_smoke.expected: the trajectory recorder, the
-# simulated runs and the sweep's jobs-invariance (DESIGN.md §9) are then
-# pinned end to end, not only in unit tests.
-for fig3_jobs in 1 2; do
+# Runs a small fig3_hv_speedup_dtlz2 grid of 3 cells (under 1 s) on one,
+# two and eight sweep threads; eight asks for more threads than there
+# are cells, so the sweep's min(jobs, cells) edge runs too. Fails unless
+# every stdout equals tests/fig3_hv_speedup_smoke.expected: the
+# trajectory recorder, the simulated runs and the sweep's
+# jobs-invariance (DESIGN.md §9) are then pinned end to end, not only in
+# unit tests.
+for fig3_jobs in 1 2 8; do
   if ! ./build/bench/fig3_hv_speedup_dtlz2 --tf 0.01 --procs 16,64 \
       --evals 5000 --csv --jobs "$fig3_jobs" 2>/dev/null |
       cmp -s - tests/fig3_hv_speedup_smoke.expected; then
@@ -180,8 +182,9 @@ echo "=== ThreadSanitizer build + threads tier ==="
 # workers are separate processes TSan cannot see across, and TSan's
 # interceptors add multi-second latency to socket syscalls that would
 # blow the net tier's 30 s per-test caps for zero additional coverage.
-# The concurrency the net tier does have (the test harness's killer /
-# late-joiner threads) touches only pid_t values by design.
+# The concurrency the net tier does have (the test harness's fleet-starter
+# and late-joiner threads) hands its worker handles back only through
+# join().
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBORG_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs" --target borg_thread_tests

@@ -1,13 +1,15 @@
 #include "bench/sweep_runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace borg::bench {
 
@@ -17,6 +19,12 @@ using SteadyClock = std::chrono::steady_clock;
 
 double seconds_since(SteadyClock::time_point start) {
     return std::chrono::duration<double>(SteadyClock::now() - start).count();
+}
+
+/// Hardware concurrency, never less than 1.
+std::size_t default_concurrency() noexcept {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
 } // namespace
@@ -39,31 +47,14 @@ void SweepReport::throw_if_failed() const {
 }
 
 SweepRunner::SweepRunner(SweepOptions options)
-    : options_(std::move(options)),
-      jobs_(options_.jobs == 0 ? util::ThreadPool::default_concurrency()
-                               : options_.jobs) {}
+    : options_(std::move(options)) {}
 
 SweepReport SweepRunner::run(std::size_t cells,
-                             const std::function<void(std::size_t)>& fn,
-                             const std::vector<std::size_t>& order) {
+                             const std::function<void(std::size_t)>& fn) {
     if (!fn) throw std::invalid_argument("sweep: empty cell function");
-    if (!order.empty()) {
-        if (order.size() != cells)
-            throw std::invalid_argument(
-                "sweep: submission order must be a permutation of the cells");
-        std::vector<bool> seen(cells, false);
-        for (const std::size_t index : order) {
-            if (index >= cells || seen[index])
-                throw std::invalid_argument(
-                    "sweep: submission order must be a permutation of the "
-                    "cells");
-            seen[index] = true;
-        }
-    }
 
     SweepReport report;
     report.cells.resize(cells);
-    report.jobs = jobs_;
     if (cells == 0) return report;
 
     const auto start = SteadyClock::now();
@@ -78,8 +69,8 @@ SweepReport SweepRunner::run(std::size_t cells,
     std::size_t done = 0;
     std::size_t failed = 0;
 
-    if (options_.obs.metrics)
-        options_.obs.metrics->counter("sweep.cells").inc(cells);
+    if (options_.metrics)
+        options_.metrics->counter("sweep.cells").inc(cells);
 
     const auto on_cell_finished = [&](const CellOutcome& outcome) {
         const std::lock_guard lock(progress_mutex);
@@ -89,8 +80,8 @@ SweepReport SweepRunner::run(std::size_t cells,
         const double eta =
             elapsed / static_cast<double>(done) *
             static_cast<double>(cells - done);
-        if (options_.obs.metrics) {
-            obs::MetricsRegistry& m = *options_.obs.metrics;
+        if (options_.metrics) {
+            obs::MetricsRegistry& m = *options_.metrics;
             m.counter("sweep.cells_done").inc();
             if (!outcome.ok) m.counter("sweep.cells_failed").inc();
             m.histogram("sweep.cell_seconds").observe(outcome.seconds);
@@ -125,12 +116,23 @@ SweepReport SweepRunner::run(std::size_t cells,
         on_cell_finished(outcome);
     };
 
-    util::ThreadPool pool(jobs_);
-    for (std::size_t i = 0; i < cells; ++i) {
-        const std::size_t index = order.empty() ? i : order[i];
-        pool.submit([&run_cell, index] { run_cell(index); });
+    // Every thread claims the next unclaimed index until the cursor passes
+    // the last cell, so uneven cells balance without per-thread queues.
+    // run_cell records whatever a cell throws in its CellOutcome, so no
+    // cell failure escapes a thread.
+    std::atomic<std::size_t> cursor{0};
+    const std::size_t jobs = std::min(
+        options_.jobs == 0 ? default_concurrency() : options_.jobs, cells);
+    {
+        // jthreads join as the vector goes out of scope, also when a
+        // thread fails to start and the exception leaves run().
+        std::vector<std::jthread> threads;
+        for (std::size_t t = 0; t < jobs; ++t)
+            threads.emplace_back([&] {
+                for (std::size_t i = cursor++; i < cells; i = cursor++)
+                    run_cell(i);
+            });
     }
-    pool.wait_idle();
 
     report.elapsed_seconds = seconds_since(start);
     return report;

@@ -7,9 +7,10 @@
 /// The paper's headline tables aggregate 50 replicates per (problem, T_F,
 /// P) configuration; every replicate is an independent virtual-time DES
 /// run, so the full grid is embarrassingly parallel across host threads.
-/// The SweepRunner fans each cell of a flattened experiment grid out on a
-/// work-stealing util::ThreadPool and guarantees that the *results* are
-/// bit-identical regardless of thread count or scheduling order:
+/// The SweepRunner fans the cells of a flattened experiment grid out on
+/// host threads that claim cell indices from one shared cursor, and
+/// guarantees that the *results* are bit-identical regardless of thread
+/// count or which thread ran which cell:
 ///
 ///  * each cell derives its seeds from the cell's grid coordinates via
 ///    util::derive_seed — never from "which thread ran it" or "how many
@@ -32,23 +33,25 @@
 #include <string>
 #include <vector>
 
-#include "parallel/run_context.hpp"
 #include "util/cli.hpp"
+
+namespace borg::obs {
+class MetricsRegistry;
+}
 
 namespace borg::bench {
 
 struct SweepOptions {
     /// Host threads to run cells on; 0 means one per hardware thread.
     std::size_t jobs = 0;
-    /// Observability sinks for the sweep itself. Only obs.metrics is
-    /// consulted (instruments: sweep.cells counter, sweep.cells_done,
-    /// sweep.cells_failed, sweep.cell_seconds histogram,
-    /// sweep.elapsed_seconds and sweep.eta_seconds gauges); the registry
+    /// Optional registry for the sweep's own instruments: sweep.cells
+    /// counter, sweep.cells_done, sweep.cells_failed, sweep.cell_seconds
+    /// histogram, sweep.elapsed_seconds and sweep.eta_seconds gauges. It
     /// is only touched under the runner's internal lock, so callers must
-    /// not update it concurrently while a sweep is running. obs.trace and
-    /// obs.recorder are per-run concerns — cells pass their own
-    /// RunContext to the executors they drive.
-    parallel::RunContext obs = {};
+    /// not update it concurrently while a sweep is running. Traces and
+    /// recorders are per-run concerns: cells pass their own RunContext to
+    /// the executors they drive.
+    obs::MetricsRegistry* metrics = nullptr;
     /// Optional throttled progress lines ("[label] 12/40 cells ...").
     /// Point this at std::cerr, never at the results stream.
     std::ostream* progress = nullptr;
@@ -66,7 +69,6 @@ struct CellOutcome {
 struct SweepReport {
     std::vector<CellOutcome> cells; ///< indexed by cell, not finish order
     double elapsed_seconds = 0.0;
-    std::size_t jobs = 1;
 
     std::size_t failures() const noexcept;
     /// Throws std::runtime_error naming every failed cell (index + error).
@@ -77,21 +79,15 @@ class SweepRunner {
 public:
     explicit SweepRunner(SweepOptions options = {});
 
-    std::size_t jobs() const noexcept { return jobs_; }
-
-    /// Runs fn(i) once for every i in [0, cells). \p fn must write its
-    /// result only into caller-owned state addressed by i (pre-sized
-    /// slots), and must derive any randomness from i — that is the whole
-    /// schedule-invariance contract. \p order, when non-empty, must be a
-    /// permutation of [0, cells) and fixes the submission order (exposed
-    /// so tests can prove order-independence); results never depend on it.
+    /// Runs fn(i) once for every i in [0, cells) on min(jobs, cells)
+    /// threads. \p fn must write its result only into caller-owned state
+    /// addressed by i (pre-sized slots), and must derive any randomness
+    /// from i — that is the whole schedule-invariance contract.
     SweepReport run(std::size_t cells,
-                    const std::function<void(std::size_t)>& fn,
-                    const std::vector<std::size_t>& order = {});
+                    const std::function<void(std::size_t)>& fn);
 
 private:
     SweepOptions options_;
-    std::size_t jobs_;
 };
 
 /// Parses --jobs for the experiment drivers: absent means "one per

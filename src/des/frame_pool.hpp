@@ -14,8 +14,8 @@
 /// touching malloc.
 ///
 /// The pool is thread-local (a des::Environment is single-threaded by
-/// construction; the sweep runner gives each replicate its own thread, so
-/// per-thread pools need no locks). Blocks are plain ::operator new
+/// construction, and each sweep thread runs its replicates one after
+/// another, so per-thread pools need no locks). Blocks are plain ::operator new
 /// allocations, which keeps the rare cross-thread free — an Environment
 /// destroyed on a different thread than it spawned on — safe: the block
 /// simply retires into the destroying thread's pool. Every retained block

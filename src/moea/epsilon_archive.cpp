@@ -1,7 +1,6 @@
 #include "moea/epsilon_archive.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace borg::moea {
@@ -53,34 +52,6 @@ SolutionPool& ArchiveEngine::pool_for(ConstSolutionView exemplar) {
     return *pool_;
 }
 
-std::uint64_t ArchiveEngine::row_hash(
-    std::span<const double> objectives) noexcept {
-    std::uint64_t h = 14695981039346656037ull; // FNV-1a offset basis
-    for (const double v : objectives) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (bits >> (8 * byte)) & 0xffu;
-            h *= 1099511628211ull; // FNV prime
-        }
-    }
-    return h;
-}
-
-std::uint64_t ArchiveEngine::front_digest() const noexcept {
-    // splitmix64 finalizer over the commutative member-hash sum and the
-    // member count (the count mix distinguishes fronts whose row hashes
-    // cancel, e.g. empty vs. any set summing to zero).
-    std::uint64_t x =
-        digest_sum_ + 0x9e3779b97f4a7c15ull * (order_.size() + 1);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
-
 std::uint32_t ArchiveEngine::allocate_slot() {
     if (!free_slots_.empty()) {
         const std::uint32_t slot = free_slots_.back();
@@ -99,7 +70,6 @@ void ArchiveEngine::release_slot(std::uint32_t slot) {
     // The slot's entries stay allocated for reuse; its box row turns NaN
     // (so the dominance scan passes over it) and the payload row returns
     // to the pool so evicted solutions do not linger.
-    digest_sum_ -= row_hash(pool_->objectives(slot_handles_[slot]));
     pool_->release(slot_handles_[slot]);
     slot_handles_[slot] = SolutionHandle{};
     boxes_.clear_row(slot);
@@ -116,7 +86,6 @@ void ArchiveEngine::reset_structures() noexcept {
     slot_evicted_.clear();
     free_slots_.clear();
     order_.clear();
-    digest_sum_ = 0;
 }
 
 void ArchiveEngine::install(ConstSolutionView solution, SolutionHandle owned) {
@@ -124,7 +93,6 @@ void ArchiveEngine::install(ConstSolutionView solution, SolutionHandle owned) {
     const std::uint32_t slot = allocate_slot();
     slot_handles_[slot] =
         owned.is_null() ? pool_for(solution).store(solution) : owned;
-    digest_sum_ += row_hash(pool_->objectives(slot_handles_[slot]));
     boxes_.set_row(slot, scratch_box_, 0.0);
     double sum = 0.0;
     for (const double c : scratch_box_) sum += c;
@@ -207,14 +175,12 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
         // The winner inherits the incumbent's slot — box row, sum and
         // install stamp stay valid — but moves to the back of the
         // iteration order, matching the naive drop-and-append.
-        digest_sum_ -= row_hash(member_view(slot).objectives);
         if (owned.is_null()) {
             pool_->copy_payload(slot_handles_[slot], solution);
         } else {
             pool_->release(slot_handles_[slot]);
             slot_handles_[slot] = owned;
         }
-        digest_sum_ += row_hash(member_view(slot).objectives);
         order_.erase(std::find(order_.begin(), order_.end(), slot));
         order_.push_back(slot);
         ++improvements_;

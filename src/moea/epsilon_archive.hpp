@@ -137,15 +137,6 @@ public:
     /// Monotone counter of accepted insertions (new box or same-box win).
     std::uint64_t improvements() const noexcept { return improvements_; }
 
-    /// Order-independent digest of the current front: a finalized
-    /// wrap-around sum of per-member FNV-1a objective-row hashes, mixed
-    /// with the member count. Maintained incrementally — O(changed
-    /// members) per add/evict, O(1) to read — so trajectory recording can
-    /// fingerprint the front without walking it. Restoring the same
-    /// member set into a fresh archive reproduces the same digest
-    /// (membership defines it, not insertion history).
-    std::uint64_t front_digest() const noexcept;
-
     /// Number of archive members attributed to each operator index; used by
     /// the adaptive operator selector. \p num_operators sizes the result;
     /// members with kNoOperator are counted in no bucket.
@@ -176,9 +167,6 @@ private:
     /// \p solution views that same row.
     ArchiveAdd do_add(ConstSolutionView solution, SolutionHandle owned);
     void discard(SolutionHandle owned);
-    /// FNV-1a over the objective bytes; the front digest is the wrap-sum
-    /// of this over all members.
-    static std::uint64_t row_hash(std::span<const double> objectives) noexcept;
 
     std::uint32_t allocate_slot();
     void release_slot(std::uint32_t slot);
@@ -216,10 +204,6 @@ private:
     std::vector<double> scratch_box_;            ///< the candidate's ε-box
     std::vector<std::uint64_t> scratch_bits_;    ///< kernel output per slot
     std::vector<std::uint32_t> scratch_evicted_; ///< slots evicted this add
-
-    /// Wrap-around sum of row_hash() over current members (commutative,
-    /// so eviction subtracts what installation added).
-    std::uint64_t digest_sum_ = 0;
 
     std::uint64_t progress_ = 0;
     std::uint64_t improvements_ = 0;

@@ -609,71 +609,4 @@ TEST(ArchiveEquivalence, RestoreThenContinueMatches) {
     EXPECT_EQ(engine2.improvements(), naive2.improvements());
 }
 
-// ------------------------------------------------------------ front digest
-//
-// front_digest() is maintained incrementally (adds add a row hash,
-// evictions subtract it). The oracle for "the digest of this membership" is
-// a fresh archive restored from the same members: if the incremental sums
-// ever drift from that, an eviction path forgot to subtract.
-
-TEST(FrontDigest, IncrementalMatchesRecomputeThroughoutAStream) {
-    const std::vector<double> eps(3, 0.07);
-    const auto stream = make_stream(3, StreamKind::kFeasible, 4000, 900);
-    ArchiveEngine engine(eps);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        engine.add(stream[i]);
-        if (i % 250 != 0) continue;
-        ArchiveEngine recomputed(eps);
-        recomputed.restore(engine.solutions(), engine.epsilon_progress(),
-                           engine.improvements());
-        ASSERT_EQ(engine.front_digest(), recomputed.front_digest())
-            << "incremental digest drifted by candidate " << i;
-    }
-}
-
-TEST(FrontDigest, EvictionHeavyStreamStaysConsistent) {
-    // Every add evicts everything the candidate dominates, so the subtract
-    // path runs constantly.
-    const std::vector<double> eps(2, 0.04);
-    ArchiveEngine engine(eps);
-    for (int step = 40; step >= 1; --step) {
-        for (int k = 0; k <= 40 - step; ++k)
-            engine.add(evaluated({0.025 * (step + k), 0.025 * (40 - k)}));
-        ArchiveEngine recomputed(eps);
-        recomputed.restore(engine.solutions(), engine.epsilon_progress(),
-                           engine.improvements());
-        ASSERT_EQ(engine.front_digest(), recomputed.front_digest())
-            << "diverged at shrink step " << step;
-    }
-}
-
-TEST(FrontDigest, DependsOnMembershipNotHistory) {
-    const std::vector<double> eps(2, 0.1);
-    ArchiveEngine a(eps);
-    ArchiveEngine b(eps);
-    // Same final membership reached through different insertion orders
-    // (and, for `a`, an intermediate member that gets evicted).
-    a.add(evaluated({0.85, 0.85})); // later evicted by both survivors
-    a.add(evaluated({0.25, 0.75}));
-    a.add(evaluated({0.75, 0.25}));
-    b.add(evaluated({0.75, 0.25}));
-    b.add(evaluated({0.25, 0.75}));
-    EXPECT_EQ(a.front_digest(), b.front_digest());
-    EXPECT_NE(a.front_digest(), ArchiveEngine(eps).front_digest());
-    // Distinct memberships must (overwhelmingly) disagree.
-    ArchiveEngine c(eps);
-    c.add(evaluated({0.25, 0.75}));
-    EXPECT_NE(a.front_digest(), c.front_digest());
-}
-
-TEST(FrontDigest, ClearResetsDigest) {
-    const std::vector<double> eps(2, 0.1);
-    ArchiveEngine engine(eps);
-    const std::uint64_t empty = engine.front_digest();
-    engine.add(evaluated({0.5, 0.5}));
-    EXPECT_NE(engine.front_digest(), empty);
-    engine.clear();
-    EXPECT_EQ(engine.front_digest(), empty);
-}
-
 } // namespace

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -23,8 +21,7 @@ using bench::SweepRunner;
 /// The cell workload the determinism tests run: a small deterministic
 /// simulation whose randomness derives only from the cell index, mirroring
 /// the contract the experiment drivers follow.
-std::vector<double> run_grid(std::size_t jobs,
-                             const std::vector<std::size_t>& order = {}) {
+std::vector<double> run_grid(std::size_t jobs) {
     constexpr std::size_t kCells = 64;
     std::vector<double> slots(kCells, 0.0);
     SweepRunner runner({.jobs = jobs});
@@ -34,7 +31,7 @@ std::vector<double> run_grid(std::size_t jobs,
         double acc = 0.0;
         for (int k = 0; k < 100; ++k) acc += rng.uniform();
         slots[i] = acc;
-    }, order);
+    });
     EXPECT_EQ(report.failures(), 0u);
     return slots;
 }
@@ -47,49 +44,32 @@ stats::Summary aggregate(const std::vector<double>& slots) {
 
 TEST(SweepRunner, Jobs1VersusJobs4ProduceIdenticalSlots) {
     const auto serial = run_grid(1);
-    const auto parallel = run_grid(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i], parallel[i]) << "cell " << i;
-
     const auto a = aggregate(serial);
-    const auto b = aggregate(parallel);
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.stddev, b.stddev);
-    EXPECT_EQ(a.median, b.median);
-}
+    // 80 threads is more than the grid's 64 cells: the runner starts
+    // min(jobs, cells) threads, and the slots must not notice.
+    for (const std::size_t jobs : {std::size_t{4}, std::size_t{80}}) {
+        const auto parallel = run_grid(jobs);
+        ASSERT_EQ(serial.size(), parallel.size());
+        for (std::size_t i = 0; i < serial.size(); ++i)
+            EXPECT_EQ(serial[i], parallel[i])
+                << "jobs " << jobs << " cell " << i;
 
-TEST(SweepRunner, ShuffledSubmissionOrderProducesIdenticalSlots) {
-    const auto baseline = run_grid(1);
-
-    std::vector<std::size_t> order(baseline.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    // Deterministic shuffle (Fisher-Yates with the project's RNG).
-    util::Rng rng(42);
-    for (std::size_t i = order.size(); i-- > 1;)
-        std::swap(order[i], order[rng.below(i + 1)]);
-    ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
-
-    const auto shuffled = run_grid(4, order);
-    EXPECT_EQ(baseline, shuffled);
-}
-
-TEST(SweepRunner, RejectsBadSubmissionOrder) {
-    SweepRunner runner({.jobs = 1});
-    const auto noop = [](std::size_t) {};
-    EXPECT_THROW(runner.run(3, noop, {0, 1}), std::invalid_argument);
-    EXPECT_THROW(runner.run(3, noop, {0, 1, 1}), std::invalid_argument);
-    EXPECT_THROW(runner.run(3, noop, {0, 1, 3}), std::invalid_argument);
+        const auto b = aggregate(parallel);
+        EXPECT_EQ(a.mean, b.mean) << "jobs " << jobs;
+        EXPECT_EQ(a.stddev, b.stddev) << "jobs " << jobs;
+        EXPECT_EQ(a.median, b.median) << "jobs " << jobs;
+    }
 }
 
 TEST(SweepRunner, ThrowingCellIsIsolatedAndReportedPerCell) {
     constexpr std::size_t kCells = 32;
+    // Each cell owns its counter, so the increments race with nothing.
     std::vector<int> ran(kCells, 0);
     SweepRunner runner({.jobs = 4});
     const SweepReport report = runner.run(kCells, [&](std::size_t i) {
         if (i == 5) throw std::runtime_error("cell five exploded");
         if (i == 17) throw std::domain_error("cell seventeen too");
-        ran[i] = 1;
+        ++ran[i];
     });
 
     EXPECT_EQ(report.failures(), 2u);
@@ -99,7 +79,7 @@ TEST(SweepRunner, ThrowingCellIsIsolatedAndReportedPerCell) {
     EXPECT_FALSE(report.cells[17].ok);
     EXPECT_EQ(report.cells[17].error, "cell seventeen too");
 
-    // Every sibling still ran to completion.
+    // Every sibling still ran to completion, exactly once.
     for (std::size_t i = 0; i < kCells; ++i) {
         if (i == 5 || i == 17) continue;
         EXPECT_TRUE(report.cells[i].ok) << "cell " << i;
@@ -129,7 +109,7 @@ TEST(SweepRunner, EmitsProgressMetrics) {
     std::ostringstream progress;
     SweepRunner runner(
         {.jobs = 2,
-         .obs = {.metrics = &metrics},
+         .metrics = &metrics,
          .progress = &progress,
          .label = "unit"});
     const SweepReport report = runner.run(10, [&](std::size_t i) {
@@ -160,7 +140,7 @@ TEST(SweepRunner, EmitsProgressMetrics) {
 
 TEST(SweepRunner, ZeroCellsIsANoOp) {
     obs::MetricsRegistry metrics;
-    SweepRunner runner({.jobs = 1, .obs = {.metrics = &metrics}});
+    SweepRunner runner({.jobs = 1, .metrics = &metrics});
     const SweepReport report = runner.run(0, [](std::size_t) {
         FAIL() << "cell function must not run";
     });

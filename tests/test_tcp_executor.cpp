@@ -92,12 +92,12 @@ std::uint64_t counter_value(const obs::MetricsRegistry& metrics,
 }
 
 /// A fleet that forms only after a misbehaving first peer is done: the
-/// master's run starts with \p first as its sole peer, and four good
-/// workers (launched with \p worker_args) are spawned from a helper
+/// master's run starts with \p first as its sole peer, and \p good_workers
+/// good workers (launched with \p worker_args) are spawned from a helper
 /// thread only once \p first has returned — so whatever the first peer
 /// provokes has happened before the run can complete, however the host
 /// schedules the processes. The good workers sleep 1 ms per evaluation,
-/// so the run outlasts the last one's handshake and all four connect
+/// so the run outlasts the last one's handshake and all of them connect
 /// even on a loaded host (a worker otherwise could finish the run alone
 /// before the others start).
 struct GatedRun {
@@ -107,7 +107,8 @@ struct GatedRun {
 
 template <typename FirstPeer>
 GatedRun run_gated(const parallel::TcpRunConfig& config, FirstPeer first,
-                   const std::vector<std::string>& worker_args = {}) {
+                   const std::vector<std::string>& worker_args = {},
+                   int good_workers = 4) {
     GatedRun out;
     std::thread starter;
     std::vector<WorkerProc> fleet;
@@ -116,7 +117,7 @@ GatedRun run_gated(const parallel::TcpRunConfig& config, FirstPeer first,
     const auto launch = [&](std::uint16_t port) {
         starter = std::thread([&, port] {
             out.first_result = first(port);
-            for (int i = 0; i < 4; ++i)
+            for (int i = 0; i < good_workers; ++i)
                 fleet.push_back(spawn_worker(port, kProblem, args));
         });
         return std::vector<WorkerProc>{};
@@ -138,6 +139,19 @@ auto rejected_worker(std::string problem, std::vector<std::string> args) {
     return [problem = std::move(problem),
             args = std::move(args)](std::uint16_t port) {
         return spawn_worker(port, problem, args).wait_exit_or_kill(10000);
+    };
+}
+
+/// First peer for run_gated: a borg_worker launched with \p args and
+/// SIGKILLed 400 ms later. Until it dies it is the run's only peer, so
+/// the master hands it a task and no good worker can finish the run
+/// before the kill lands.
+auto killed_worker(std::vector<std::string> args) {
+    return [args = std::move(args)](std::uint16_t port) {
+        WorkerProc victim = spawn_worker(port, kProblem, args);
+        std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        ::kill(victim.pid(), SIGKILL);
+        return victim.wait_exit_or_kill(2000);
     };
 }
 
@@ -219,24 +233,13 @@ TEST(TcpExecutor, Kill9MidEvaluationReassignsAndCompletesIdentically) {
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
 
-    std::thread killer;
-    const TcpRun tcp = run_tcp(test_config(), [&](std::uint16_t port) {
-        std::vector<WorkerProc> workers;
-        // The victim's every evaluation blocks 10 s — far beyond the
-        // kill point, so SIGKILL provably lands mid-evaluation with a
-        // task outstanding.
-        workers.push_back(
-            spawn_worker(port, kProblem, {"--eval-delay-ms", "10000"}));
-        for (int i = 0; i < 3; ++i)
-            workers.push_back(spawn_worker(port, kProblem));
-        const pid_t victim = workers[0].pid();
-        killer = std::thread([victim] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(400));
-            ::kill(victim, SIGKILL);
-        });
-        return workers;
-    });
-    killer.join();
+    // The victim's every evaluation blocks 10 s — far beyond the kill
+    // point, so SIGKILL provably lands mid-evaluation with a task
+    // outstanding.
+    const GatedRun run =
+        run_gated(test_config(), killed_worker({"--eval-delay-ms", "10000"}),
+                  {}, 3);
+    const TcpRun& tcp = run.tcp;
 
     EXPECT_TRUE(tcp.result.run.completed_target);
     EXPECT_EQ(tcp.result.run.evaluations, kEvals);
@@ -263,21 +266,10 @@ TEST(TcpExecutor, Kill9AfterHandshakeBeforeFirstResultReassigns) {
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
 
-    std::thread killer;
-    const TcpRun tcp = run_tcp(test_config(), [&](std::uint16_t port) {
-        std::vector<WorkerProc> workers;
-        workers.push_back(
-            spawn_worker(port, kProblem, {"--stall-after-handshake"}));
-        for (int i = 0; i < 3; ++i)
-            workers.push_back(spawn_worker(port, kProblem));
-        const pid_t victim = workers[0].pid();
-        killer = std::thread([victim] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(400));
-            ::kill(victim, SIGKILL);
-        });
-        return workers;
-    });
-    killer.join();
+    const GatedRun run =
+        run_gated(test_config(), killed_worker({"--stall-after-handshake"}),
+                  {}, 3);
+    const TcpRun& tcp = run.tcp;
 
     EXPECT_TRUE(tcp.result.run.completed_target);
     EXPECT_EQ(tcp.result.run.failed_workers, 1u);
@@ -370,22 +362,10 @@ TEST(TcpExecutor, EpollBackendByteIdenticalIncludingKill9Churn) {
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
 
-    auto config = test_config();
-    std::thread killer;
-    const TcpRun tcp = run_tcp(config, [&](std::uint16_t port) {
-        std::vector<WorkerProc> workers;
-        workers.push_back(
-            spawn_worker(port, kProblem, {"--eval-delay-ms", "10000"}));
-        for (int i = 0; i < 3; ++i)
-            workers.push_back(spawn_worker(port, kProblem));
-        const pid_t victim = workers[0].pid();
-        killer = std::thread([victim] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(400));
-            ::kill(victim, SIGKILL);
-        });
-        return workers;
-    });
-    killer.join();
+    const GatedRun run =
+        run_gated(test_config(), killed_worker({"--eval-delay-ms", "10000"}),
+                  {}, 3);
+    const TcpRun& tcp = run.tcp;
 
     EXPECT_TRUE(tcp.result.run.completed_target);
     EXPECT_EQ(tcp.result.run.failed_workers, 1u);
