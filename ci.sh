@@ -9,11 +9,13 @@
 # gates, the variation-operator agreement gate, a small Figure 3 grid at
 # --jobs 1, 2 and 8 compared byte for byte with a checked-in fixture,
 # a one-second run of every BENCHMARK.json workload through
-# saturation_bench/run.py, the fast+threads+net
-# tiers (including the SolutionPool and allocation-behavior tests) under
-# AddressSanitizer + UBSan (float-cast-overflow included; the first
-# report fails the test), and the concurrency surface (SPSC rings,
-# sweep runner, host-thread executor) under ThreadSanitizer.
+# saturation_bench/run.py plus a traced one (--trace 1) of
+# tcp_archive10k_saturated whose per-layer ledger must add up, the
+# fast+threads+net tiers (including the SolutionPool and
+# allocation-behavior tests) under AddressSanitizer + UBSan
+# (float-cast-overflow included; the first report fails the test), and
+# the concurrency surface (SPSC rings, sweep runner, host-thread
+# executor) under ThreadSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -133,25 +135,33 @@ done
 echo "=== saturation benchmark smoke (builds, runs, archives match) ==="
 # Builds saturation_bench the way the benchmark harness does (run.py, its
 # own CMake tree, here under build/) and runs every BENCHMARK.json
-# workload for one second. Fails if the build or a run exits non-zero, or
+# workload for one second, then tcp_archive10k_saturated once more with
+# --trace 1. Fails if the build or a run exits non-zero, or
 # if the last line is not a result with "correct": true (a run's archive
-# differed from the serial reference). Nothing here is gated on timing.
-for workload in $(python3 -c 'import json
-print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+# differed from the serial reference). The traced run is correct only if
+# its per-layer ledger also holds (ingest + variation <= serve <= master
+# CPU <= wall), which an untraced run never checks. Nothing here is gated
+# on timing.
+saturation_smoke() { # workload trace
   if ! out=$(CARGO_TARGET_DIR=build/saturation_bench_smoke \
-      python3 saturation_bench/run.py --workload "$workload" --seed 1 \
-      --seconds 1); then
-    echo "FAIL: saturation_bench $workload exited non-zero"
+      python3 saturation_bench/run.py --workload "$1" --seed 1 \
+      --seconds 1 --trace "$2"); then
+    echo "FAIL: saturation_bench $1 --trace $2 exited non-zero"
     exit 1
   fi
   last=$(printf '%s\n' "$out" | tail -n 1)
   if ! printf '%s\n' "$last" | python3 -c 'import json, sys
 sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)'; then
-    echo "FAIL: saturation_bench $workload: $last"
+    echo "FAIL: saturation_bench $1 --trace $2: $last"
     exit 1
   fi
-  echo "saturation_bench $workload: correct"
+  echo "saturation_bench $1 --trace $2: correct"
+}
+for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  saturation_smoke "$workload" 0
 done
+saturation_smoke tcp_archive10k_saturated 1
 
 echo "=== Sanitizer build (address,undefined) + fast/threads/net tiers ==="
 # -LE slow deliberately includes the net tier: the wire-codec fuzz tests

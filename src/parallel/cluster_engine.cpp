@@ -338,7 +338,11 @@ ClusterEngine::external_dispatch_initial(const WorkerRef& worker) {
 ClusterEngine::ExternalServe
 ClusterEngine::external_result(const WorkerRef& worker, WorkItem work,
                                double measured_tf, double measured_tc) {
-    note_tf(now(), static_cast<std::int64_t>(worker.global), measured_tf);
+    // now() reads the steady clock here, and only a tf_sample event
+    // uses it.
+    const bool traced = ctx_.trace != nullptr && policy_->trace_samples();
+    note_tf(traced ? now() : 0.0, static_cast<std::int64_t>(worker.global),
+            measured_tf);
     pending_tc_ = measured_tc;
     last_ta_ = 0.0;
     if (h_tc_) h_tc_->observe(measured_tc);

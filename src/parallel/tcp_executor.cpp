@@ -96,6 +96,9 @@ struct TcpRunManager::Impl {
     std::vector<std::uint8_t> frame_scratch; ///< staging for one frame
     std::vector<std::uint8_t> recv_buf;      ///< 64 KiB single-shot reads
     std::vector<Conn*> dirty_conns;          ///< batched-flush worklist
+    /// dispatched_at_ns of the oldest task queued since the last
+    /// flush_dirty (0: none held).
+    std::uint64_t hold_since_ns = 0;
 
     explicit Impl(const TcpRunConfig& cfg)
         : config(cfg), listener(cfg.host, cfg.port) {
@@ -107,6 +110,11 @@ struct TcpRunManager::Impl {
 
     /// Heartbeat sweep period: multi-second timeouts need no finer reap.
     static constexpr std::uint64_t kSweepMs = 64;
+    /// Longest a queued refill waits while the rest of its result burst
+    /// is served (DESIGN.md §16). A time, not a frame count: a burst the
+    /// master serves within it still leaves in one send, and the extra
+    /// sends are paid only where serving a burst costs more than this.
+    static constexpr std::uint64_t kMaxRefillHoldUs = 200;
 
     Conn* find_active(std::uint32_t worker_id) {
         if (worker_id >= active_by_id.size()) return nullptr;
@@ -140,8 +148,9 @@ struct TcpRunManager::Impl {
         return queue_scratch(conn);
     }
 
-    /// Marks the conn dirty; dirty conns drain once per loop turn, so a
-    /// burst of frames to one worker leaves in one send.
+    /// Marks the conn dirty; dirty conns drain at the end of the loop
+    /// turn, or sooner once a refill has been held kMaxRefillHoldUs, so
+    /// a burst of frames to one worker leaves in few sends.
     void after_queue(Conn& conn) {
         if (conn.dead) return;
         if (!conn.dirty) {
@@ -156,6 +165,7 @@ struct TcpRunManager::Impl {
             if (!conn->dead) flush(*conn);
         }
         dirty_conns.clear();
+        hold_since_ns = 0;
     }
 
     /// Drains as much outbox as the socket accepts right now — the unsent
@@ -266,6 +276,7 @@ struct TcpRunManager::Impl {
                 Conn& conn = *find_active(worker_id);
                 ++stats.tasks_sent;
                 task.dispatched_at_ns = steady_ns();
+                if (hold_since_ns == 0) hold_since_ns = task.dispatched_at_ns;
                 // Before queueing: an overflow reap must reassign it.
                 conn.inflight.push_back({task.seq, slot});
                 frame_scratch.clear();
@@ -372,6 +383,13 @@ struct TcpRunManager::Impl {
         ++stats.results_received;
 
         const std::uint64_t now_ns = steady_ns();
+        // Serving this result would hold the refills funded earlier in
+        // the burst longer still: past the bound, they leave first. A
+        // send that reaps this conn reassigns only the tasks still in
+        // its inflight list, not this one.
+        if (hold_since_ns != 0 &&
+            now_ns - hold_since_ns >= kMaxRefillHoldUs * 1000)
+            flush_dirty();
         const double measured_tc =
             now_ns > result.sent_at_ns
                 ? static_cast<double>(now_ns - result.sent_at_ns) * 1e-9
@@ -435,10 +453,14 @@ struct TcpRunManager::Impl {
             while (!conn.dead && !window->finished() &&
                    conn.state != Conn::State::closing &&
                    (frame = conn.reader.next_frame())) {
-                if (net::decode_result_frame(*frame, scratch_result))
+                if (net::decode_result_frame(*frame, scratch_result)) {
                     handle_result(conn, scratch_result);
-                else
+                    // Queue the funded refill now, so handle_result's
+                    // hold bound can send it mid-burst.
+                    if (!window->finished()) dispatch_pending();
+                } else {
                     handle_message(conn, net::decode_frame(*frame));
+                }
             }
         } catch (const net::ProtocolError& error) {
             if (error.code() == net::WireError::version_skew &&

@@ -32,6 +32,7 @@
 #include "net_test_support.hpp"
 #include "obs/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
+#include "parallel/master_policies.hpp"
 #include "problems/problem.hpp"
 
 namespace {
@@ -162,10 +163,14 @@ TEST(TcpExecutor, ByteIdenticalToThreadExecutorAtSameSeedAndWindow) {
     const std::vector<moea::Solution> reference =
         reference_archive(*problem, kEpsilon, kSeed, kWindow, kEvals);
 
+    // Each worker sleeps 1 ms per evaluation, as run_gated's good workers
+    // do: without it one worker can serve all kEvals results before the
+    // others connect.
     const TcpRun tcp = run_tcp(test_config(), [&](std::uint16_t port) {
         std::vector<WorkerProc> workers;
         for (int i = 0; i < 4; ++i)
-            workers.push_back(spawn_worker(port, kProblem));
+            workers.push_back(
+                spawn_worker(port, kProblem, {"--eval-delay-ms", "1"}));
         return workers;
     });
 
@@ -408,6 +413,61 @@ TEST(TcpExecutor, PipelineDepthDoesNotChangeArchive) {
     // tasks leave in one send, so frames outnumber send calls (one
     // send per frame would make them equal).
     EXPECT_GT(tcp.result.net.frames_sent, tcp.result.net.syscalls_send);
+}
+
+/// AsyncBorgPolicy that spins 400 us of wall time before every serve,
+/// twice the run manager's 200 us refill hold bound.
+class SlowServePolicy : public parallel::AsyncBorgPolicy {
+public:
+    using AsyncBorgPolicy::AsyncBorgPolicy;
+
+    Service serve(parallel::ClusterEngine& engine,
+                  const parallel::WorkerRef& worker,
+                  parallel::WorkItem work) override {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(400);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        return AsyncBorgPolicy::serve(engine, worker, std::move(work));
+    }
+};
+
+TEST(TcpExecutor, LongBurstRefillsLeaveBeforeTheBurstIsServed) {
+    // One worker at depth 32 answers its whole pipeline at once, so the
+    // master reads its results in bursts of up to 32. Every serve takes
+    // longer than the refill hold bound, so the refill an early result
+    // funds must leave while the rest of its burst is still being
+    // served, not in one send after the whole burst.
+    constexpr std::size_t kDepth = 32;
+    const auto problem = problems::make_problem(kProblem);
+    const std::vector<moea::Solution> reference =
+        reference_archive(*problem, kEpsilon, kSeed, kDepth, kEvals);
+
+    auto config = test_config();
+    config.workers_expected = kDepth;
+    config.pipeline_depth = kDepth;
+    moea::BorgParams params =
+        moea::BorgParams::for_problem(*problem, kEpsilon);
+    moea::BorgMoea algorithm(*problem, params, kSeed);
+    SlowServePolicy policy(algorithm, *problem);
+    parallel::TcpRunManager manager(config);
+    WorkerProc worker = spawn_worker(manager.port(), kProblem);
+    const parallel::TcpRunResult result =
+        manager.run(policy, *problem, kEvals, {});
+    worker.wait_exit_or_kill(2000);
+
+    EXPECT_TRUE(result.run.completed_target);
+    EXPECT_EQ(result.net.results_received, kEvals);
+    EXPECT_TRUE(
+        archives_identical(reference, algorithm.archive().solutions()))
+        << "splitting result bursts changed the dispatch-mode archive";
+    // About kEvals / kDepth bursts. A master that sends only after a
+    // whole burst is served pays one or two sends per burst (20 in all);
+    // with every serve longer than the bound, a refill leaves at the
+    // latest when the next-but-one result is stamped, so at least one
+    // send per two results (~136).
+    EXPECT_GT(result.net.syscalls_send, 4 * kEvals / kDepth)
+        << "refills waited for their whole burst to be served";
 }
 
 TEST(TcpExecutor, SlowReaderBackpressureDrainsWithoutCorruption) {
